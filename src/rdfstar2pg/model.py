@@ -362,36 +362,6 @@ def _rename(statement: Statement, mapping: dict) -> Statement:
     return Statement(conv(statement.subject), statement.predicate, conv(statement.object))
 
 
-def _graphs_isomorphic(left, right) -> bool:
-    left, right = set(left), set(right)
-    if len(left) != len(right):
-        return False
-    a_labels = sorted(_bnode_labels(left))
-    b_labels = sorted(_bnode_labels(right))
-    if len(a_labels) != len(b_labels):
-        return False
-    if not a_labels:
-        return left == right
-
-    # Backtracking search over label bijections; fine for the small graphs
-    # this library deals in (documents rarely hold more than a few bnodes).
-    def extend(mapping: dict, remaining: list) -> bool:
-        if not remaining:
-            return {_rename(st, mapping) for st in left} == right
-        label = remaining[0]
-        used = set(mapping.values())
-        for candidate in b_labels:
-            if candidate in used:
-                continue
-            mapping[label] = candidate
-            if extend(mapping, remaining[1:]):
-                return True
-            del mapping[label]
-        return False
-
-    return extend({}, a_labels)
-
-
 def isomorphic(a: Dataset, b: Dataset) -> bool:
     """True when the datasets are equal up to blank-node relabeling.
 

@@ -1,18 +1,27 @@
-"""Recursive-descent parser for Turtle-star documents.
+"""Turtle-star scanner and recursive-descent parser.
 
 Supported surface: @prefix directives, prefixed names, absolute IRIs, string
 literals with ^^datatype or @lang, integer/decimal shorthand, predicate lists
 (;), object lists (,), the `a` keyword, labeled and anonymous blank nodes,
 collections (expanded to rdf:first/rdf:rest/rdf:nil chains), quoted triples
-<< s p o >> at any nesting depth, and named-graph blocks `<name> { ... }`.
+<< s p o >>, and named-graph blocks `<name> { ... }`. Quoted triples and
+collections nest at most MAX_NESTING (128) levels, counted together; the
+first '<<' or '(' past that is an UnsupportedConstruct error.
 
 Everything else fails loudly with a positioned ParseError; nothing is ever
 guessed at. In particular @base/relative IRIs, annotation syntax {| ... |},
 non-empty blank-node property lists, long strings, and numeric double
 shorthand are out of scope.
 
+The scanner is one compiled pattern of named alternatives, matched once per
+token at the current offset, with space and comments as its prefix. Tokens
+carry only their source offset; line and column are worked out when an
+error is raised. When no alternative matches, _lex_error explains why at
+the offending character. The whole document is scanned before parsing, so a
+lexical error anywhere wins over a syntax error before it.
+
 Blank nodes are relabeled b0, b1, ... in order of first appearance; the
-source label survives on BlankNode.original. Each graph is dedupliated with
+source label survives on BlankNode.original. Each graph is deduplicated with
 set semantics. File extension makes no difference to parsing.
 """
 
@@ -60,6 +69,11 @@ class ParseError(Exception):
 
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
+# Deepest accepted nesting of << >> and ( ) terms, counted together. Deeper
+# input is refused at the offending '<<' or '(' rather than left to exhaust
+# the recursion of the parser and of every walker downstream.
+MAX_NESTING = 128
+
 # Token kinds
 IRIREF = "IRIREF"
 PNAME = "PNAME"
@@ -75,218 +89,186 @@ EOF = "EOF"
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "column", "extra")
+    __slots__ = ("kind", "value", "start", "extra")
 
-    def __init__(self, kind, value, line, column, extra=None):
+    def __init__(self, kind, value, start, extra=None):
         self.kind = kind
         self.value = value
-        self.line = line
-        self.column = column
+        self.start = start  # offset into the (BOM-stripped) source text
         self.extra = extra
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
 
 
-_PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_PN_LOCAL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
+# Whitespace and comments. Each iteration takes a maximal run or a whole
+# comment, so a failed token match cannot backtrack into them: it neither
+# finds a token inside a comment nor retries every split of a long run.
+_SPACE = r"(?:[ \t\r\n]+(?![ \t\r\n])|\#[^\n]*(?![^\n]))*"
+
+# One token after optional space; the named group is the token class. Each
+# alternative accepts exactly the tokens of the surface in the module
+# docstring, so a failed match always means a lexical error, which _lex_error
+# then explains. The lookaheads make a NUMBER the longest run of digits, so
+# "12.5e3" fails as an exponent instead of scanning as "12".
+_TOKEN = re.compile(
+    _SPACE
+    + r"""(?:
+    (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
+  | (?P<PUNCT><<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|))
+  | (?P<STRING>"(?!"")[^"\\\n]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n]*)*")
+  | (?P<IRIREF><[^\x00-\x20<>"{}|^`]*>)
+  | (?P<NUMBER>[+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE]))
+  | (?P<LANGTAG>@(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
+  | (?P<BLANK>_:[A-Za-z0-9_][A-Za-z0-9_\-]*)
+  | (?P<A_KW>a(?![A-Za-z0-9_\-:]))
+  | (?P<PREFIX_KW>@prefix)
+  | (?P<EOF>\Z)
+)""",
+    re.VERBOSE,
+)
+_SKIP_SPACE = re.compile(_SPACE)
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|(.))")
+_ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
 _BARE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")
-_LANG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+_HEX4 = re.compile(r"[0-9A-Fa-f]{4}")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text.lstrip("﻿")
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _unescape(match) -> str:
+    code, char = match.groups()
+    return chr(int(code, 16)) if code else _ESCAPED[char]
 
-    def error(self, message: str, kind: ErrorKind = ErrorKind.LEXICAL):
-        raise ParseError(message, self.line, self.col, kind)
 
-    def _advance(self, count: int) -> str:
-        chunk = self.text[self.pos : self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return chunk
+def _error_at(text: str, offset: int, message: str, kind: ErrorKind) -> ParseError:
+    """A ParseError at a source offset; line and column are 1-based."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset), kind)
 
-    def _skip_ws_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance(1)
-            else:
-                return
 
-    def tokens(self):
-        out = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind == EOF:
-                return out
+def _tokenize(text: str) -> list:
+    """All tokens of `text`, ending in two EOF tokens (the parser looks one ahead)."""
+    out = []
+    append = out.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            raise _lex_error(text, pos)
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        pos = m.end()
+        start = pos - len(lexeme)
+        if kind == "PNAME":
+            prefix, _, local = lexeme.partition(":")
+            append(Token(PNAME, prefix, start, local))
+        elif kind == "PUNCT":
+            append(Token(lexeme, lexeme, start))
+        elif kind == "STRING":
+            value = lexeme[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            append(Token(STRING, value, start))
+        elif kind == "IRIREF":
+            append(Token(IRIREF, lexeme[1:-1], start))
+        elif kind == "NUMBER":
+            append(Token(DECIMAL if "." in lexeme else INTEGER, lexeme, start))
+        elif kind == "LANGTAG":
+            append(Token(LANGTAG, lexeme[1:], start))
+        elif kind == "BLANK":
+            append(Token(BLANK, lexeme[2:], start))
+        elif kind == "EOF":
+            eof = Token(EOF, "", start)
+            out += (eof, eof)
+            return out
+        else:  # A_KW, PREFIX_KW
+            append(Token(kind, lexeme, start))
 
-    def next_token(self) -> Token:
-        self._skip_ws_and_comments()
-        if self.pos >= len(self.text):
-            return Token(EOF, "", self.line, self.col)
-        line, col = self.line, self.col
-        text, pos = self.text, self.pos
+
+def _lex_error(text: str, pos: int) -> ParseError:
+    """Explain why no token starts at `pos` (after any space and comments)."""
+    pos = _SKIP_SPACE.match(text, pos).end()
+    ch = text[pos]
+    unsupported = ErrorKind.UNSUPPORTED
+
+    def error(message, offset=pos, kind=ErrorKind.LEXICAL):
+        return _error_at(text, offset, message, kind)
+
+    if ch.isdigit() and text[pos - 1 : pos] == ".":
+        # a '.' before any digit starts a number; one that \d does not match
+        # (such as '²') leaves it malformed, reported at the '.'
+        return error("malformed number", pos - 1)
+    if ch == "<":
+        if text.find(">", pos + 1) < 0:
+            return error("unterminated IRI reference")
+        return error("illegal character inside IRI reference")
+    if ch == ">":
+        return error("stray '>'")
+    if text.startswith("{|", pos):
+        return error("annotation syntax {| ... |} is not supported", kind=unsupported)
+    if ch == "^":
+        return error("stray '^' (datatype marker is '^^')")
+    if ch == '"':
+        return _string_error(text, pos)
+    if ch == "@":
+        if text.startswith("@base", pos):
+            return error("@base / relative IRIs are not supported", kind=unsupported)
+        return error("bad language tag or directive")
+    if ch == "_":
+        if not text.startswith("_:", pos):
+            return error("bad blank node (expected '_:')")
+        return error("blank node label missing")
+    number = _NUMBER.match(text, pos)
+    if ch.isdigit() or (ch in "+-." and number):
+        if not number:
+            return error("malformed number")
+        return error("double shorthand (exponent) is not supported", kind=unsupported)
+    bare = _BARE.match(text, pos)
+    if bare:
+        word = bare.group(0)
+        if word in ("true", "false"):
+            return error("boolean shorthand is not supported", kind=unsupported)
+        if word in ("PREFIX", "BASE"):
+            return error(f"SPARQL-style {word} is not supported (use @prefix)", kind=unsupported)
+        if word == "GRAPH":
+            return error("GRAPH keyword is not supported (use `<name> { ... }`)", kind=unsupported)
+        return error(f"unexpected word {word!r}", kind=ErrorKind.SYNTAX)
+    return error(f"unexpected character {ch!r}")
+
+
+def _string_error(text: str, start: int) -> ParseError:
+    """The first fault of the string literal opening at `start`."""
+    if text.startswith('"""', start):
+        return _error_at(text, start, "long string literals are not supported", ErrorKind.UNSUPPORTED)
+    pos = start + 1
+    # no '"' is met before the fault: a closed string would have matched
+    while pos < len(text):
         ch = text[pos]
-
-        if text.startswith("<<", pos):
-            self._advance(2)
-            return Token("<<", "<<", line, col)
-        if text.startswith(">>", pos):
-            self._advance(2)
-            return Token(">>", ">>", line, col)
-        if ch == "<":
-            return self._iriref(line, col)
-        if ch == ">":
-            self.error("stray '>'")
-        if text.startswith("{|", pos):
-            self.error("annotation syntax {| ... |} is not supported", ErrorKind.UNSUPPORTED)
-        if ch == "." and text[pos + 1 : pos + 2].isdigit():
-            return self._number(line, col)
-        if ch in ".;,()[]{}":
-            self._advance(1)
-            return Token(ch, ch, line, col)
-        if text.startswith("^^", pos):
-            self._advance(2)
-            return Token("^^", "^^", line, col)
-        if ch == "^":
-            self.error("stray '^' (datatype marker is '^^')")
-        if ch == '"':
-            return self._string(line, col)
-        if ch == "@":
-            return self._at(line, col)
-        if ch == "_":
-            return self._blank(line, col)
-        if ch.isdigit() or (ch in "+-." and self._looks_numeric()):
-            return self._number(line, col)
-        if ch == ":" or _PN_PREFIX.match(ch):
-            return self._name(line, col)
-        self.error(f"unexpected character {ch!r}")
-
-    def _looks_numeric(self) -> bool:
-        return _NUMBER.match(self.text, self.pos) is not None
-
-    def _iriref(self, line, col) -> Token:
-        end = self.text.find(">", self.pos + 1)
-        if end < 0:
-            self.error("unterminated IRI reference")
-        raw = self.text[self.pos + 1 : end]
-        if any(c in raw for c in ' "<{}|^`') or any(ord(c) < 0x21 for c in raw):
-            self.error("illegal character inside IRI reference")
-        self._advance(end - self.pos + 1)
-        return Token(IRIREF, raw, line, col)
-
-    def _string(self, line, col) -> Token:
-        text = self.text
-        if text.startswith('"""', self.pos):
-            self.error("long string literals are not supported", ErrorKind.UNSUPPORTED)
-        self._advance(1)
-        out = []
-        while True:
-            if self.pos >= len(text):
-                raise ParseError("unterminated string literal", line, col, ErrorKind.LEXICAL)
-            ch = text[self.pos]
-            if ch == '"':
-                self._advance(1)
-                return Token(STRING, "".join(out), line, col)
-            if ch == "\n":
-                self.error("newline inside string literal")
-            if ch == "\\":
-                esc = text[self.pos + 1 : self.pos + 2]
-                if esc == "u":
-                    hexs = text[self.pos + 2 : self.pos + 6]
-                    if len(hexs) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexs):
-                        self.error("bad \\u escape (need 4 hex digits)")
-                    out.append(chr(int(hexs, 16)))
-                    self._advance(6)
-                elif esc in ('"', "\\", "n", "t", "r"):
-                    out.append({'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}[esc])
-                    self._advance(2)
-                else:
-                    self.error(f"unsupported escape sequence \\{esc}")
-            else:
-                out.append(ch)
-                self._advance(1)
-
-    def _at(self, line, col) -> Token:
-        text = self.text
-        if text.startswith("@prefix", self.pos):
-            self._advance(len("@prefix"))
-            return Token(PREFIX_KW, "@prefix", line, col)
-        if text.startswith("@base", self.pos):
-            self.error("@base / relative IRIs are not supported", ErrorKind.UNSUPPORTED)
-        m = _LANG.match(text, self.pos + 1)
-        if not m:
-            self.error("bad language tag or directive")
-        self._advance(1 + len(m.group(0)))
-        return Token(LANGTAG, m.group(0), line, col)
-
-    def _blank(self, line, col) -> Token:
-        text = self.text
-        if not text.startswith("_:", self.pos):
-            self.error("bad blank node (expected '_:')")
-        m = _PN_LOCAL.match(text, self.pos + 2)
-        if not m:
-            self.error("blank node label missing")
-        self._advance(2 + len(m.group(0)))
-        return Token(BLANK, m.group(0), line, col)
-
-    def _number(self, line, col) -> Token:
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            self.error("malformed number")
-        lexeme = m.group(0)
-        after = self.text[self.pos + len(lexeme) : self.pos + len(lexeme) + 1]
-        if after in ("e", "E"):
-            self.error("double shorthand (exponent) is not supported", ErrorKind.UNSUPPORTED)
-        self._advance(len(lexeme))
-        kind = DECIMAL if "." in lexeme else INTEGER
-        return Token(kind, lexeme, line, col)
-
-    def _name(self, line, col) -> Token:
-        text = self.text
-        m = _BARE.match(text, self.pos)
-        word = m.group(0) if m else ""
-        after = text[self.pos + len(word) : self.pos + len(word) + 1]
-        if after != ":":
-            # bare keyword, not a prefixed name
-            if word == "a":
-                self._advance(1)
-                return Token(A_KW, "a", line, col)
-            if word in ("true", "false"):
-                self.error("boolean shorthand is not supported", ErrorKind.UNSUPPORTED)
-            if word in ("PREFIX", "BASE"):
-                self.error(f"SPARQL-style {word} is not supported (use @prefix)", ErrorKind.UNSUPPORTED)
-            if word in ("GRAPH",):
-                self.error("GRAPH keyword is not supported (use `<name> { ... }`)", ErrorKind.UNSUPPORTED)
-            self.error(f"unexpected word {word!r}", ErrorKind.SYNTAX)
-        self._advance(len(word) + 1)
-        m2 = _PN_LOCAL.match(text, self.pos)
-        local = ""
-        if m2:
-            local = m2.group(0)
-            self._advance(len(local))
-        return Token(PNAME, word, line, col, extra=local)
+        if ch == "\n":
+            return _error_at(text, pos, "newline inside string literal", ErrorKind.LEXICAL)
+        if ch == "\\":
+            esc = text[pos + 1 : pos + 2]
+            if esc == "u":
+                if not _HEX4.match(text, pos + 2):
+                    return _error_at(text, pos, "bad \\u escape (need 4 hex digits)", ErrorKind.LEXICAL)
+                pos += 6
+                continue
+            if esc not in _ESCAPED:
+                return _error_at(text, pos, f"unsupported escape sequence \\{esc}", ErrorKind.LEXICAL)
+            pos += 2
+            continue
+        pos += 1
+    return _error_at(text, start, "unterminated string literal", ErrorKind.LEXICAL)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _Lexer(text).tokens()
+        self.text = text.lstrip("\ufeff")
+        self.toks = _tokenize(self.text)
         self.i = 0
+        self.depth = 0  # << >> and ( ) nesting of the term in flight
         self.prefixes: dict = {}
         self.bnode_map: dict = {}
         self.bnode_counter = 0
@@ -297,13 +279,13 @@ class _Parser:
     # --- token helpers ---
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
+        # every caller that consumes an EOF raises at once, so the index never
+        # passes the second EOF
         tok = self.toks[self.i]
-        if tok.kind != EOF:
-            self.i += 1
+        self.i += 1
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
@@ -313,7 +295,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: Token, kind: ErrorKind = ErrorKind.SYNTAX):
-        raise ParseError(message, tok.line, tok.column, kind)
+        raise _error_at(self.text, tok.start, message, kind)
 
     # --- blank node bookkeeping ---
 
@@ -431,7 +413,7 @@ class _Parser:
         if tok.kind == PNAME:
             if tok.value not in self.prefixes:
                 self.error(f"undefined prefix '{tok.value}:'", tok, ErrorKind.UNDEFINED_PREFIX)
-            return Iri(self.prefixes[tok.value] + (tok.extra or ""))
+            return Iri(self.prefixes[tok.value] + tok.extra)
         if tok.kind == BLANK:
             return self._labeled_bnode(tok.value)
         if tok.kind == "[":
@@ -471,7 +453,7 @@ class _Parser:
                     self.error(
                         f"undefined prefix '{dt_tok.value}:'", dt_tok, ErrorKind.UNDEFINED_PREFIX
                     )
-                dt = self.prefixes[dt_tok.value] + (dt_tok.extra or "")
+                dt = self.prefixes[dt_tok.value] + dt_tok.extra
             else:
                 self.error("expected datatype IRI after '^^'", dt_tok)
             if dt == RDF_LANG_STRING:
@@ -479,13 +461,24 @@ class _Parser:
             return Literal(tok.value, Iri(dt))
         return Literal(tok.value, Iri(XSD_STRING))
 
+    def _enter(self, open_tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(
+                f"terms nested deeper than {MAX_NESTING} levels are not supported",
+                open_tok,
+                ErrorKind.UNSUPPORTED,
+            )
+
     def _quoted(self, open_tok: Token) -> QuotedTriple:
+        self._enter(open_tok)
         subject = self._term(position="quoted subject")
         if isinstance(subject, Literal):
             self.error("literal cannot be the subject of a quoted triple", open_tok)
         predicate = self._verb()
         obj = self._term(position="quoted object")
         self.expect(">>", "'>>'")
+        self.depth -= 1
         return QuotedTriple(Statement(subject, predicate, obj))
 
     def _collection(self, open_tok: Token, position: str):
@@ -495,6 +488,7 @@ class _Parser:
                 open_tok,
                 ErrorKind.UNSUPPORTED,
             )
+        self._enter(open_tok)
         elements = []
         while True:
             tok = self.peek()
@@ -504,6 +498,7 @@ class _Parser:
             if tok.kind == EOF:
                 self.error("unterminated collection", tok)
             elements.append(self._term(position="collection element"))
+        self.depth -= 1
         if not elements:
             return Iri(RDF_NIL)
         cells = [self._fresh_bnode() for _ in elements]

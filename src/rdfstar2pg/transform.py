@@ -30,6 +30,9 @@ from decimal import Decimal, InvalidOperation
 
 from . import pgraph
 from .model import (
+    RDF_FIRST,
+    RDF_NIL,
+    RDF_REST,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DATE,
@@ -517,9 +520,9 @@ class _Engine:
                     if isinstance(term, BlankNode):
                         mentions[term] = mentions.get(term, 0) + 1
                 if isinstance(st.subject, BlankNode):
-                    if st.predicate.value.endswith("#first"):
+                    if st.predicate.value == RDF_FIRST:
                         firsts.setdefault(st.subject, []).append(st)
-                    elif st.predicate.value.endswith("#rest"):
+                    elif st.predicate.value == RDF_REST:
                         rests.setdefault(st.subject, []).append(st)
             collapsed = {}
             for st in statements:
@@ -551,7 +554,7 @@ class _Engine:
             members.extend((first_st, rest_st))
             tail = rest_st.object
             if isinstance(tail, Iri):
-                if tail.value.endswith("#nil") and len({type(v) for v in values}) == 1:
+                if tail.value == RDF_NIL and len({type(v) for v in values}) == 1:
                     return values, members
                 return None
             if not isinstance(tail, BlankNode):

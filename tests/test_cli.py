@@ -142,6 +142,14 @@ class TestConvert:
         )
         assert len(json.loads(expanded)["nodes"]) > len(json.loads(collapsed)["nodes"])
 
+    def test_nesting_beyond_cap_is_positioned_error(self, tmp_path):
+        path = tmp_path / "deep.ttls"
+        path.write_text(EX + "<< " * 129 + "ex:a ex:p ex:b" + " >> ex:p ex:b" * 128 + " .\n")
+        code, out, err = run_cli(["convert", str(path)])
+        assert code == 1 and out == b""
+        assert err.decode().startswith("parse error at line 2, column 385: ")
+        assert "Traceback" not in err.decode()
+
 
 class TestConformanceCommand:
     def test_default_run_passes(self):

@@ -15,7 +15,15 @@ from rdfstar2pg.model import (
     isomorphic,
     serialize_statement,
 )
-from rdfstar2pg.parser import ErrorKind, ParseError, parse_turtle_star, to_turtle_star
+from rdfstar2pg.exporters import to_cypher, to_graphml, to_json
+from rdfstar2pg.parser import (
+    MAX_NESTING,
+    ErrorKind,
+    ParseError,
+    parse_turtle_star,
+    to_turtle_star,
+)
+from rdfstar2pg.transform import hybrid, pgt, rpt
 
 EX = "@prefix ex: <http://example.org/> .\n"
 
@@ -250,6 +258,122 @@ class TestErrors:
     def test_error_reports_position_of_offending_token(self):
         err = self.check(EX + "ex:a ex:b\nzz:c ex:d .", ErrorKind.UNDEFINED_PREFIX)
         assert (err.line, err.column) == (3, 1)
+
+
+# Every error site of the scanner, pinned as (id, source, kind, line, column,
+# message). Positions inside a token (a bad escape, a newline in a string)
+# point at the offending character; every other error points at the token's
+# first character. Lines count "\n" only, so a CR is one more column.
+LEXER_ERRORS = [
+    ("stray_gt", EX + "ex:a ex:b > .", ErrorKind.LEXICAL, 2, 11, "stray '>'"),
+    ("stray_gt_after_comment", "# intro <x>\r\n" + EX + "ex:a ex:b ex:c .\r\n  > .", ErrorKind.LEXICAL, 4, 3, "stray '>'"),
+    ("unterminated_iri", "# c\n<http://x/a <http://x/b", ErrorKind.LEXICAL, 2, 1, "unterminated IRI reference"),
+    ("unterminated_iri_eof", EX + "ex:a ex:b <http://x/c", ErrorKind.LEXICAL, 2, 11, "unterminated IRI reference"),
+    ("iri_space", "<http://x/a b> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 1, "illegal character inside IRI reference"),
+    ("iri_brace", EX + "ex:a ex:b\n\t<http://x/{o}> .", ErrorKind.LEXICAL, 3, 2, "illegal character inside IRI reference"),
+    ("iri_control", EX + "ex:a ex:b <http://x/\x01> .", ErrorKind.LEXICAL, 2, 11, "illegal character inside IRI reference"),
+    ("long_string", EX + 'ex:a ex:b """long""" .', ErrorKind.UNSUPPORTED, 2, 11, "long string literals are not supported"),
+    ("newline_in_string", EX + 'ex:a ex:b "ab\ncd" .', ErrorKind.LEXICAL, 2, 14, "newline inside string literal"),
+    ("newline_in_string_crlf", EX + 'ex:a ex:b "ab\r\ncd" .', ErrorKind.LEXICAL, 2, 15, "newline inside string literal"),
+    ("bad_u_escape", EX + 'ex:a ex:b "ok \\u12G4" .', ErrorKind.LEXICAL, 2, 15, "bad \\u escape (need 4 hex digits)"),
+    ("short_u_escape", EX + 'ex:a ex:b "\\u12', ErrorKind.LEXICAL, 2, 12, "bad \\u escape (need 4 hex digits)"),
+    ("unsupported_escape", EX + 'ex:a ex:b "x\\q" .', ErrorKind.LEXICAL, 2, 13, "unsupported escape sequence \\q"),
+    ("unterminated_string", EX + 'ex:a ex:b "open .', ErrorKind.LEXICAL, 2, 11, "unterminated string literal"),
+    ("unterminated_string_after_escape", EX + 'ex:a ex:b\n  "a\\"b', ErrorKind.LEXICAL, 3, 3, "unterminated string literal"),
+    ("base", "@base <http://x/> .", ErrorKind.UNSUPPORTED, 1, 1, "@base / relative IRIs are not supported"),
+    ("base_after_comment", "# header\r\n\r\n  @base <http://x/> .", ErrorKind.UNSUPPORTED, 3, 3, "@base / relative IRIs are not supported"),
+    ("bad_lang_tag", EX + 'ex:a ex:b "x"@1 .', ErrorKind.LEXICAL, 2, 14, "bad language tag or directive"),
+    ("bare_at", EX + 'ex:a ex:b "x" @ .', ErrorKind.LEXICAL, 2, 15, "bad language tag or directive"),
+    ("annotation", EX + "ex:a ex:b ex:c {| ex:d ex:e |} .", ErrorKind.UNSUPPORTED, 2, 16, "annotation syntax {| ... |} is not supported"),
+    ("stray_caret", EX + 'ex:a ex:b "1"^xsd:int .', ErrorKind.LEXICAL, 2, 14, "stray '^' (datatype marker is '^^')"),
+    ("bad_blank", EX + "_x ex:b ex:c .", ErrorKind.LEXICAL, 2, 1, "bad blank node (expected '_:')"),
+    ("blank_label_missing", EX + "_: ex:b ex:c .", ErrorKind.LEXICAL, 2, 1, "blank node label missing"),
+    ("blank_label_dash", EX + "ex:a ex:b _:-c .", ErrorKind.LEXICAL, 2, 11, "blank node label missing"),
+    ("exponent", EX + "ex:a ex:b 1e2 .", ErrorKind.UNSUPPORTED, 2, 11, "double shorthand (exponent) is not supported"),
+    ("exponent_decimal", EX + "ex:a ex:b 12.5E3 .", ErrorKind.UNSUPPORTED, 2, 11, "double shorthand (exponent) is not supported"),
+    ("exponent_leading_dot", EX + "ex:a ex:b .5e1 .", ErrorKind.UNSUPPORTED, 2, 11, "double shorthand (exponent) is not supported"),
+    ("exponent_signed", EX + "ex:a ex:b -2e1 .", ErrorKind.UNSUPPORTED, 2, 11, "double shorthand (exponent) is not supported"),
+    ("true", EX + "ex:a ex:b true .", ErrorKind.UNSUPPORTED, 2, 11, "boolean shorthand is not supported"),
+    ("false", EX + "ex:a ex:b\n false .", ErrorKind.UNSUPPORTED, 3, 2, "boolean shorthand is not supported"),
+    ("sparql_prefix", "PREFIX ex: <http://x/>", ErrorKind.UNSUPPORTED, 1, 1, "SPARQL-style PREFIX is not supported (use @prefix)"),
+    ("sparql_base", "# c\nBASE <http://x/>", ErrorKind.UNSUPPORTED, 2, 1, "SPARQL-style BASE is not supported (use @prefix)"),
+    ("graph_keyword", EX + "GRAPH ex:g { ex:a ex:b ex:c }", ErrorKind.UNSUPPORTED, 2, 1, "GRAPH keyword is not supported (use `<name> { ... }`)"),
+    ("unexpected_word", EX + "ex:a ex:b foo .", ErrorKind.SYNTAX, 2, 11, "unexpected word 'foo'"),
+    ("word_after_number", EX + "ex:a ex:b 12abc .", ErrorKind.SYNTAX, 2, 13, "unexpected word 'abc'"),
+    ("unexpected_char", EX + "ex:a ex:b ex:c é .", ErrorKind.LEXICAL, 2, 16, "unexpected character 'é'"),
+    ("unexpected_plus", EX + "ex:a ex:b +x .", ErrorKind.LEXICAL, 2, 11, "unexpected character '+'"),
+    ("unexpected_pipe", EX + "ex:a ex:b ex:c |} .", ErrorKind.LEXICAL, 2, 16, "unexpected character '|'"),
+    ("malformed_number", EX + "ex:a ex:b ² .", ErrorKind.LEXICAL, 2, 11, "malformed number"),
+    ("malformed_number_after_dot", EX + "ex:a ex:b ex:c .²", ErrorKind.LEXICAL, 2, 16, "malformed number"),
+    ("bom", "\ufeff\ufeff" + EX + "ex:a ex:b ^ .", ErrorKind.LEXICAL, 2, 11, "stray '^' (datatype marker is '^^')"),
+    ("crlf_tabs", "@prefix ex: <http://example.org/> .\r\n\r\nex:a\tex:b\r\n\t\t$ .", ErrorKind.LEXICAL, 4, 3, "unexpected character '$'"),
+    ("comment_with_tokens", "# <<unterminated \"string\n" + EX + "ex:a ex:b ex:c . # trailing <x\n?", ErrorKind.LEXICAL, 4, 1, "unexpected character '?'"),
+    ("token_inside_comment", EX + "ex:a ex:b ex:c . # <http://x/o> ^\n?", ErrorKind.LEXICAL, 3, 1, "unexpected character '?'"),
+    # space before an error must not backtrack exponentially: this row hangs if it does
+    ("long_space_run", EX + "ex:a ex:b\n" + " \t" * 20 + "?", ErrorKind.LEXICAL, 3, 41, "unexpected character '?'"),
+    ("lexical_after_syntax", EX + "ex:a ex:b ex:c ex:d .\nex:e ex:f ^ .", ErrorKind.LEXICAL, 3, 11, "stray '^' (datatype marker is '^^')"),
+]
+
+
+@pytest.mark.parametrize(
+    "source,kind,line,column,message",
+    [row[1:] for row in LEXER_ERRORS],
+    ids=[row[0] for row in LEXER_ERRORS],
+)
+def test_lexer_error_table(source, kind, line, column, message):
+    with pytest.raises(ParseError) as exc_info:
+        parse_turtle_star(source)
+    err = exc_info.value
+    assert (err.kind, err.line, err.column, err.message) == (kind, line, column, message)
+    assert str(err) == f"line {line}, column {column}: {message}"
+
+
+def quoted_as_subject(depth):
+    return EX + "<< " * depth + "ex:a ex:p ex:b" + " >> ex:p ex:b" * (depth - 1) + " >> ex:q ex:c .\n"
+
+
+def quoted_as_object(depth):
+    return EX + "ex:a ex:p << " * depth + "ex:a ex:p ex:b" + " >>" * depth + " .\n"
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("build", [quoted_as_subject, quoted_as_object])
+    @pytest.mark.parametrize("approach", [rpt, pgt, hybrid])
+    def test_deepest_accepted_nesting_converts(self, build, approach):
+        dataset = parse_turtle_star(build(MAX_NESTING))
+        graph, report = approach(dataset)
+        # the asserted statement plus every embedded star statement
+        assert report.total == MAX_NESTING
+        for export in (to_json, to_graphml, to_cypher):
+            assert export(graph)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
+    @pytest.mark.parametrize("build", [quoted_as_subject, quoted_as_object])
+    def test_one_level_deeper_is_refused_at_that_quote(self, build, depth):
+        source = build(depth)
+        offending = 0
+        for _ in range(MAX_NESTING + 1):
+            offending = source.index("<<", offending + 1)
+        with pytest.raises(ParseError) as exc_info:
+            parse_turtle_star(source)
+        err = exc_info.value
+        assert err.kind is ErrorKind.UNSUPPORTED
+        assert (err.line, err.column) == (2, offending - len(EX) + 1)
+        assert str(MAX_NESTING) in err.message
+
+    def test_deep_collections_are_refused(self):
+        source = EX + "ex:a ex:p " + "(" * 2000 + ")" * 2000 + " ."
+        with pytest.raises(ParseError) as exc_info:
+            parse_turtle_star(source)
+        assert exc_info.value.kind is ErrorKind.UNSUPPORTED
+        assert exc_info.value.column == len("ex:a ex:p ") + MAX_NESTING + 1
+
+    def test_nesting_limit_is_per_term(self):
+        # sibling quoted triples and collections do not add up
+        deep = "<< " * MAX_NESTING + "ex:a ex:p ex:b" + " >> ex:p ex:b" * (MAX_NESTING - 1) + " >>"
+        lists = ", ".join(['("x")'] * (MAX_NESTING + 1))
+        dataset = parse_turtle_star(EX + f"{deep} ex:q {deep} .\n{deep} ex:r ex:c .\nex:l ex:p {lists} .")
+        assert len(dataset.default) == 2 + (MAX_NESTING + 1) * 3
 
 
 class TestRoundTrip:

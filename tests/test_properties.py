@@ -1,7 +1,8 @@
 """Randomized invariants over generated datasets.
 
 Four structural guarantees, each checked against at least a thousand
-generated datasets (at most ten statements, quoting depth at most two):
+generated datasets (at most ten statements, quoting depth at most two), and
+one text round trip, checked against four hundred:
 
 1. edge bijection    - without quoted triples, the fully node-materializing
                        approach produces exactly one edge per statement
@@ -15,6 +16,10 @@ generated datasets (at most ten statements, quoting depth at most two):
 4. approach agreement - on datasets made purely of object properties the
                        three approaches agree exactly once label policies
                        are harmonized
+5. text round trip   - parse_turtle_star(to_turtle_star(d)) == d, for
+                       literals full of escapes and control characters,
+                       language tags, named graphs and quoted triples up to
+                       depth three
 """
 
 from hypothesis import given, settings
@@ -22,15 +27,19 @@ from hypothesis import strategies as st
 
 from rdfstar2pg.exporters import to_json
 from rdfstar2pg.model import (
+    XSD_DATE,
+    XSD_INTEGER,
     Dataset,
     BlankNode,
     Iri,
     Literal,
+    QuotedTriple,
     Statement,
     StatementKind,
     classify,
     local_name,
 )
+from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
 from rdfstar2pg.pgraph import is_bookkeeping_key
 from rdfstar2pg.transform import (
     RdfTypePolicy,
@@ -155,3 +164,84 @@ def test_approach_agreement_without_quotes_or_literals(dataset):
     """Object-property-only data converts identically under all approaches."""
     outputs = {to_json(fn(dataset, HARMONIZED)[0]) for fn in (rpt, pgt, hybrid)}
     assert len(outputs) == 1
+
+
+# --- text round trip ---------------------------------------------------------
+
+TEXT_IRIS = st.one_of(
+    st.sampled_from(SUBJECT_IRIS + PREDICATE_IRIS + OBJECT_IRIS),
+    st.text(alphabet="azAZ09-._~%#/?:=&\u00e9\u03c0", max_size=8).map(
+        lambda tail: Iri("http://text.example/" + tail)
+    ),
+)
+LEXICAL = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('\\"\n\t\r\x00\x01\x1f\x7f'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+TEXT_LITERALS = st.one_of(
+    st.builds(Literal, LEXICAL),
+    st.builds(
+        Literal,
+        LEXICAL,
+        st.sampled_from([Iri(XSD_INTEGER), Iri(XSD_DATE), Iri("http://text.example/dt")]),
+    ),
+    st.builds(
+        lambda lexical, lang: Literal(lexical, lang=lang),
+        LEXICAL,
+        st.from_regex(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8}){0,2}", fullmatch=True),
+    ),
+)
+TEXT_BNODES = st.builds(BlankNode, st.sampled_from(["x", "y", "z"]))
+
+
+def text_statements(depth):
+    """Statements whose quoted triples nest at most `depth` levels."""
+    subject = st.one_of(TEXT_IRIS, TEXT_BNODES)
+    obj = st.one_of(TEXT_IRIS, TEXT_BNODES, TEXT_LITERALS)
+    if depth:
+        quoted = text_statements(depth - 1).map(QuotedTriple)
+        subject = st.one_of(subject, quoted)
+        obj = st.one_of(obj, quoted)
+    return st.builds(Statement, subject, TEXT_IRIS, obj)
+
+
+def canonical_bnodes(dataset):
+    """`dataset` with blank nodes renamed b0, b1, ... in order of first
+    appearance in to_turtle_star's output, as the parser names them."""
+    labels = {}
+
+    def term(t):
+        if isinstance(t, BlankNode):
+            return BlankNode(labels.setdefault(t.label, f"b{len(labels)}"))
+        if isinstance(t, QuotedTriple):
+            return QuotedTriple(statement(t.statement))
+        return t
+
+    def statement(s):
+        subject = term(s.subject)
+        return Statement(subject, s.predicate, term(s.object))
+
+    default = [statement(s) for s in dataset.default]
+    named = {
+        name: [statement(s) for s in dataset.named[name]]
+        for name in sorted(dataset.named, key=lambda iri: iri.value)
+    }
+    return Dataset(default, named)
+
+
+TEXT_STATEMENTS = text_statements(3)
+text_datasets = st.builds(
+    Dataset,
+    st.lists(TEXT_STATEMENTS, max_size=4),
+    st.dictionaries(TEXT_IRIS, st.lists(TEXT_STATEMENTS, max_size=2), max_size=2),
+).map(canonical_bnodes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_datasets)
+def test_turtle_star_text_round_trip(dataset):
+    """Serializing and re-parsing gives back the same dataset."""
+    assert parse_turtle_star(to_turtle_star(dataset)) == dataset

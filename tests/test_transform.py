@@ -437,6 +437,20 @@ class TestLists:
         assert len(graph.edges) >= 1
 
 
+    def test_lookalike_first_rest_nil_not_collapsed(self):
+        # only rdf:first / rdf:rest / rdf:nil make a list, not any IRI ending in #first
+        source = (
+            EX
+            + "@prefix o: <http://other.org/ns#> .\n"
+            + 'ex:s ex:list _:c . _:c o:first "1" . _:c o:rest <http://x.org/#nil> .'
+        )
+        cfg = TransformConfig(list_policy=ListPolicy.COLLAPSE_LITERALS)
+        graph, report = pgt(ds(source), cfg)
+        assert "list" not in node_by_iri(graph, "http://example.org/s").properties
+        assert len(graph.edges) == 2
+        assert report.total == 3 and report.converted == 3
+
+
 class TestReservedKeyCollisions:
     def test_predicate_named_graph_gets_renamed(self):
         graph, _ = pgt(ds(EX + 'ex:a ex:graph "g" .'))
