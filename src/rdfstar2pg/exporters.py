@@ -1,9 +1,15 @@
 """Property graph serialization: JSON, GraphML, and openCypher CREATE scripts.
 
-All three exporters consume PropertyGraph.canonical_form(), so their output
-depends only on graph content, never on construction order. JSON and GraphML
-return UTF-8 bytes; Cypher returns text. Every format is written line by
-line with LF endings to keep output byte-reproducible.
+All three exporters read the same canonical walk,
+PropertyGraph.canonical_records(), so their output depends only on graph
+content, never on construction order. They read the typed property values
+directly; nothing is encoded to JSON-ready form and decoded back. JSON and
+GraphML return UTF-8 bytes; Cypher returns text. Every format is written
+line by line with LF endings to keep output byte-reproducible.
+
+to_json writes, record by record, exactly the bytes of
+json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False) plus a
+newline, using json's own C string encoder.
 """
 
 from __future__ import annotations
@@ -12,9 +18,17 @@ import json
 import re
 from datetime import date
 from decimal import Decimal
-from xml.sax.saxutils import escape, quoteattr
+from json.encoder import encode_basestring
 
-from .pgraph import Edge, Node, PropertyGraph, check_value, decode_value
+from .pgraph import (
+    Edge,
+    EdgeRecord,
+    Node,
+    PropertyGraph,
+    _json_ready,
+    check_value,
+    decode_value,
+)
 
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
 
@@ -33,8 +47,70 @@ class UnsanitizableIdentifier(Exception):
 
 
 def to_json(graph: PropertyGraph) -> bytes:
-    text = json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    nodes, edges = graph.canonical_records()
+    text = "{\n" + _json_array("nodes", nodes) + ",\n" + _json_array("edges", edges) + "\n}\n"
+    return text.encode("utf-8")
+
+
+def _json_array(name: str, records: list) -> str:
+    if not records:
+        return f'  "{name}": []'
+    return f'  "{name}": [\n' + ",\n".join(map(_json_record, records)) + "\n  ]"
+
+
+def _json_record(record) -> str:
+    """One walk record, laid out as json.dumps(indent=2) puts it in the array."""
+    try:
+        text = '    {\n      "id": ' + encode_basestring(record.id)
+        if isinstance(record, EdgeRecord):
+            text += (
+                ',\n      "source": ' + encode_basestring(record.source)
+                + ',\n      "target": ' + encode_basestring(record.target)
+            )
+        if record.labels:
+            text += ',\n      "labels": [\n        ' + ",\n        ".join(
+                map(encode_basestring, record.labels)
+            ) + "\n      ]"
+        else:
+            text += ',\n      "labels": []'
+        if not record.properties:
+            return text + ',\n      "properties": {}\n    }'
+        return text + ',\n      "properties": {\n        ' + ",\n        ".join(
+            encode_basestring(key) + ": " + _json_value(value, "        ")
+            for key, value in record.properties
+        ) + "\n      }\n    }"
+    except TypeError:
+        # A non-string id, label or key (only a graph built by hand has one):
+        # json decides how it prints.
+        text = json.dumps(_json_ready(record), indent=2, ensure_ascii=False)
+        return "    " + text.replace("\n", "\n    ")
+
+
+def _json_value(value, indent: str) -> str:
+    """encode_value(value) as json.dumps(indent=2) prints it at this indent.
+
+    The walk has already refused every other type, so a value that is not a
+    str, bool, int, list or Decimal here is a date.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _json_value(item, inner) for item in value)
+        return "[\n" + items + "\n" + indent + "]"
+    if isinstance(value, Decimal):
+        tag, text = "decimal", str(value)
+    else:
+        tag, text = "date", value.isoformat()
+    return "{\n" + inner + f'"{tag}": ' + encode_basestring(text) + "\n" + indent + "}"
 
 
 def from_json(data) -> PropertyGraph:
@@ -115,15 +191,18 @@ def _graphml_value(value) -> str:
 
 
 def to_graphml(graph: PropertyGraph) -> bytes:
-    form = graph.canonical_form()
-    elements = {"node": form["nodes"], "edge": form["edges"]}
+    # Imported here: saxutils pulls in urllib.request, http.client and ssl,
+    # tens of milliseconds that every convert launch would pay otherwise.
+    from xml.sax.saxutils import escape, quoteattr
+
+    nodes, edges = graph.canonical_records()
 
     # One <key> per (domain, property key); "labels" is always declared.
     key_values: dict = {}
-    for domain, records in elements.items():
+    for domain, records in (("node", nodes), ("edge", edges)):
         for record in records:
-            for key, encoded in record["properties"].items():
-                key_values.setdefault((domain, key), []).append(decode_value(encoded))
+            for key, value in record.properties:
+                key_values.setdefault((domain, key), []).append(value)
 
     declarations = [("node", "labels"), ("edge", "labels")]
     declarations.extend(sorted(key_values))
@@ -144,14 +223,13 @@ def to_graphml(graph: PropertyGraph) -> bytes:
         )
     lines.append('  <graph id="G" edgedefault="directed">')
 
-    def data_lines(domain: str, record: dict, indent: str) -> list:
+    def data_lines(domain: str, record, indent: str) -> list:
         out = [
             f"{indent}<data key=\"{key_ids[(domain, 'labels')]}\">"
-            + escape(";".join(record["labels"]))
+            + escape(";".join(record.labels))
             + "</data>"
         ]
-        for key in record["properties"]:
-            value = decode_value(record["properties"][key])
+        for key, value in record.properties:
             out.append(
                 f'{indent}<data key="{key_ids[(domain, key)]}">'
                 + escape(_graphml_value(value))
@@ -159,14 +237,14 @@ def to_graphml(graph: PropertyGraph) -> bytes:
             )
         return out
 
-    for record in form["nodes"]:
-        lines.append(f"    <node id={quoteattr(record['id'])}>")
+    for record in nodes:
+        lines.append(f"    <node id={quoteattr(record.id)}>")
         lines.extend(data_lines("node", record, "      "))
         lines.append("    </node>")
-    for record in form["edges"]:
+    for record in edges:
         lines.append(
-            f"    <edge id={quoteattr(record['id'])} "
-            f"source={quoteattr(record['source'])} target={quoteattr(record['target'])}>"
+            f"    <edge id={quoteattr(record.id)} "
+            f"source={quoteattr(record.source)} target={quoteattr(record.target)}>"
         )
         lines.extend(data_lines("edge", record, "      "))
         lines.append("    </edge>")
@@ -191,10 +269,14 @@ def _sanitize(name: str) -> str:
     return candidate
 
 
-def _sanitize_all(names, what: str) -> dict:
+def _sanitize_all(names, what: str, memo: dict) -> dict:
+    """Sanitize each name, reusing memo (one to_cypher call's results)."""
     mapping = {}
     for name in names:
-        mapping[name] = _sanitize(name)
+        clean = memo.get(name)
+        if clean is None:
+            clean = memo[name] = _sanitize(name)
+        mapping[name] = clean
     seen: dict = {}
     for name, clean in mapping.items():
         if clean in seen:
@@ -206,6 +288,8 @@ def _sanitize_all(names, what: str) -> dict:
 
 
 def _cypher_scalar(value) -> str:
+    if isinstance(value, str):
+        return _cypher_string(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Decimal)):
@@ -227,35 +311,38 @@ def _cypher_value(value) -> str:
     return _cypher_scalar(value)
 
 
-def _label_chain(labels) -> str:
-    mapping = _sanitize_all(labels, "label")
+def _label_chain(labels, memo: dict) -> str:
+    mapping = _sanitize_all(labels, "label", memo)
     ordered = sorted(labels, key=lambda s: (s.casefold(), s))
     return "".join(":" + mapping[label] for label in ordered)
 
 
-def _prop_block(record: dict) -> str:
-    props = {key: decode_value(value) for key, value in record["properties"].items()}
-    props["id"] = record["id"]
-    mapping = _sanitize_all(props, "property key")
+def _prop_block(record, memo: dict) -> str:
+    props = dict(record.properties)
+    props["id"] = record.id
+    mapping = _sanitize_all(props, "property key", memo)
     parts = [f"{mapping[key]}: {_cypher_value(props[key])}" for key in sorted(props)]
     return "{" + ", ".join(parts) + "}"
 
 
 def to_cypher(graph: PropertyGraph) -> str:
-    form = graph.canonical_form()
-    if not form["nodes"]:
+    nodes, edges = graph.canonical_records()
+    if not nodes:
         return ""
+    memo: dict = {}
     lines = []
     variables = {}
-    for i, record in enumerate(form["nodes"]):
+    for i, record in enumerate(nodes):
         var = f"n{i}"
-        variables[record["id"]] = var
-        lines.append(f"CREATE ({var}{_label_chain(record['labels'])} {_prop_block(record)})")
-    for record in form["edges"]:
-        source = variables[record["source"]]
-        target = variables[record["target"]]
+        variables[record.id] = var
         lines.append(
-            f"CREATE ({source})-[{_label_chain(record['labels'])} "
-            f"{_prop_block(record)}]->({target})"
+            f"CREATE ({var}{_label_chain(record.labels, memo)} {_prop_block(record, memo)})"
+        )
+    for record in edges:
+        source = variables[record.source]
+        target = variables[record.target]
+        lines.append(
+            f"CREATE ({source})-[{_label_chain(record.labels, memo)} "
+            f"{_prop_block(record, memo)}]->({target})"
         )
     return "\n".join(lines) + "\n"

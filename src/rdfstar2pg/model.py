@@ -2,8 +2,8 @@
 
 Statements follow the usual shape: the subject is an IRI, a blank node, or a
 quoted triple; the predicate is always an IRI; the object may additionally be
-a literal. Quoted triples may nest arbitrarily, so a statement can embed
-other statements.
+a literal. Quoted triples nest, so a statement can embed other statements,
+at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ XSD_DECIMAL = XSD_NS + "decimal"
 XSD_DOUBLE = XSD_NS + "double"
 XSD_BOOLEAN = XSD_NS + "boolean"
 XSD_DATE = XSD_NS + "date"
+
+# Deepest accepted nesting of quoted triples. Deeper terms are refused when
+# built rather than left to exhaust the recursion of hashing, equality and
+# every walker downstream.
+MAX_NESTING = 128
+
+
+class NestingTooDeep(ValueError):
+    """Raised when a quoted triple would nest deeper than MAX_NESTING."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +92,24 @@ class Literal:
 
 @dataclass(frozen=True)
 class QuotedTriple:
-    """A statement used as a term (quoted, not asserted)."""
+    """A statement used as a term (quoted, not asserted).
+
+    depth is 1 plus the depth of the deepest quoted triple inside it; it is
+    worked out once, from the inner terms' own depths.
+    """
 
     statement: "Statement"
+    depth: int = field(default=1, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        subject, obj = self.statement.subject, self.statement.object
+        depth = 1 + max(
+            subject.depth if isinstance(subject, QuotedTriple) else 0,
+            obj.depth if isinstance(obj, QuotedTriple) else 0,
+        )
+        if depth > MAX_NESTING:
+            raise NestingTooDeep(f"quoted triples nested deeper than {MAX_NESTING} levels")
+        object.__setattr__(self, "depth", depth)
 
     def __repr__(self) -> str:
         return f"QuotedTriple({self.statement!r})"
@@ -166,10 +190,7 @@ def quote_depth(item: Union[Term, Statement]) -> int:
     """Nesting depth: 0 for scalar terms, 1 + max child depth for quoting."""
     if isinstance(item, Statement):
         return max(quote_depth(item.subject), quote_depth(item.object))
-    if isinstance(item, QuotedTriple):
-        inner = item.statement
-        return 1 + max(quote_depth(inner.subject), quote_depth(inner.object))
-    return 0
+    return item.depth if isinstance(item, QuotedTriple) else 0
 
 
 # ---------------------------------------------------------------------------

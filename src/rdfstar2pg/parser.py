@@ -32,6 +32,7 @@ import re
 from typing import Optional
 
 from .model import (
+    MAX_NESTING,
     RDF_FIRST,
     RDF_LANG_STRING,
     RDF_NIL,
@@ -68,11 +69,6 @@ class ParseError(Exception):
 
 
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-
-# Deepest accepted nesting of << >> and ( ) terms, counted together. Deeper
-# input is refused at the offending '<<' or '(' rather than left to exhaust
-# the recursion of the parser and of every walker downstream.
-MAX_NESTING = 128
 
 # Token kinds
 IRIREF = "IRIREF"
@@ -462,6 +458,9 @@ class _Parser:
         return Literal(tok.value, Iri(XSD_STRING))
 
     def _enter(self, open_tok: Token) -> None:
+        # << >> and ( ) terms count together against model.MAX_NESTING, so
+        # deep input is refused at the offending '<<' or '(' with a position,
+        # before the parser's own recursion or QuotedTriple's check can fail.
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.error(

@@ -1,10 +1,13 @@
-"""Labeled property graph with identity-keyed upserts and a canonical form.
+"""Labeled property graph with identity-keyed upserts and a canonical walk.
 
 Nodes and edges live in disjoint id spaces ("n:..." vs "e:..."). Every node
 is created through an identity key so repeated upserts merge instead of
 duplicating; merging never silently overwrites a property (PropertyConflict).
-The canonical form is a plain JSON-ready structure with a total ordering,
-so two graphs are equal exactly when their canonical forms are equal.
+canonical_records() is the one canonical walk: nodes by id, then edges by
+(source, labels, target, id), each with sorted labels and sorted properties
+whose values stay Python values. Every exporter reads that walk directly.
+canonical_form() is the same walk as a plain JSON-ready structure, so two
+graphs are equal exactly when their canonical forms are equal.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date,
 or a flat homogeneous list of one of those.
@@ -16,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 PropertyValue = Union[str, bool, int, Decimal, date, list]
 
@@ -136,6 +139,49 @@ def _merge_properties(owner: str, existing: dict, incoming: dict) -> None:
         existing[key] = value
 
 
+class NodeRecord(NamedTuple):
+    """A node as the canonical walk yields it."""
+
+    id: str
+    labels: list
+    properties: list  # (key, value) pairs sorted by key
+
+
+class EdgeRecord(NamedTuple):
+    """An edge as the canonical walk yields it."""
+
+    id: str
+    source: str
+    target: str
+    labels: list
+    properties: list  # (key, value) pairs sorted by key
+
+
+def _edge_order(edge: Edge) -> tuple:
+    return (edge.source, ";".join(sorted(edge.labels)), edge.target, edge.id)
+
+
+# Exact types whose values encode_value accepts as they are; anything else
+# (lists, subclasses, unsupported values) is checked by encode_value itself.
+_PLAIN_TYPES = frozenset({str, bool, int, Decimal, date})
+
+
+def _sorted_properties(properties: dict) -> list:
+    items = sorted(properties.items())
+    for _, value in items:
+        if type(value) not in _PLAIN_TYPES:
+            encode_value(value)
+    return items
+
+
+def _json_ready(record) -> dict:
+    """A walk record as canonical_form lays it out: its fields, values encoded."""
+    return {
+        **record._asdict(),
+        "properties": {key: encode_value(value) for key, value in record.properties},
+    }
+
+
 class PropertyGraph:
     def __init__(self) -> None:
         self.nodes: dict = {}
@@ -208,38 +254,36 @@ class PropertyGraph:
         check_value(value)
         self.edges[edge_id].properties[key] = value
 
-    # --- canonical form ---
+    # --- canonical walk ---
 
-    def canonical_form(self) -> dict:
+    def canonical_records(self) -> tuple:
+        """The one canonical walk: (node records, edge records), in order.
+
+        Nodes come sorted by id and edges by _edge_order. Each record has
+        sorted labels and (key, value) property pairs sorted by key, with the
+        values as Python values. A value JSON cannot encode raises the same
+        TypeError encode_value raises, before any record is returned.
+        """
         nodes = []
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            nodes.append(
-                {
-                    "id": node_id,
-                    "labels": sorted(node.labels),
-                    "properties": {
-                        k: encode_value(node.properties[k]) for k in sorted(node.properties)
-                    },
-                }
+            nodes.append(NodeRecord(node_id, sorted(node.labels), _sorted_properties(node.properties)))
+        edges = [
+            EdgeRecord(
+                edge.id, edge.source, edge.target, sorted(edge.labels),
+                _sorted_properties(edge.properties),
             )
-        def edge_sort(edge: Edge):
-            return (edge.source, ";".join(sorted(edge.labels)), edge.target, edge.id)
+            for edge in sorted(self.edges.values(), key=_edge_order)
+        ]
+        return nodes, edges
 
-        edges = []
-        for edge in sorted(self.edges.values(), key=edge_sort):
-            edges.append(
-                {
-                    "id": edge.id,
-                    "source": edge.source,
-                    "target": edge.target,
-                    "labels": sorted(edge.labels),
-                    "properties": {
-                        k: encode_value(edge.properties[k]) for k in sorted(edge.properties)
-                    },
-                }
-            )
-        return {"nodes": nodes, "edges": edges}
+    def canonical_form(self) -> dict:
+        """The canonical walk as a JSON-ready structure (values via encode_value)."""
+        nodes, edges = self.canonical_records()
+        return {
+            "nodes": [_json_ready(record) for record in nodes],
+            "edges": [_json_ready(record) for record in edges],
+        }
 
     # --- small conveniences ---
 

@@ -218,6 +218,14 @@ class TestEntryPoints:
         parser = build_parser()
         assert parser.prog == "rdfstar2pg"
 
+    def test_import_leaves_xml_sax_unloaded(self):
+        # saxutils drags in urllib.request, http.client and ssl; only
+        # to_graphml needs it, so launching the CLI must not import it.
+        code = "import sys, rdfstar2pg.cli; print('xml.sax.saxutils' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == b"False"
+
     def test_console_script_installed(self):
         proc = subprocess.run(["rdfstar2pg", "--help"], capture_output=True)
         assert proc.returncode == 0

@@ -1,10 +1,14 @@
 import datetime
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdfstar2pg.conformance import builtin_corpus, case_sort_key
 from rdfstar2pg.exporters import (
     LIST_SEPARATOR,
     UnrepresentableValue,
@@ -15,8 +19,8 @@ from rdfstar2pg.exporters import (
     to_json,
 )
 from rdfstar2pg.parser import parse_turtle_star
-from rdfstar2pg.pgraph import PropertyGraph, iri_key
-from rdfstar2pg.transform import hybrid, pgt, rpt
+from rdfstar2pg.pgraph import Edge, Node, PropertyGraph, iri_key
+from rdfstar2pg.transform import Approach, TransformConfig, hybrid, pgt, rpt, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
 
@@ -292,3 +296,103 @@ class TestCypher:
                 case_id,
                 approach,
             )
+
+
+# ---------------------------------------------------------------------------
+# Byte identity
+# ---------------------------------------------------------------------------
+
+# sha256 over every corpus export: cases by case_sort_key, then Approach
+# order, then to_json, to_graphml and to_cypher bytes. Any change to an
+# exporter's output, however small, changes it.
+CORPUS_EXPORTS_SHA256 = "4c2e6635bcf640efbc5206a40cdb9b8bf14234cf58784d4118a0f8928a412df7"
+
+
+def test_corpus_export_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for case in sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id)):
+        dataset = parse_turtle_star(case.source)
+        for approach in Approach:
+            graph, _ = transform(dataset, TransformConfig(approach=approach))
+            for blob in (to_json(graph), to_graphml(graph), to_cypher(graph).encode()):
+                digest.update(blob)
+                count += 1
+    assert count == 207
+    assert digest.hexdigest() == CORPUS_EXPORTS_SHA256
+
+
+TRICKY_TEXT = ["", "caf\u00e9 \u65e5\u672c", "\x00\x1f\x7f", "a\u2028b\u2029c", '"\\/\n\t', "\U0001f600"]
+
+text_values = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=12))
+scalar_kinds = [
+    text_values,
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.booleans(),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.dates(),
+]
+property_values = st.one_of(
+    *scalar_kinds, *(st.lists(kind, max_size=3) for kind in scalar_kinds)
+)
+property_maps = st.dictionaries(text_values, property_values, max_size=4)
+label_sets = st.sets(text_values, max_size=3)
+
+
+@st.composite
+def hand_built_graphs(draw):
+    """Graphs built record by record, so empty labels and properties occur."""
+    graph = PropertyGraph()
+    for node_id in draw(st.lists(text_values, max_size=4, unique=True)):
+        graph.nodes[node_id] = Node(node_id, draw(label_sets), draw(property_maps))
+    if graph.nodes:
+        ids = sorted(graph.nodes)
+        for edge_id in draw(st.lists(text_values, max_size=4, unique=True)):
+            source, target = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            graph.edges[edge_id] = Edge(
+                edge_id, source, target, draw(label_sets), draw(property_maps)
+            )
+    return graph
+
+
+def json_reference(graph) -> bytes:
+    return (json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False) + "\n").encode()
+
+
+class TestJsonMatchesReference:
+    """to_json writes exactly json.dumps(canonical_form(), indent=2) bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hand_built_graphs())
+    def test_every_value_kind(self, graph):
+        assert to_json(graph) == json_reference(graph)
+
+    def test_empty_graph(self):
+        assert to_json(PropertyGraph()) == json_reference(PropertyGraph())
+        assert to_json(PropertyGraph()) == b'{\n  "nodes": [],\n  "edges": []\n}\n'
+
+    def test_non_string_ids_labels_and_keys(self):
+        # Only a graph built by hand has these; json decides how they print.
+        graph = PropertyGraph()
+        graph.nodes[7] = Node(7, {1, 2}, {3: "x", 4: [[1, 2], []]})
+        graph.nodes[8] = Node(8, {"A"}, {})
+        graph.edges[None] = Edge(None, 7, 8, {"r"}, {"w": Decimal("1.5")})
+        assert to_json(graph) == json_reference(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hand_built_graphs(),
+        st.one_of(st.floats(), st.none(), st.just(object())),
+        st.booleans(),
+    )
+    def test_unsupported_value_raises_the_same_type_error(self, graph, bad, in_list):
+        if not graph.nodes:
+            graph.nodes["n:x"] = Node("n:x", {"X"}, {})
+        node = graph.nodes[min(graph.nodes)]
+        node.properties["bad"] = [bad] if in_list else bad
+        with pytest.raises(TypeError) as expected:
+            graph.canonical_form()
+        for export in (to_json, to_graphml, to_cypher):
+            with pytest.raises(TypeError) as raised:
+                export(graph)
+            assert str(raised.value) == str(expected.value)

@@ -1,6 +1,7 @@
 import pytest
 
 from rdfstar2pg.model import (
+    MAX_NESTING,
     RDF_FIRST,
     RDF_NIL,
     RDF_REST,
@@ -11,6 +12,7 @@ from rdfstar2pg.model import (
     Dataset,
     Iri,
     Literal,
+    NestingTooDeep,
     QuotedTriple,
     Statement,
     StatementKind,
@@ -127,6 +129,33 @@ class TestQuoteDepth:
         mid = st(QuotedTriple(inner), iri("q"), iri("b"))
         outer = st(QuotedTriple(mid), iri("r"), iri("c"))
         assert quote_depth(outer) == 2
+
+    def test_depth_follows_the_deeper_side(self):
+        inner = st(iri("a"), iri("p"), iri("b"))
+        mid = st(QuotedTriple(inner), iri("q"), iri("b"))
+        both = QuotedTriple(st(QuotedTriple(inner), iri("r"), QuotedTriple(mid)))
+        assert both.depth == 3 and quote_depth(both) == 3
+        assert both == QuotedTriple(st(QuotedTriple(inner), iri("r"), QuotedTriple(mid)))
+        assert "depth" not in repr(both)
+
+    def test_cap_reached_in_code_still_hashes(self):
+        statement = st(iri("a"), iri("p"), iri("b"))
+        for _ in range(MAX_NESTING):
+            statement = st(QuotedTriple(statement), iri("p"), iri("b"))
+        assert quote_depth(statement) == MAX_NESTING
+        assert len(Dataset([statement, statement])) == 1
+
+    def test_nesting_2000_deep_in_code_is_refused(self):
+        # Wrapping a statement 2000 times used to build fine and then crash
+        # Dataset() with RecursionError while hashing.
+        statement = st(iri("a"), iri("p"), iri("b"))
+        with pytest.raises(NestingTooDeep) as exc_info:
+            for _ in range(2000):
+                statement = st(QuotedTriple(statement), iri("p"), iri("b"))
+            Dataset([statement])
+        assert isinstance(exc_info.value, ValueError)
+        assert str(MAX_NESTING) in str(exc_info.value)
+        assert quote_depth(statement) == MAX_NESTING
 
 
 class TestSerialization:
