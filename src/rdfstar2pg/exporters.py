@@ -113,6 +113,29 @@ def _json_value(value, indent: str) -> str:
     return "{\n" + inner + f'"{tag}": ' + encode_basestring(text) + "\n" + indent + "}"
 
 
+def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
+    """(labels, properties) of one JSON node or edge record, shape-checked."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{kind} record is not an object: {record!r}")
+    for name in string_fields:
+        if not isinstance(record.get(name), str):
+            raise ValueError(f"{kind} {name} must be a string, got {record.get(name)!r}")
+    labels, properties = record.get("labels"), record.get("properties")
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{kind} {record['id']} labels must be a list of strings")
+    if not labels:
+        raise ValueError(f"{kind} {record['id']} has no labels")
+    if not isinstance(properties, dict):
+        raise ValueError(f"{kind} {record['id']} properties must be an object")
+    props = {k: decode_value(v) for k, v in properties.items()}
+    try:
+        for value in props.values():
+            check_value(value)
+    except TypeError as exc:
+        raise ValueError(f"{kind} {record['id']}: {exc}") from exc
+    return set(labels), props
+
+
 def from_json(data) -> PropertyGraph:
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
@@ -122,27 +145,18 @@ def from_json(data) -> PropertyGraph:
         edges = form["edges"]
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise ValueError(f"not a property graph JSON document: {exc}") from exc
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise ValueError("not a property graph JSON document: nodes and edges must be lists")
 
     graph = PropertyGraph()
     for record in nodes:
-        props = {k: decode_value(v) for k, v in record["properties"].items()}
-        for value in props.values():
-            check_value(value)
-        node = Node(record["id"], set(record["labels"]), props)
-        if not node.labels:
-            raise ValueError(f"node {node.id} has no labels")
-        graph.nodes[node.id] = node
+        labels, props = _record_parts(record, "node", ("id",))
+        graph.nodes[record["id"]] = Node(record["id"], labels, props)
     for record in edges:
-        props = {k: decode_value(v) for k, v in record["properties"].items()}
-        for value in props.values():
-            check_value(value)
-        edge = Edge(
-            record["id"], record["source"], record["target"], set(record["labels"]), props
-        )
+        labels, props = _record_parts(record, "edge", ("id", "source", "target"))
+        edge = Edge(record["id"], record["source"], record["target"], labels, props)
         if edge.source not in graph.nodes or edge.target not in graph.nodes:
             raise ValueError(f"edge {edge.id} references a missing node")
-        if not edge.labels:
-            raise ValueError(f"edge {edge.id} has no labels")
         graph.edges[edge.id] = edge
     return graph
 

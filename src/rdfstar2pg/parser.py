@@ -428,6 +428,12 @@ class _Parser:
         if tok.kind == DECIMAL:
             return Literal(tok.value, Iri(XSD_DECIMAL))
         if tok.kind == "<<":
+            if position == "collection element":
+                self.error(
+                    "quoted triples inside collections are not supported",
+                    tok,
+                    ErrorKind.UNSUPPORTED,
+                )
             return self._quoted(tok)
         if tok.kind == "(":
             return self._collection(tok, position)

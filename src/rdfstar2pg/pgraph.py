@@ -234,21 +234,6 @@ class PropertyGraph:
         _merge_properties(edge_id, edge.properties, properties or {})
         return edge_id
 
-    def add_edge(self, source: str, target: str, labels, properties=None) -> str:
-        """Insert an edge; fully identical edges deduplicate, others stay apart."""
-        props = properties or {}
-        prop_part = "\x1f".join(
-            f"{k}={encode_value(v)!r}" for k, v in sorted(props.items(), key=lambda kv: kv[0])
-        )
-        key = "adhoc:" + "\x1f".join((source, ";".join(sorted(set(labels))), target, prop_part))
-        return self.upsert_edge(key, source, target, labels, props)
-
-    def set_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
-        edge = self.edges.get(edge_id)
-        if edge is None:
-            raise KeyError(edge_id)
-        _merge_properties(edge_id, edge.properties, {key: value})
-
     def replace_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
         """Deliberate overwrite; the transform uses this for last-wins merges."""
         check_value(value)

@@ -118,6 +118,13 @@ class TransformConfig:
             return self.kind_labels
         return self.approach is Approach.RPT
 
+    def datatype_as_property(self) -> bool:
+        """Whether plain datatype-property statements become node properties."""
+        return self.approach is Approach.PGT or (
+            self.approach is Approach.HYBRID
+            and self.datatype_policy is DatatypePolicy.AS_PROPERTY
+        )
+
 
 class Status(enum.Enum):
     CONVERTED = "Converted"
@@ -183,10 +190,6 @@ NOTE_NESTED = "nested quoted triple flattened to dotted property key"
 NOTE_OVERWRITTEN = "value overwritten by a later statement (last-wins)"
 NOTE_MIXED_TYPES = "mixed-type values merged as strings"
 NOTE_EDGE_TO_EDGE = "statement relates two quoted triples; recorded as edge id references"
-
-
-def _resource_label(kind: StatementKind) -> str:
-    return kind.value  # ObjectProperty / DatatypeProperty
 
 
 def literal_value(lit: Literal) -> pgraph.PropertyValue:
@@ -275,15 +278,9 @@ class _Engine:
 
     # --- property staging (applied after all statements, in canonical order) ---
 
-    def stage_node_prop(self, node_id: str, key: str, value, unit, note: Optional[str] = None):
-        self.node_props.setdefault((node_id, key), []).append((value, unit))
-        if note and unit is not None:
-            unit.notes.append(note)
-
-    def stage_edge_prop(self, edge_id: str, key: str, value, unit, note: Optional[str] = None):
-        self.edge_props.setdefault((edge_id, key), []).append((value, unit))
-        if note and unit is not None:
-            unit.notes.append(note)
+    @staticmethod
+    def _stage(table: dict, owner: str, key: str, value, unit) -> None:
+        table.setdefault((owner, key), []).append((value, unit))
 
     def stage_graph_companion(self, node_id: str, key: str, graph_iri: str) -> None:
         staged = self.node_props.setdefault((node_id, key), [])
@@ -333,7 +330,7 @@ class _Engine:
         target = self.node_id(st.object, graph_name)
         labels = {local_name(st.predicate)}
         if self.cfg.resolved_kind_labels():
-            labels.add(_resource_label(classify(st)))
+            labels.add(classify(st).value)  # ObjectProperty / DatatypeProperty
         suffix = self._suffix(graph_name, for_edge=True)
         key = pgraph.with_graph("stmt:" + serialize_statement(st), suffix)
         props = {}
@@ -344,139 +341,97 @@ class _Engine:
             props["graph"] = graph_name.value
         return self.graph.upsert_edge(key, source, target, labels, props)
 
-    # --- asserted-pair values ---
+    # --- star statements ---
 
-    def pair_value(self, term, graph_name: Optional[Iri], unit: ReportEntry) -> pgraph.PropertyValue:
+    @staticmethod
+    def pair_value(term, unit: ReportEntry) -> pgraph.PropertyValue:
         if isinstance(term, Literal):
             return literal_value(term)
         if isinstance(term, Iri):
-            if unit is not None:
-                unit.notes.append(NOTE_IRI_AS_STRING)
+            unit.notes.append(NOTE_IRI_AS_STRING)
             return term.value
         if isinstance(term, BlankNode):
-            if unit is not None:
-                unit.notes.append(NOTE_BNODE_AS_STRING)
+            unit.notes.append(NOTE_BNODE_AS_STRING)
             return "_:" + term.label
         raise TypeError(f"no property value for {term!r}")
 
-    # --- star statements ---
+    def embedded_edge(self, st: Statement, graph_name: Optional[Iri]) -> Tuple[str, str]:
+        """Turn an embedded statement into an edge; returns (edge id, key prefix).
 
-    def materialize_embedded(self, st: Statement, graph_name: Optional[Iri]) -> Tuple[str, str]:
-        """Turn an embedded statement into an edge.
-
-        Returns (edge id, dotted-key prefix). Plain embedded statements map
-        straight to an edge regardless of approach or rdf:type policy. A star
-        embedded statement (nesting) reuses the edge of its own embedded
-        statement and contributes its asserted pair under a prefixed key; it
-        is its own accounting unit.
+        A plain embedded statement maps straight to an edge regardless of
+        approach or rdf:type policy. A star embedded statement (nesting) is
+        its own accounting unit: it reuses the edge of its own embedded
+        statement and attaches its asserted pair under a dotted key.
         """
-        kind = classify(st)
-        if kind in (StatementKind.OBJECT_PROPERTY, StatementKind.DATATYPE_PROPERTY):
+        if not is_star(st):
             return self.edge_for(st, graph_name), ""
-
         unit = self._unit(graph_name, st)
         unit.notes.append(NOTE_NESTED)
-        if kind is StatementKind.STAR_SUBJECT:
-            edge_id, prefix = self.materialize_embedded(st.subject.statement, graph_name)
-            key = local_name(st.predicate)
-            key = f"{prefix}.{key}" if prefix else key
-            value = self.pair_value(st.object, graph_name, unit)
-            self.stage_edge_prop(edge_id, _safe_key(key), value, unit)
-            return edge_id, key
-        if kind is StatementKind.STAR_OBJECT:
-            edge_id, prefix = self.materialize_embedded(st.object.statement, graph_name)
-            key = "inv:" + local_name(st.predicate)
-            key = f"{prefix}.{key}" if prefix else key
-            unit.notes.append(NOTE_INVERSE)
-            value = self.pair_value(st.subject, graph_name, unit)
-            self.stage_edge_prop(edge_id, _safe_key(key), value, unit)
-            subject_node = self.node_id(st.subject, graph_name)
-            self.stage_node_prop(subject_node, _safe_key(local_name(st.predicate)), edge_id, unit)
-            return edge_id, key
-        # star on both sides: keep the subject-side edge as the carrier
-        unit.notes.append(NOTE_EDGE_TO_EDGE)
-        subject_edge, s_prefix = self.materialize_embedded(st.subject.statement, graph_name)
-        object_edge, _ = self.materialize_embedded(st.object.statement, graph_name)
-        key = local_name(st.predicate)
-        key = f"{s_prefix}.{key}" if s_prefix else key
-        self.stage_edge_prop(subject_edge, _safe_key(key), object_edge, unit)
-        self.stage_edge_prop(object_edge, _safe_key("inv:" + local_name(st.predicate)), subject_edge, unit)
-        return subject_edge, key
+        return self.attach_pair(st, graph_name, unit)
 
-    def _pgt_drops(self, st: Statement) -> list:
-        """Directly embedded datatype-property statements (the pgt loss case)."""
-        drops = []
-        for term in (st.subject, st.object):
-            if isinstance(term, QuotedTriple):
-                if classify(term.statement) is StatementKind.DATATYPE_PROPERTY:
-                    drops.append(term.statement)
-        return drops
+    def attach_pair(self, st: Statement, graph_name: Optional[Iri], unit: ReportEntry) -> Tuple[str, str]:
+        """Attach a star statement's asserted pair to the edge it quotes.
+
+        The carrier is the subject-side edge, or the object-side edge when
+        only the object is quoted. Returns (carrier edge id, dotted key); the
+        key is the prefix that statements quoting this one build on. A unit
+        whose key is dotted carries NOTE_NESTED, as every nested unit does.
+        """
+        kind = classify(st)
+        predicate = local_name(st.predicate)
+        if kind is StatementKind.STAR_OBJECT:
+            edge_id, prefix = self.embedded_edge(st.object.statement, graph_name)
+            key = "inv:" + predicate
+        else:
+            edge_id, prefix = self.embedded_edge(st.subject.statement, graph_name)
+            key = predicate
+        if kind is StatementKind.STAR_BOTH:
+            object_edge, _ = self.embedded_edge(st.object.statement, graph_name)
+        if prefix:
+            key = f"{prefix}.{key}"
+            if NOTE_NESTED not in unit.notes:
+                unit.notes.append(NOTE_NESTED)
+        if kind is StatementKind.STAR_SUBJECT:
+            value = self.pair_value(st.object, unit)
+            self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
+        elif kind is StatementKind.STAR_OBJECT:
+            unit.notes.append(NOTE_INVERSE)
+            value = self.pair_value(st.subject, unit)
+            self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
+            subject_node = self.node_id(st.subject, graph_name)
+            self._stage(self.node_props, subject_node, _safe_key(predicate), edge_id, unit)
+        else:  # STAR_BOTH: the two edges reference each other
+            unit.notes.append(NOTE_EDGE_TO_EDGE)
+            self._stage(self.edge_props, edge_id, _safe_key(key), object_edge, unit)
+            self._stage(self.edge_props, object_edge, _safe_key("inv:" + predicate), edge_id, unit)
+        return edge_id, key
 
     def star_statement(self, st: Statement, graph_name: Optional[Iri], unit: ReportEntry) -> None:
-        if self.cfg.approach is Approach.PGT:
-            drops = self._pgt_drops(st)
-            if drops:
-                # embedded statement becomes a node property; the asserted
-                # pair has nowhere to live and is dropped
-                for embedded in drops:
-                    node = self.node_id(embedded.subject, graph_name)
-                    self.stage_node_prop(
-                        node,
-                        _safe_key(local_name(embedded.predicate)),
-                        literal_value(embedded.object),
-                        unit,
-                    )
-                for term in (st.subject, st.object):
-                    if isinstance(term, QuotedTriple) and term.statement not in drops:
-                        self.materialize_embedded(term.statement, graph_name)
-                self._mark_partial(unit, LOSS_PROPERTIES_OVER_PROPERTIES)
-                return
-
-        kind = classify(st)
-        if kind is StatementKind.STAR_SUBJECT:
-            edge_id, prefix = self.materialize_embedded(st.subject.statement, graph_name)
-            key = local_name(st.predicate)
-            key = f"{prefix}.{key}" if prefix else key
-            if prefix:
-                unit.notes.append(NOTE_NESTED)
-            value = self.pair_value(st.object, graph_name, unit)
-            self.stage_edge_prop(edge_id, _safe_key(key), value, unit)
-        elif kind is StatementKind.STAR_OBJECT:
-            edge_id, prefix = self.materialize_embedded(st.object.statement, graph_name)
-            key = "inv:" + local_name(st.predicate)
-            key = f"{prefix}.{key}" if prefix else key
-            unit.notes.append(NOTE_INVERSE)
-            value = self.pair_value(st.subject, graph_name, unit)
-            self.stage_edge_prop(edge_id, _safe_key(key), value, unit)
-            subject_node = self.node_id(st.subject, graph_name)
-            self.stage_node_prop(subject_node, _safe_key(local_name(st.predicate)), edge_id, unit)
-        else:  # STAR_BOTH
-            unit.notes.append(NOTE_EDGE_TO_EDGE)
-            subject_edge, s_prefix = self.materialize_embedded(st.subject.statement, graph_name)
-            object_edge, _ = self.materialize_embedded(st.object.statement, graph_name)
-            key = local_name(st.predicate)
-            key = f"{s_prefix}.{key}" if s_prefix else key
-            self.stage_edge_prop(subject_edge, _safe_key(key), object_edge, unit)
-            self.stage_edge_prop(
-                object_edge, _safe_key("inv:" + local_name(st.predicate)), subject_edge, unit
-            )
+        quoted = [t.statement for t in (st.subject, st.object) if isinstance(t, QuotedTriple)]
+        drops = [q for q in quoted if classify(q) is StatementKind.DATATYPE_PROPERTY]
+        if self.cfg.approach is Approach.PGT and drops:
+            # pgt turns a directly embedded datatype-property statement into
+            # a node property; the asserted pair has nowhere to live
+            for embedded in drops:
+                node = self.node_id(embedded.subject, graph_name)
+                key = _safe_key(local_name(embedded.predicate))
+                self._stage(self.node_props, node, key, literal_value(embedded.object), unit)
+            for embedded in quoted:
+                if embedded not in drops:
+                    self.embedded_edge(embedded, graph_name)
+            self._mark_partial(unit, LOSS_PROPERTIES_OVER_PROPERTIES)
+            return
+        self.attach_pair(st, graph_name, unit)
 
     # --- plain statements ---
 
     def datatype_statement(self, st: Statement, graph_name: Optional[Iri], unit) -> None:
-        as_property = (
-            self.cfg.approach is Approach.PGT
-            or (
-                self.cfg.approach is Approach.HYBRID
-                and self.cfg.datatype_policy is DatatypePolicy.AS_PROPERTY
-            )
-        )
-        if not as_property:
+        if not self.cfg.datatype_as_property():
             self.edge_for(st, graph_name)
             return
         node = self.node_id(st.subject, graph_name)
         key = _safe_key(local_name(st.predicate))
-        self.stage_node_prop(node, key, literal_value(st.object), unit)
+        self._stage(self.node_props, node, key, literal_value(st.object), unit)
         if (
             graph_name is not None
             and self.cfg.named_graph_policy is NamedGraphPolicy.EDGE_PROPERTY
@@ -504,13 +459,7 @@ class _Engine:
 
     def _collect_chains(self) -> None:
         """When collapsing, map each well-formed all-literal chain to a list."""
-        if self.cfg.list_policy is not ListPolicy.COLLAPSE_LITERALS:
-            return
-        as_property = self.cfg.approach is Approach.PGT or (
-            self.cfg.approach is Approach.HYBRID
-            and self.cfg.datatype_policy is DatatypePolicy.AS_PROPERTY
-        )
-        if not as_property:
+        if self.cfg.list_policy is not ListPolicy.COLLAPSE_LITERALS or not self.cfg.datatype_as_property():
             return
         for graph_name, statements in self.dataset.graphs():
             statements = list(statements)
@@ -574,9 +523,8 @@ class _Engine:
                         continue
                     unit = self._unit(graph_name, st)
                     node = self.node_id(st.subject, graph_name)
-                    self.stage_node_prop(
-                        node, _safe_key(local_name(st.predicate)), role[1], unit
-                    )
+                    key = _safe_key(local_name(st.predicate))
+                    self._stage(self.node_props, node, key, role[1], unit)
                     continue
                 if is_chain_statement(st):
                     # chain statements fold into their head for accounting

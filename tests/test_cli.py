@@ -89,6 +89,13 @@ class TestConvert:
         assert "parse error at line 1, column 1" in message
         assert "ex:" in message
 
+    def test_quoted_triple_in_collection_exits_1(self):
+        source = EX + "ex:s ex:p ( <<ex:a ex:b ex:c>> ) .\n"
+        code, out, err = run_cli(["convert", "-", "--approach", "rpt"], stdin=source)
+        assert code == 1 and out == b""
+        assert err.decode().startswith("parse error at line 2, column 13: ")
+        assert "Traceback" not in err.decode()
+
     def test_missing_file_exits_1(self):
         code, _, err = run_cli(["convert", "/nonexistent/input.ttls"])
         assert code == 1

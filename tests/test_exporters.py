@@ -55,6 +55,19 @@ def corpus_graphs():
             yield case.id, fn.__name__, graph
 
 
+def node(**fields):
+    return {"id": "n:a", "labels": ["X"], "properties": {}, **fields}
+
+
+def edge(**fields):
+    return {"id": "e:1", "source": "n:a", "target": "n:a", "labels": ["l"], "properties": {}, **fields}
+
+
+def graph_doc(*records):
+    """A JSON graph document: the first record is a node, the rest are edges."""
+    return {"nodes": list(records[:1]), "edges": list(records[1:])}
+
+
 class TestJson:
     def test_bytes_utf8_trailing_newline(self):
         blob = to_json(sample_graph())
@@ -109,6 +122,29 @@ class TestJson:
     def test_from_json_rejects_unlabelled_node(self):
         doc = {"nodes": [{"id": "n:a", "labels": [], "properties": {}}], "edges": []}
         with pytest.raises(ValueError):
+            from_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (graph_doc(node(id=7)), "node id must be a string"),
+            (graph_doc(node(labels=[1])), "node n:a labels must be a list of strings"),
+            (graph_doc(node(labels="X")), "node n:a labels must be a list of strings"),
+            (graph_doc(node(properties=[])), "node n:a properties must be an object"),
+            (graph_doc(node(properties=None)), "node n:a properties must be an object"),
+            (graph_doc(node(properties={"k": []})), "node n:a: empty list"),
+            (graph_doc(node(properties={"k": [1, "x"]})), "node n:a: list property values must be homogeneous"),
+            (graph_doc("n:a"), "node record is not an object"),
+            ({"nodes": {"n:a": node()}, "edges": []}, "nodes and edges must be lists"),
+            (graph_doc(node(), edge(id=1)), "edge id must be a string"),
+            (graph_doc(node(), edge(source=None)), "edge source must be a string"),
+            (graph_doc(node(), edge(target=["n:a"])), "edge target must be a string"),
+            (graph_doc(node(), edge(labels=[None])), "edge e:1 labels must be a list of strings"),
+            (graph_doc(node(), edge(properties=[1])), "edge e:1 properties must be an object"),
+        ],
+    )
+    def test_from_json_rejects_malformed_records(self, doc, message):
+        with pytest.raises(ValueError, match=message):
             from_json(json.dumps(doc).encode())
 
     def test_from_json_rejects_bad_bytes(self):

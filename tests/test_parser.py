@@ -249,6 +249,15 @@ class TestErrors:
     def test_collection_inside_quote_unsupported(self):
         self.check(EX + '<<("a") ex:p ex:o>> ex:q ex:r .', ErrorKind.UNSUPPORTED)
 
+    def test_quoted_triple_inside_collection_unsupported(self):
+        source = EX + "ex:s ex:p (\n  ex:a <<ex:a ex:b ex:c>> ) ."
+        err = self.check(source, ErrorKind.UNSUPPORTED, line=3, column=8)
+        assert err.message == "quoted triples inside collections are not supported"
+
+    def test_quoted_triple_inside_nested_collection_unsupported(self):
+        source = EX + "ex:s ex:p ( ( <<ex:a ex:b ex:c>> ) ) ."
+        self.check(source, ErrorKind.UNSUPPORTED, line=2, column=15)
+
     def test_exponent_unsupported(self):
         self.check(EX + "ex:a ex:b 1e2 .", ErrorKind.UNSUPPORTED)
 

@@ -181,24 +181,11 @@ class TestEdges:
         with pytest.raises(ValueError):
             g.upsert_edge("stmt:x", a, b)
 
-    def test_add_edge_dedups_fully_identical(self):
-        g, a, b = small_graph()
-        e1 = g.add_edge(a, b, labels={"likes"}, properties={"w": 1})
-        e2 = g.add_edge(a, b, labels={"likes"}, properties={"w": 1})
-        assert e1 == e2 and len(g.edges) == 1
-
-    def test_add_edge_keeps_differing_edges_apart(self):
-        g, a, b = small_graph()
-        e1 = g.add_edge(a, b, labels={"likes"}, properties={"w": 1})
-        e2 = g.add_edge(a, b, labels={"likes"}, properties={"w": 2})
-        e3 = g.add_edge(a, b, labels={"knows"}, properties={"w": 1})
-        assert len({e1, e2, e3}) == 3
-
     def test_edge_property_conflict(self):
         g, a, b = small_graph()
-        e = g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 1})
+        g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 1})
         with pytest.raises(PropertyConflict):
-            g.set_edge_property(e, "w", 2)
+            g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 2})
 
     def test_replace_edge_property_overwrites(self):
         g, a, b = small_graph()

@@ -1,8 +1,9 @@
 """Randomized invariants over generated datasets.
 
 Four structural guarantees, each checked against at least a thousand
-generated datasets (at most ten statements, quoting depth at most two), and
-one text round trip, checked against four hundred:
+generated datasets (at most ten statements, quoting depth at most two), one
+text round trip, checked against four hundred, and the report algebra on the
+same star data, checked against three hundred:
 
 1. edge bijection    - without quoted triples, the fully node-materializing
                        approach produces exactly one edge per statement
@@ -20,7 +21,14 @@ one text round trip, checked against four hundred:
                        literals full of escapes and control characters,
                        language tags, named graphs and quoted triples up to
                        depth three
+6. report algebra    - on the same star data, every approach reports one
+                       unit per statement unit, only pgt reports Partial
+                       (exactly for statements that directly quote a
+                       datatype-property statement), and no unit carries
+                       the nested-key note twice
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,10 +46,12 @@ from rdfstar2pg.model import (
     StatementKind,
     classify,
     local_name,
+    statement_units,
 )
 from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
 from rdfstar2pg.pgraph import is_bookkeeping_key
 from rdfstar2pg.transform import (
+    NOTE_NESTED,
     RdfTypePolicy,
     TransformConfig,
     hybrid,
@@ -245,3 +255,30 @@ text_datasets = st.builds(
 def test_turtle_star_text_round_trip(dataset):
     """Serializing and re-parsing gives back the same dataset."""
     assert parse_turtle_star(to_turtle_star(dataset)) == dataset
+
+
+def quotes_datatype_statement(statement) -> bool:
+    return any(
+        isinstance(term, QuotedTriple)
+        and classify(term.statement) is StatementKind.DATATYPE_PROPERTY
+        for term in (statement.subject, statement.object)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_datasets)
+def test_report_algebra_on_star_data(dataset):
+    """Unit count, Partial placement and nested notes hold under every approach."""
+    for approach in (rpt, pgt, hybrid):
+        _, report = approach(dataset)
+        assert report.total == len(statement_units(dataset))
+        listed = report.partial + report.ignored + report.errors + report.notes
+        assert all(entry.notes.count(NOTE_NESTED) <= 1 for entry in listed)
+        partial = Counter((entry.graph, entry.statement) for entry in report.partial)
+        if approach is pgt:
+            expected = Counter(
+                (name, st_) for name, st_ in dataset.statements() if quotes_datatype_statement(st_)
+            )
+            assert partial == expected
+        else:
+            assert not partial

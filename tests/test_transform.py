@@ -13,6 +13,7 @@ from rdfstar2pg.transform import (
     NOTE_INVERSE,
     NOTE_IRI_AS_STRING,
     NOTE_MIXED_TYPES,
+    NOTE_NESTED,
     NOTE_OVERWRITTEN,
     Approach,
     DatatypePolicy,
@@ -231,6 +232,84 @@ class TestStarStatements:
         assert len(graph.edges) == 1
         assert the_edge(graph).properties["certainty"] == Decimal("0.5")
         assert report.total == 2 and report.converted == 2
+
+
+CONVERTED, PARTIAL = Status.CONVERTED, Status.PARTIAL
+IRI, BNODE = NOTE_IRI_AS_STRING, NOTE_BNODE_AS_STRING
+INV, E2E, NESTED = NOTE_INVERSE, NOTE_EDGE_TO_EDGE, NOTE_NESTED
+LOSS = LOSS_PROPERTIES_OVER_PROPERTIES
+DROP = '<<ex:a ex:age "25">>'
+DEPTH2 = "<< <<ex:a ex:p ex:b>> ex:q ex:c >>"
+# (source, expected): expected is a list of (status, reason, notes), one per
+# unit in statement_units order, shared by every approach, or a dict from an
+# approach name ("*" for the others) to such a list.
+STAR_REPORT_TABLE = [
+    # StarSubject
+    ("<<ex:a ex:p ex:b>> ex:q ex:c .", [(CONVERTED, "", [IRI])]),
+    ("<<ex:a ex:p ex:b>> ex:q _:w .", [(CONVERTED, "", [BNODE])]),
+    ('<<ex:a ex:p ex:b>> ex:q "v" .', [(CONVERTED, "", [])]),
+    (DEPTH2 + " ex:r ex:d .", [(CONVERTED, "", [NESTED, IRI]), (CONVERTED, "", [NESTED, IRI])]),
+    # StarObject
+    ("ex:s ex:q <<ex:a ex:p ex:b>> .", [(CONVERTED, "", [INV, IRI])]),
+    ("_:w ex:q <<ex:a ex:p ex:b>> .", [(CONVERTED, "", [INV, BNODE])]),
+    ("ex:s ex:r " + DEPTH2 + " .", [(CONVERTED, "", [NESTED, INV, IRI]), (CONVERTED, "", [NESTED, IRI])]),
+    # StarBoth
+    ("<<ex:a ex:p ex:b>> ex:q <<ex:c ex:p ex:d>> .", [(CONVERTED, "", [E2E])]),
+    (DEPTH2 + " ex:r <<ex:d ex:p ex:e>> .", [(CONVERTED, "", [NESTED, E2E]), (CONVERTED, "", [NESTED, IRI])]),
+    ("<<ex:d ex:p ex:e>> ex:r " + DEPTH2 + " .", [(CONVERTED, "", [E2E]), (CONVERTED, "", [NESTED, IRI])]),
+    # depth-3 chain: every unit is nested or has a dotted key
+    (
+        "<< " + DEPTH2 + " ex:r ex:d >> ex:s ex:e .",
+        [(CONVERTED, "", [NESTED, IRI])] * 3,
+    ),
+    # pgt drop rule, alone and with the other side quoted
+    (DROP + " ex:certainty 0.5 .", {"pgt": [(PARTIAL, LOSS, [])], "*": [(CONVERTED, "", [])]}),
+    (
+        DROP + " ex:implies <<ex:b ex:p ex:c>> .",
+        {"pgt": [(PARTIAL, LOSS, [])], "*": [(CONVERTED, "", [E2E])]},
+    ),
+    (
+        DROP + " ex:implies " + DEPTH2 + " .",
+        {
+            "pgt": [(PARTIAL, LOSS, []), (CONVERTED, "", [NESTED, IRI])],
+            "*": [(CONVERTED, "", [E2E]), (CONVERTED, "", [NESTED, IRI])],
+        },
+    ),
+    (
+        DEPTH2 + " ex:implies " + DROP + " .",
+        {
+            "pgt": [(PARTIAL, LOSS, []), (CONVERTED, "", [NESTED, IRI])],
+            "*": [(CONVERTED, "", [NESTED, E2E]), (CONVERTED, "", [NESTED, IRI])],
+        },
+    ),
+]
+
+
+def unit_rows(dataset, report) -> list:
+    """(status, reason, notes) for every accounting unit, in statement_units order."""
+    listed: dict = {}
+    for entry in report.partial + report.ignored + report.errors + report.notes:
+        listed.setdefault((entry.graph, entry.statement), []).append(entry)
+    rows = []
+    for unit in statement_units(dataset):
+        entries = listed.get(unit)
+        if entries:
+            entry = entries.pop(0)
+            rows.append((entry.status, entry.reason, list(entry.notes)))
+        else:
+            rows.append((CONVERTED, "", []))
+    return rows
+
+
+@pytest.mark.parametrize("fn", [rpt, pgt, hybrid], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("source, expected", STAR_REPORT_TABLE, ids=[s for s, _ in STAR_REPORT_TABLE])
+def test_star_report_table(fn, source, expected):
+    if isinstance(expected, dict):
+        expected = expected.get(fn.__name__, expected["*"])
+    dataset = ds(EX + source)
+    _, report = fn(dataset)
+    assert report.total == len(expected)
+    assert unit_rows(dataset, report) == expected
 
 
 class TestPgtDropRule:
