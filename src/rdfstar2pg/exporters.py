@@ -251,15 +251,18 @@ def to_graphml(graph: PropertyGraph) -> bytes:
             )
         return out
 
+    # each node id is quoted once; edges reuse it for their endpoints (an
+    # endpoint with no node, in a graph built by hand, is quoted on the spot)
+    quoted_ids: dict = {}
     for record in nodes:
-        lines.append(f"    <node id={quoteattr(record.id)}>")
+        quoted_ids[record.id] = quoted = quoteattr(record.id)
+        lines.append(f"    <node id={quoted}>")
         lines.extend(data_lines("node", record, "      "))
         lines.append("    </node>")
     for record in edges:
-        lines.append(
-            f"    <edge id={quoteattr(record.id)} "
-            f"source={quoteattr(record.source)} target={quoteattr(record.target)}>"
-        )
+        source = quoted_ids.get(record.source) or quoteattr(record.source)
+        target = quoted_ids.get(record.target) or quoteattr(record.target)
+        lines.append(f"    <edge id={quoteattr(record.id)} source={source} target={target}>")
         lines.extend(data_lines("edge", record, "      "))
         lines.append("    </edge>")
     lines.append("  </graph>")

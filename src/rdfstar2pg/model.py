@@ -9,7 +9,9 @@ at most MAX_NESTING levels deep.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -38,11 +40,23 @@ class NestingTooDeep(ValueError):
     """Raised when a quoted triple would nest deeper than MAX_NESTING."""
 
 
+def _stored_hash(term) -> int:
+    return term._hash
+
+
 @dataclass(frozen=True)
 class Iri:
     """An absolute IRI. Equality is exact string equality."""
 
     value: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return Iri, (self.value,)
 
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
@@ -58,6 +72,14 @@ class BlankNode:
 
     label: str
     original: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.label,)))
+
+    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return BlankNode, (self.label, self.original)
 
     def __repr__(self) -> str:
         return f"BlankNode(_:{self.label})"
@@ -83,6 +105,12 @@ class Literal:
             raise ValueError("language tag requires rdf:langString datatype")
         if self.lang is None and self.datatype.value == RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype._hash, self.lang)))
+
+    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.lang)
 
     def __repr__(self) -> str:
         if self.lang is not None:
@@ -110,6 +138,12 @@ class QuotedTriple:
         if depth > MAX_NESTING:
             raise NestingTooDeep(f"quoted triples nested deeper than {MAX_NESTING} levels")
         object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "_hash", hash((self.statement._hash,)))
+
+    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return QuotedTriple, (self.statement,)
 
     def __repr__(self) -> str:
         return f"QuotedTriple({self.statement!r})"
@@ -121,7 +155,10 @@ SubjectTerm = Union[Iri, BlankNode, QuotedTriple]
 
 @dataclass(frozen=True)
 class Statement:
-    """One (subject, predicate, object) statement, possibly with quoted terms."""
+    """One (subject, predicate, object) statement, possibly with quoted terms.
+
+    _text is the canonical text, made on first use by serialize_statement.
+    """
 
     subject: SubjectTerm
     predicate: Iri
@@ -136,6 +173,19 @@ class Statement:
             raise TypeError("statement predicate must be an IRI")
         if not isinstance(self.object, (Iri, BlankNode, Literal, QuotedTriple)):
             raise TypeError(f"bad object term: {self.object!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.subject._hash, self.predicate._hash, self.object._hash))
+        )
+
+    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return Statement, (self.subject, self.predicate, self.object)
+
+    @cached_property
+    def _text(self) -> str:
+        parts = (self.subject, self.predicate, self.object)
+        return " ".join(map(serialize_term, parts))
 
     def __repr__(self) -> str:
         return f"Statement({serialize_statement(self)})"
@@ -197,19 +247,17 @@ def quote_depth(item: Union[Term, Statement]) -> int:
 # Canonical serialization (used for ordering, identity keys, round-trips)
 # ---------------------------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = {chr(code): "\\u%04X" % code for code in range(0x20)}
+_ESCAPES.update({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _escape_char(match) -> str:
+    return _ESCAPES[match.group()]
 
 
 def escape_string(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04X" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
 def serialize_term(term: Term) -> str:
@@ -225,18 +273,13 @@ def serialize_term(term: Term) -> str:
             return body
         return f"{body}^^<{term.datatype.value}>"
     if isinstance(term, QuotedTriple):
-        return f"<< {serialize_statement(term.statement)} >>"
+        return f"<< {term.statement._text} >>"
     raise TypeError(f"not a term: {term!r}")
 
 
 def serialize_statement(statement: Statement) -> str:
-    return " ".join(
-        (
-            serialize_term(statement.subject),
-            serialize_term(statement.predicate),
-            serialize_term(statement.object),
-        )
-    )
+    """The statement's canonical text; made once per statement object."""
+    return statement._text
 
 
 def statement_sort_key(statement: Statement) -> str:

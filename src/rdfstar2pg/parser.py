@@ -23,6 +23,13 @@ lexical error anywhere wins over a syntax error before it.
 Blank nodes are relabeled b0, b1, ... in order of first appearance; the
 source label survives on BlankNode.original. Each graph is deduplicated with
 set semantics. File extension makes no difference to parsing.
+
+Terms are shared within a document: the parser builds one Iri per resolved
+IRI string, one Literal per (lexical, datatype, language) and one BlankNode
+per source label, and hands out that object at every later occurrence. Each
+carries its hash, and each statement its canonical text once asked for (see
+model), so lookups downstream find the identical object at once. The shared
+terms belong to one parse; nothing is kept between documents.
 """
 
 from __future__ import annotations
@@ -266,8 +273,10 @@ class _Parser:
         self.i = 0
         self.depth = 0  # << >> and ( ) nesting of the term in flight
         self.prefixes: dict = {}
-        self.bnode_map: dict = {}
+        self.bnode_map: dict = {}  # source label -> BlankNode
         self.bnode_counter = 0
+        self.iris: dict = {}  # resolved IRI string -> Iri
+        self.literals: dict = {}  # (lexical, datatype, lang) -> Literal
         self.pending: list = []  # collection-chain statements of the statement in flight
         self.default: list = []
         self.named: dict = {}
@@ -293,13 +302,34 @@ class _Parser:
     def error(self, message: str, tok: Token, kind: ErrorKind = ErrorKind.SYNTAX):
         raise _error_at(self.text, tok.start, message, kind)
 
-    # --- blank node bookkeeping ---
+    # --- shared terms and blank nodes ---
+
+    def _iri(self, value: str) -> Iri:
+        term = self.iris.get(value)
+        if term is None:
+            term = self.iris[value] = Iri(value)
+        return term
+
+    def _iriref(self, tok: Token) -> Iri:
+        # every string in self.iris is absolute: checked here, or a checked
+        # @prefix namespace with a local name after it
+        if tok.value not in self.iris:
+            self._check_absolute(tok)
+        return self._iri(tok.value)
+
+    def _literal(self, lexical: str, datatype: str, lang: Optional[str] = None) -> Literal:
+        key = (lexical, datatype, lang)
+        term = self.literals.get(key)
+        if term is None:
+            term = self.literals[key] = Literal(lexical, self._iri(datatype), lang)
+        return term
 
     def _labeled_bnode(self, original: str) -> BlankNode:
-        if original not in self.bnode_map:
-            self.bnode_map[original] = f"b{self.bnode_counter}"
+        term = self.bnode_map.get(original)
+        if term is None:
+            term = self.bnode_map[original] = BlankNode(f"b{self.bnode_counter}", original=original)
             self.bnode_counter += 1
-        return BlankNode(self.bnode_map[original], original=original)
+        return term
 
     def _fresh_bnode(self) -> BlankNode:
         label = f"b{self.bnode_counter}"
@@ -395,7 +425,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == A_KW:
             self.next()
-            return Iri(RDF_TYPE)
+            return self._iri(RDF_TYPE)
         term = self._term(position="predicate")
         if not isinstance(term, Iri):
             self.error("predicate must be an IRI", tok)
@@ -404,12 +434,11 @@ class _Parser:
     def _term(self, position: str):
         tok = self.next()
         if tok.kind == IRIREF:
-            self._check_absolute(tok)
-            return Iri(tok.value)
+            return self._iriref(tok)
         if tok.kind == PNAME:
             if tok.value not in self.prefixes:
                 self.error(f"undefined prefix '{tok.value}:'", tok, ErrorKind.UNDEFINED_PREFIX)
-            return Iri(self.prefixes[tok.value] + tok.extra)
+            return self._iri(self.prefixes[tok.value] + tok.extra)
         if tok.kind == BLANK:
             return self._labeled_bnode(tok.value)
         if tok.kind == "[":
@@ -424,9 +453,9 @@ class _Parser:
         if tok.kind == STRING:
             return self._literal_tail(tok)
         if tok.kind == INTEGER:
-            return Literal(tok.value, Iri(XSD_INTEGER))
+            return self._literal(tok.value, XSD_INTEGER)
         if tok.kind == DECIMAL:
-            return Literal(tok.value, Iri(XSD_DECIMAL))
+            return self._literal(tok.value, XSD_DECIMAL)
         if tok.kind == "<<":
             if position == "collection element":
                 self.error(
@@ -443,13 +472,12 @@ class _Parser:
         nxt = self.peek()
         if nxt.kind == LANGTAG:
             self.next()
-            return Literal(tok.value, Iri(RDF_LANG_STRING), lang=nxt.value)
+            return self._literal(tok.value, RDF_LANG_STRING, nxt.value)
         if nxt.kind == "^^":
             self.next()
             dt_tok = self.next()
             if dt_tok.kind == IRIREF:
-                self._check_absolute(dt_tok)
-                dt = dt_tok.value
+                dt = self._iriref(dt_tok).value
             elif dt_tok.kind == PNAME:
                 if dt_tok.value not in self.prefixes:
                     self.error(
@@ -460,8 +488,8 @@ class _Parser:
                 self.error("expected datatype IRI after '^^'", dt_tok)
             if dt == RDF_LANG_STRING:
                 self.error("rdf:langString requires a language tag, not '^^'", dt_tok)
-            return Literal(tok.value, Iri(dt))
-        return Literal(tok.value, Iri(XSD_STRING))
+            return self._literal(tok.value, dt)
+        return self._literal(tok.value, XSD_STRING)
 
     def _enter(self, open_tok: Token) -> None:
         # << >> and ( ) terms count together against model.MAX_NESTING, so
@@ -505,12 +533,12 @@ class _Parser:
             elements.append(self._term(position="collection element"))
         self.depth -= 1
         if not elements:
-            return Iri(RDF_NIL)
+            return self._iri(RDF_NIL)
         cells = [self._fresh_bnode() for _ in elements]
-        first, rest = Iri(RDF_FIRST), Iri(RDF_REST)
+        first, rest = self._iri(RDF_FIRST), self._iri(RDF_REST)
         for idx, element in enumerate(elements):
             self.pending.append(Statement(cells[idx], first, element))
-            tail = cells[idx + 1] if idx + 1 < len(cells) else Iri(RDF_NIL)
+            tail = cells[idx + 1] if idx + 1 < len(cells) else self._iri(RDF_NIL)
             self.pending.append(Statement(cells[idx], rest, tail))
         return cells[0]
 

@@ -9,15 +9,15 @@ whose values stay Python values. Every exporter reads that walk directly.
 canonical_form() is the same walk as a plain JSON-ready structure, so two
 graphs are equal exactly when their canonical forms are equal.
 
-Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date,
-or a flat homogeneous list of one of those.
+Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
+(not a datetime.datetime), or a flat homogeneous list of one of those.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, datetime
 from decimal import Decimal
 from typing import NamedTuple, Optional, Union
 
@@ -64,7 +64,8 @@ def _kind_tag(value: PropertyValue) -> str:
         return "integer"
     if isinstance(value, Decimal):
         return "decimal"
-    if isinstance(value, date):
+    if isinstance(value, date) and not isinstance(value, datetime):
+        # a datetime would export as a "date" that from_json cannot read back
         return "date"
     if isinstance(value, str):
         return "string"

@@ -17,6 +17,9 @@ pair is dropped and the statement is reported as partial.
 
 Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
+The sort key and every edge identity key are the statement's canonical text,
+made once per statement (model.serialize_statement), and each term's node is
+upserted once per graph scope.
 """
 
 from __future__ import annotations
@@ -230,6 +233,7 @@ class _Engine:
         self.node_props: dict = {}
         self.edge_props: dict = {}
         self.collapsed: dict = {}  # graph scope -> {statement -> role}
+        self.node_ids: dict = {}  # (term, graph suffix) -> node id
 
     # --- context helpers ---
 
@@ -259,7 +263,14 @@ class _Engine:
     # --- node materialization ---
 
     def node_id(self, term, graph_name: Optional[Iri]) -> str:
+        """The node of a term in a graph scope, upserted the first time only."""
         suffix = self._suffix(graph_name, for_edge=False)
+        node_id = self.node_ids.get((term, suffix))
+        if node_id is None:
+            node_id = self.node_ids[term, suffix] = self._upsert_node(term, suffix)
+        return node_id
+
+    def _upsert_node(self, term, suffix: Optional[str]) -> str:
         if isinstance(term, Iri):
             key = pgraph.with_graph(pgraph.iri_key(term.value), suffix)
             return self.graph.upsert_node(key, {"Resource"}, {"iri": term.value})

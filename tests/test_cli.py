@@ -149,6 +149,20 @@ class TestConvert:
         )
         assert len(json.loads(expanded)["nodes"]) > len(json.loads(collapsed)["nodes"])
 
+    @pytest.mark.parametrize(
+        "flags", [["--approach", "rpt"], ["--approach", "hybrid", "--datatype-policy", "edge"]]
+    )
+    def test_repeated_nan_literal_converts(self, tmp_path, flags):
+        path = tmp_path / "nan.ttls"
+        path.write_text(
+            EX + "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+            'ex:a ex:p "NaN"^^xsd:decimal .\nex:b ex:p "NaN"^^xsd:decimal .\n'
+        )
+        code, out, err = run_cli(["convert", str(path), *flags])
+        assert code == 0, err
+        literals = [n for n in json.loads(out)["nodes"] if "Literal" in n["labels"]]
+        assert [n["properties"]["value"] for n in literals] == [{"decimal": "NaN"}]
+
     def test_nesting_beyond_cap_is_positioned_error(self, tmp_path):
         path = tmp_path / "deep.ttls"
         path.write_text(EX + "<< " * 129 + "ex:a ex:p ex:b" + " >> ex:p ex:b" * 128 + " .\n")

@@ -147,6 +147,12 @@ class TestJson:
         with pytest.raises(ValueError, match=message):
             from_json(json.dumps(doc).encode())
 
+    def test_from_json_rejects_datetime_text(self):
+        # the bytes the parent's to_json wrote for a datetime property
+        doc = graph_doc(node(properties={"when": {"date": "2020-01-02T03:04:00"}}))
+        with pytest.raises(ValueError):
+            from_json(json.dumps(doc).encode())
+
     def test_from_json_rejects_bad_bytes(self):
         with pytest.raises(ValueError):
             from_json(b"not json")
@@ -170,6 +176,14 @@ class TestGraphml:
     def test_well_formed_xml_for_scalar_graphs(self):
         root = ET.fromstring(to_graphml(scalar_graph()))
         assert root.tag.endswith("graphml")
+
+    def test_edge_endpoints_quoted_as_their_nodes(self):
+        graph = PropertyGraph()
+        graph.nodes['n:<a&"b">'] = Node('n:<a&"b">', {"X"}, {})
+        graph.edges["e:1"] = Edge("e:1", 'n:<a&"b">', "n:gone", {"r"}, {})  # built by hand
+        text = to_graphml(graph).decode()
+        assert """<node id='n:&lt;a&amp;"b"&gt;'>""" in text
+        assert """<edge id="e:1" source='n:&lt;a&amp;"b"&gt;' target="n:gone">""" in text
 
     def test_list_separator_is_a_raw_control_character(self):
         # list values embed U+001F verbatim; consumers split on it, and strict

@@ -1,5 +1,14 @@
-import pytest
+import copy
+import os
+import pickle
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+import rdfstar2pg
 from rdfstar2pg.model import (
     MAX_NESTING,
     RDF_FIRST,
@@ -18,6 +27,7 @@ from rdfstar2pg.model import (
     StatementKind,
     classify,
     embedded_star_statements,
+    escape_string,
     is_chain_statement,
     is_star,
     isomorphic,
@@ -27,6 +37,7 @@ from rdfstar2pg.model import (
     statement_sort_key,
     statement_units,
 )
+from rdfstar2pg.parser import ParseError, parse_turtle_star
 
 EX = "http://example.org/"
 
@@ -172,6 +183,155 @@ class TestSerialization:
         inner = st(iri("a"), iri("p"), iri("b"))
         outer = st(QuotedTriple(inner), iri("q"), Literal("1"))
         assert serialize_statement(outer).startswith("<< <")
+
+    def test_statement_text_is_made_once(self):
+        inner = st(iri("a"), iri("p"), Literal("x"))
+        outer = st(QuotedTriple(inner), iri("q"), Literal("1"))
+        text = serialize_statement(outer)
+        assert serialize_statement(outer) is text
+        assert statement_sort_key(outer) is text
+        assert text == f"<< {serialize_statement(inner)} >> <{EX}q> \"1\""
+
+
+_SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def escape_by_character(text: str) -> str:
+    """escape_string written as a loop over the characters, as a reference."""
+    out = []
+    for ch in text:
+        if ch in _SHORT_ESCAPES:
+            out.append(_SHORT_ESCAPES[ch])
+        elif ord(ch) < 0x20:
+            out.append("\\u%04X" % ord(ch))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    hst.text(
+        alphabet=hst.one_of(
+            hst.characters(max_codepoint=0x7F),
+            hst.sampled_from('\\"\n\r\t\x00\x1f\x7f\u2028'),
+            hst.characters(blacklist_categories=("Cs",)),
+        )
+    )
+)
+def test_escape_string_matches_character_loop(text):
+    assert escape_string(text) == escape_by_character(text)
+
+
+SHARED_SOURCE = """@prefix ex: <http://example.org/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a ex:p ex:b ; ex:q "1"^^xsd:integer , 1 , "x"@en , "y" , "y"^^xsd:string .
+<http://example.org/b> ex:p _:n , [] , ( 1 "y" ) .
+<< ex:a ex:p <http://example.org/b> >> ex:q << _:n ex:p "x"@en >> .
+ex:g { ex:b ex:p ex:a , _:n , "x"@en . ex:b a ex:T . }
+<http://example.org/g> { _:n ex:q 1 . }
+"""
+
+
+def all_terms(dataset):
+    """Every term object in a dataset: graph names, quoted triples and datatypes too."""
+    found = list(dataset.named)
+
+    def walk(term):
+        found.append(term)
+        if isinstance(term, QuotedTriple):
+            for part in (term.statement.subject, term.statement.predicate, term.statement.object):
+                walk(part)
+        elif isinstance(term, Literal):
+            found.append(term.datatype)
+
+    for _, statement in dataset.statements():
+        for term in (statement.subject, statement.predicate, statement.object):
+            walk(term)
+    return found
+
+
+class TestSharedTerms:
+    """Within one parse, each distinct term is one object."""
+
+    def test_each_value_is_one_object(self):
+        groups = {}
+        for term in all_terms(parse_turtle_star(SHARED_SOURCE)):
+            if not isinstance(term, QuotedTriple):
+                groups.setdefault(term, set()).add(id(term))
+        assert all(len(ids) == 1 for ids in groups.values()), groups
+        assert Iri(EX + "b") in groups and Literal("1", Iri(XSD_INTEGER)) in groups
+        assert Literal("y") in groups and Iri(RDF_FIRST) in groups
+
+    def test_every_occurrence_of_an_iri_is_the_same_object(self):
+        dataset = parse_turtle_star(SHARED_SOURCE)
+        b = [term for term in all_terms(dataset) if term == Iri(EX + "b")]
+        assert len(b) == 9 and all(term is b[0] for term in b)
+
+    def test_redefined_prefix_gives_a_new_iri(self):
+        dataset = parse_turtle_star(
+            "@prefix ex: <http://a/> .\nex:x ex:p ex:o .\n"
+            "@prefix ex: <http://b/> .\nex:x ex:p ex:o .\n"
+        )
+        assert [serialize_statement(s) for s in dataset.default] == [
+            "<http://a/x> <http://a/p> <http://a/o>",
+            "<http://b/x> <http://b/p> <http://b/o>",
+        ]
+
+    def test_relative_iri_still_refused_after_its_absolute_lookalike(self):
+        with pytest.raises(ParseError, match="line 3, column 1: relative IRI <x>"):
+            parse_turtle_star(
+                "@prefix ex: <http://a/> .\nex:x ex:p <http://a/x> .\n<x> ex:p ex:o .\n"
+            )
+
+    def test_documents_share_nothing(self):
+        first, second = (parse_turtle_star(SHARED_SOURCE).default[0] for _ in range(2))
+        assert first == second and first.subject is not second.subject
+
+
+PICKLED = "@prefix ex: <http://example.org/> .\n" + (
+    '<< _:x ex:p "\u00e9t\u00e9"@fr >> ex:q << ex:a ex:p 1 >> .\n'
+    'ex:a ex:p "t\\"ext" , _:x .\n'
+)
+
+# Loads pickled statements from stdin and looks them up in a set of the same
+# statements parsed here, under this interpreter's own hash seed.
+CHILD = """
+import pickle, sys
+from rdfstar2pg.parser import parse_turtle_star
+loaded = pickle.loads(sys.stdin.buffer.read())
+built = set(parse_turtle_star(sys.argv[1]).default)
+print(hash("probe"), sum(statement in built for statement in loaded), len(built))
+"""
+
+
+class TestStoredHashes:
+    """A stored hash is rebuilt, never carried, by pickle and copy."""
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copies_are_equal_with_equal_hashes(self, duplicate):
+        for statement in parse_turtle_star(PICKLED).default:
+            twin = duplicate(statement)
+            assert twin == statement and hash(twin) == hash(statement)
+            assert serialize_statement(twin) == serialize_statement(statement)
+
+    def test_pickled_statement_found_in_another_process(self):
+        statements = list(parse_turtle_star(PICKLED).default)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        package_root = os.path.dirname(os.path.dirname(rdfstar2pg.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, PICKLED],
+            input=pickle.dumps(statements),
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe, found, built = proc.stdout.split()
+        assert int(probe) != hash("probe")  # the child hashes strings differently
+        assert int(found) == int(built) == len(statements) == 3
 
 
 class TestDataset:

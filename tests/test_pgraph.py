@@ -109,6 +109,18 @@ class TestValues:
     def test_date_encoding_is_iso(self):
         assert encode_value(datetime.date(1963, 3, 22)) == {"date": "1963-03-22"}
 
+    def test_datetime_refused(self):
+        # to_json would write it as {"date": "2020-01-02T03:04:00"}, which
+        # from_json cannot read back
+        moment = datetime.datetime(2020, 1, 2, 3, 4)
+        for value in (moment, [moment], [datetime.date(2020, 1, 2), moment]):
+            with pytest.raises(TypeError, match="unsupported property value"):
+                check_value(value)
+        g, a, _ = small_graph()
+        with pytest.raises(TypeError, match="unsupported property value"):
+            g.set_node_property(a, "when", moment)
+        assert "when" not in g.nodes[a].properties
+
     def test_bool_is_not_confused_with_int(self):
         assert decode_value(encode_value(True)) is True
         assert decode_value(encode_value(1)) == 1

@@ -2,8 +2,9 @@
 
 Four structural guarantees, each checked against at least a thousand
 generated datasets (at most ten statements, quoting depth at most two), one
-text round trip, checked against four hundred, and the report algebra on the
-same star data, checked against three hundred:
+text round trip, checked against four hundred, the report algebra on the
+same star data, checked against three hundred, and the hash contract on the
+same statements and datasets, checked against four and three hundred:
 
 1. edge bijection    - without quoted triples, the fully node-materializing
                        approach produces exactly one edge per statement
@@ -26,6 +27,9 @@ same star data, checked against three hundred:
                        (exactly for statements that directly quote a
                        datatype-property statement), and no unit carries
                        the nested-key note twice
+7. hash contract     - equal terms and statements have equal hashes however
+                       they were built, so statements built in code and
+                       statements read back from their text meet in one set
 """
 
 from collections import Counter
@@ -282,3 +286,53 @@ def test_report_algebra_on_star_data(dataset):
             assert partial == expected
         else:
             assert not partial
+
+
+# --- hash contract -----------------------------------------------------------
+
+
+def rebuilt(item):
+    """An equal copy of a term or statement, made of new objects all the way down."""
+    if isinstance(item, Statement):
+        return Statement(rebuilt(item.subject), rebuilt(item.predicate), rebuilt(item.object))
+    if isinstance(item, QuotedTriple):
+        return QuotedTriple(rebuilt(item.statement))
+    if isinstance(item, Iri):
+        return Iri(item.value)
+    if isinstance(item, BlankNode):
+        return BlankNode(item.label, original="elsewhere")
+    return Literal(item.lexical, Iri(item.datatype.value), item.lang)
+
+
+def parts(item):
+    """The statement or term and everything inside it, in a fixed order."""
+    yield item
+    if isinstance(item, Statement):
+        for term in (item.subject, item.predicate, item.object):
+            yield from parts(term)
+    elif isinstance(item, QuotedTriple):
+        yield from parts(item.statement)
+    elif isinstance(item, Literal):
+        yield item.datatype
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXT_STATEMENTS)
+def test_equal_terms_have_equal_hashes(statement):
+    copy = rebuilt(statement)
+    assert copy is not statement
+    pairs = list(zip(parts(statement), parts(copy)))
+    assert len(pairs) == len(list(parts(statement)))
+    for original, twin in pairs:
+        assert twin == original and hash(twin) == hash(original)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_datasets)
+def test_parsed_statements_meet_built_ones_in_one_set(dataset):
+    parsed = parse_turtle_star(to_turtle_star(dataset))
+    assert set(parsed.named) == set(dataset.named)
+    for name in [None, *dataset.named]:
+        built = dataset.default if name is None else dataset.named[name]
+        read = parsed.default if name is None else parsed.named[name]
+        assert len(set(built) | set(read)) == len(set(built)) == len(read)

@@ -1,8 +1,11 @@
 import datetime
+import hashlib
+import json
 from decimal import Decimal
 
 import pytest
 
+from rdfstar2pg.conformance import builtin_corpus, case_sort_key
 from rdfstar2pg.model import Dataset, Iri, statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import (
@@ -642,3 +645,47 @@ class TestGraphCompanionDedup:
 def test_wrapper_signatures(fn):
     graph, report = fn(ds(EX + "ex:a ex:p ex:b ."))
     assert graph.nodes and report.total == 1
+
+
+class TestRepeatedNaN:
+    """A NaN literal's node is made once, however often the literal recurs.
+
+    Decimal('NaN') never equals itself, so upserting the node again used to
+    read as a conflicting property value.
+    """
+
+    SOURCE = EX + XSD + 'ex:a ex:p "NaN"^^xsd:decimal .\nex:b ex:p "NaN"^^xsd:decimal .\n'
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    @pytest.mark.parametrize("policy", list(DatatypePolicy))
+    def test_every_approach_and_policy_converts(self, approach, policy):
+        cfg = TransformConfig(approach=approach, datatype_policy=policy)
+        graph, report = transform(ds(self.SOURCE), cfg)
+        assert report.total == report.converted == 2
+        literals = [n for n in graph.nodes.values() if "Literal" in n.labels]
+        if cfg.datatype_as_property():
+            assert not literals
+            values = [node_by_iri(graph, f"http://example.org/{n}").properties["p"] for n in "ab"]
+        else:
+            assert len(literals) == 1 and len(graph.edges) == 2
+            values = [literals[0].properties["value"]]
+        assert all(isinstance(v, Decimal) and v.is_nan() for v in values)
+
+
+# sha256 over every corpus report as `convert --report` writes it (without the
+# final newline): cases by case_sort_key, then Approach order, as the corpus
+# export digest in test_exporters.py is taken.
+CORPUS_REPORTS_SHA256 = "11a75c049f31b220f37b45d0c54163a30558fa5c1fe7d4363d7ad0e4b3815db7"
+
+
+def test_corpus_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for case in sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id)):
+        dataset = parse_turtle_star(case.source)
+        for approach in Approach:
+            _, report = transform(dataset, TransformConfig(approach=approach))
+            digest.update(json.dumps(report.to_dict(), indent=2, ensure_ascii=False).encode())
+            count += 1
+    assert count == 69
+    assert digest.hexdigest() == CORPUS_REPORTS_SHA256
