@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from datetime import date
-from decimal import Decimal
 from json.encoder import encode_basestring
 
 from .pgraph import (
@@ -28,6 +26,7 @@ from .pgraph import (
     _json_ready,
     check_value,
     decode_value,
+    kind_of,
 )
 
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
@@ -87,30 +86,18 @@ def _json_record(record) -> str:
 
 
 def _json_value(value, indent: str) -> str:
-    """encode_value(value) as json.dumps(indent=2) prints it at this indent.
-
-    The walk has already refused every other type, so a value that is not a
-    str, bool, int, list or Decimal here is a date.
-    """
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    """encode_value(value) as json.dumps(indent=2) prints it at this indent."""
     inner = indent + "  "
     if isinstance(value, list):
         if not value:
             return "[]"
         items = ",\n".join(inner + _json_value(item, inner) for item in value)
         return "[\n" + items + "\n" + indent + "]"
-    if isinstance(value, Decimal):
-        tag, text = "decimal", str(value)
-    else:
-        tag, text = "date", value.isoformat()
-    return "{\n" + inner + f'"{tag}": ' + encode_basestring(text) + "\n" + indent + "}"
+    kind = kind_of(value)
+    if kind.tag is None:
+        return kind.json(value)
+    text = encode_basestring(kind.text(value))
+    return "{\n" + inner + f'"{kind.tag}": ' + text + "\n" + indent + "}"
 
 
 def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
@@ -127,11 +114,11 @@ def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
         raise ValueError(f"{kind} {record['id']} has no labels")
     if not isinstance(properties, dict):
         raise ValueError(f"{kind} {record['id']} properties must be an object")
-    props = {k: decode_value(v) for k, v in properties.items()}
     try:
+        props = {k: decode_value(v) for k, v in properties.items()}
         for value in props.values():
             check_value(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{kind} {record['id']}: {exc}") from exc
     return set(labels), props
 
@@ -166,42 +153,14 @@ def from_json(data) -> PropertyGraph:
 # ---------------------------------------------------------------------------
 
 
-def _text_form(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, date):
-        return value.isoformat()
-    return str(value)
-
-
-def _graphml_type(values) -> str:
-    kinds = set()
-    for value in values:
-        items = value if isinstance(value, list) else [value]
-        for item in items:
-            kinds.add(bool if isinstance(item, bool) else type(item))
-    if len(kinds) != 1:
-        return "string"
-    kind = kinds.pop()
-    if kind is bool:
-        return "boolean"
-    if kind is int:
-        return "long"
-    if kind is Decimal:
-        return "double"
-    return "string"
-
-
 def _graphml_value(value) -> str:
-    if isinstance(value, list):
-        parts = [_text_form(item) for item in value]
-        for part in parts:
-            if LIST_SEPARATOR in part:
-                raise UnrepresentableValue(
-                    f"list element {part!r} contains the 0x1f separator"
-                )
-        return LIST_SEPARATOR.join(parts)
-    return _text_form(value)
+    if not isinstance(value, list):
+        return kind_of(value).text(value)
+    parts = [kind_of(item).text(item) for item in value]
+    for part in parts:
+        if LIST_SEPARATOR in part:
+            raise UnrepresentableValue(f"list element {part!r} contains the 0x1f separator")
+    return LIST_SEPARATOR.join(parts)
 
 
 def to_graphml(graph: PropertyGraph) -> bytes:
@@ -229,7 +188,10 @@ def to_graphml(graph: PropertyGraph) -> bytes:
     for pair in declarations:
         domain, key = pair
         values = key_values.get(pair, [])
-        attr_type = "string" if key == "labels" else _graphml_type(values)
+        # a key whose values are all of one kind gets that kind's attr.type
+        items = [item for value in values for item in (value if isinstance(value, list) else [value])]
+        types = {kind_of(item).graphml for item in items}
+        attr_type = types.pop() if key != "labels" and len(types) == 1 else "string"
         extra = ' list="true"' if any(isinstance(v, list) for v in values) else ""
         lines.append(
             f'  <key id="{key_ids[pair]}" for="{domain}" '
@@ -304,28 +266,10 @@ def _sanitize_all(names, what: str, memo: dict) -> dict:
     return mapping
 
 
-def _cypher_scalar(value) -> str:
-    if isinstance(value, str):
-        return _cypher_string(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Decimal)):
-        return str(value)
-    if isinstance(value, date):
-        return _cypher_string(value.isoformat())
-    return _cypher_string(value)
-
-
-def _cypher_string(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-    return f'"{out}"'
-
-
 def _cypher_value(value) -> str:
     if isinstance(value, list):
-        return "[" + ", ".join(_cypher_scalar(item) for item in value) + "]"
-    return _cypher_scalar(value)
+        return "[" + ", ".join(kind_of(item).cypher(item) for item in value) + "]"
+    return kind_of(value).cypher(value)
 
 
 def _label_chain(labels, memo: dict) -> str:

@@ -10,16 +10,20 @@ canonical_form() is the same walk as a plain JSON-ready structure, so two
 graphs are equal exactly when their canonical forms are equal.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
-(not a datetime.datetime), or a flat homogeneous list of one of those.
+(not a datetime.datetime), or a flat homogeneous list of one of those. The
+value-kind table, _KINDS, is the one place that decides what kind a value is
+(kind_of) and, for each kind, its canonical text, JSON form, GraphML type and
+Cypher literal. Values compare by value_key, (kind name, canonical text).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from datetime import date, datetime
-from decimal import Decimal
-from typing import NamedTuple, Optional, Union
+from datetime import date
+from decimal import Decimal, InvalidOperation
+from json.encoder import encode_basestring
+from typing import Callable, NamedTuple, Optional, Union
 
 PropertyValue = Union[str, bool, int, Decimal, date, list]
 
@@ -57,57 +61,118 @@ def with_graph(key: str, graph_iri: Optional[str]) -> str:
     return key if graph_iri is None else f"{key}|g:{_quote(graph_iri)}"
 
 
-def _kind_tag(value: PropertyValue) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, Decimal):
-        return "decimal"
-    if isinstance(value, date) and not isinstance(value, datetime):
-        # a datetime would export as a "date" that from_json cannot read back
-        return "date"
-    if isinstance(value, str):
-        return "string"
-    raise TypeError(f"unsupported property value: {value!r}")
+class _ValueKind(NamedTuple):
+    """How one kind of property value is named, written and read back."""
+
+    name: str
+    text: Callable  # canonical text: GraphML data, merged strings, comparison
+    graphml: str  # GraphML attr.type
+    cypher: Callable  # openCypher 9 literal
+    json: Optional[Callable] = None  # JSON text, for kinds JSON holds as they are
+    tag: Optional[str] = None  # JSON tag, for kinds JSON holds as {tag: text}
+    decode: Optional[Callable] = None  # the value a tag's text stands for
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _decimal_text(value: Decimal) -> str:
+    """str(value), or the xsd:double spelling NaN, INF or -INF."""
+    if value.is_finite():
+        return str(value)
+    if value.is_nan():
+        return "NaN"
+    return "-INF" if value.is_signed() else "INF"
+
+
+def _cypher_string(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+    return f'"{out}"'
+
+
+def _cypher_decimal(value: Decimal) -> str:
+    # openCypher has no NaN or infinity literal and no "+" in an exponent
+    if value.is_finite():
+        return str(value).replace("E+", "E")
+    return _cypher_string(_decimal_text(value))
+
+
+def _cypher_date(value: date) -> str:
+    return _cypher_string(value.isoformat())
+
+
+# The one place that decides what a property value is, keyed on its exact
+# type: a subclass (a datetime, say) is no property value.
+_KINDS = {
+    str: _ValueKind("string", str, "string", _cypher_string, json=encode_basestring),
+    bool: _ValueKind("boolean", _bool_text, "boolean", _bool_text, json=_bool_text),
+    int: _ValueKind("integer", int.__repr__, "long", int.__repr__, json=int.__repr__),
+    Decimal: _ValueKind("decimal", _decimal_text, "double", _cypher_decimal, tag="decimal", decode=Decimal),
+    date: _ValueKind("date", date.isoformat, "string", _cypher_date, tag="date", decode=date.fromisoformat),
+}
+_TAGGED = {kind.tag: kind for kind in _KINDS.values() if kind.tag}
+
+
+def kind_of(value) -> _ValueKind:
+    """The kind of one (non-list) property value; TypeError if it is none."""
+    kind = _KINDS.get(type(value))
+    if kind is None:
+        raise TypeError(f"unsupported property value: {value!r}")
+    return kind
+
+
+def value_key(value: PropertyValue) -> tuple:
+    """What property values compare by: equal keys, equal values.
+
+    (kind name, canonical text), so True is not 1, Decimal 1.0 is not 1.00
+    and a NaN equals itself; a list compares item by item.
+    """
+    if isinstance(value, list):
+        return tuple(map(value_key, value))
+    kind = kind_of(value)
+    return kind.name, kind.text(value)
 
 
 def check_value(value: PropertyValue) -> None:
     if isinstance(value, list):
         if not value:
             raise TypeError("empty list is not a valid property value")
-        kinds = {_kind_tag(v) for v in value}  # raises on nested lists
+        kinds = {kind_of(v).name for v in value}  # raises on nested lists
         if len(kinds) > 1:
             raise TypeError(f"list property values must be homogeneous, got {kinds}")
         return
-    _kind_tag(value)
+    kind_of(value)
 
 
 def encode_value(value: PropertyValue):
     """JSON-ready encoding; exact for every value kind."""
     if isinstance(value, list):
         return [encode_value(v) for v in value]
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
-        return value
-    if isinstance(value, Decimal):
-        return {"decimal": str(value)}
-    if isinstance(value, date):
-        return {"date": value.isoformat()}
-    raise TypeError(f"unsupported property value: {value!r}")
+    kind = kind_of(value)
+    return value if kind.tag is None else {kind.tag: kind.text(value)}
 
 
 def decode_value(encoded) -> PropertyValue:
+    """The value encode_value encoded; ValueError for anything it cannot write."""
     if isinstance(encoded, list):
         return [decode_value(v) for v in encoded]
     if isinstance(encoded, dict):
-        if set(encoded) == {"decimal"}:
-            return Decimal(encoded["decimal"])
-        if set(encoded) == {"date"}:
-            return date.fromisoformat(encoded["date"])
-        raise ValueError(f"unknown tagged value: {encoded!r}")
-    if isinstance(encoded, (bool, int, str)):
-        return encoded
-    raise ValueError(f"cannot decode property value: {encoded!r}")
+        kind = _TAGGED.get(next(iter(encoded))) if len(encoded) == 1 else None
+        if kind is None:
+            raise ValueError(f"unknown tagged value: {encoded!r}")
+        text = encoded[kind.tag]
+        if type(text) is str:  # a JSON number would read as a binary float
+            try:
+                return kind.decode(text)
+            except (ValueError, InvalidOperation):
+                pass
+        raise ValueError(f"invalid {kind.name} text: {text!r}")
+    kind = _KINDS.get(type(encoded))
+    if kind is None or kind.tag is not None:
+        raise ValueError(f"cannot decode property value: {encoded!r}")
+    return encoded
 
 
 def is_bookkeeping_key(key: str) -> bool:
@@ -133,7 +198,7 @@ class Edge:
 def _merge_properties(owner: str, existing: dict, incoming: dict) -> None:
     for key, value in incoming.items():
         check_value(value)
-        if key in existing and existing[key] != value:
+        if key in existing and value_key(existing[key]) != value_key(value):
             raise PropertyConflict(
                 f"{owner}: property {key!r} already {existing[key]!r}, refusing {value!r}"
             )
@@ -162,15 +227,10 @@ def _edge_order(edge: Edge) -> tuple:
     return (edge.source, ";".join(sorted(edge.labels)), edge.target, edge.id)
 
 
-# Exact types whose values encode_value accepts as they are; anything else
-# (lists, subclasses, unsupported values) is checked by encode_value itself.
-_PLAIN_TYPES = frozenset({str, bool, int, Decimal, date})
-
-
 def _sorted_properties(properties: dict) -> list:
     items = sorted(properties.items())
     for _, value in items:
-        if type(value) not in _PLAIN_TYPES:
+        if type(value) not in _KINDS:  # a list, or no property value
             encode_value(value)
     return items
 

@@ -303,28 +303,21 @@ class _Engine:
         if len(values) == 1:
             return values[0]
         if policy is MultiValuePolicy.LAST_WINS:
+            winner = pgraph.value_key(values[-1])
             for value, unit in staged[:-1]:
-                if unit is not None and value != values[-1]:
+                if unit is not None and pgraph.value_key(value) != winner:
                     unit.notes.append(NOTE_OVERWRITTEN)
             return values[-1]
         flat: list = []
         for value in values:
             flat.extend(value if isinstance(value, list) else [value])
-        kinds = {type(v) if not isinstance(v, bool) else bool for v in flat}
-        if len(kinds) > 1:
-            flat = [self._stringify(v) for v in flat]
+        kinds = [pgraph.kind_of(v) for v in flat]
+        if len({kind.name for kind in kinds}) > 1:
+            flat = [kind.text(v) for kind, v in zip(kinds, flat)]
             for _, unit in staged:
                 if unit is not None and NOTE_MIXED_TYPES not in unit.notes:
                     unit.notes.append(NOTE_MIXED_TYPES)
         return flat
-
-    @staticmethod
-    def _stringify(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, _date):
-            return value.isoformat()
-        return str(value)
 
     def _apply_staged(self) -> None:
         for (node_id, key), staged in sorted(self.node_props.items()):
@@ -514,7 +507,7 @@ class _Engine:
             members.extend((first_st, rest_st))
             tail = rest_st.object
             if isinstance(tail, Iri):
-                if tail.value == RDF_NIL and len({type(v) for v in values}) == 1:
+                if tail.value == RDF_NIL and len({pgraph.kind_of(v).name for v in values}) == 1:
                     return values, members
                 return None
             if not isinstance(tail, BlankNode):

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -141,6 +142,12 @@ class TestJson:
             (graph_doc(node(), edge(target=["n:a"])), "edge target must be a string"),
             (graph_doc(node(), edge(labels=[None])), "edge e:1 labels must be a list of strings"),
             (graph_doc(node(), edge(properties=[1])), "edge e:1 properties must be an object"),
+            (graph_doc(node(properties={"k": {"decimal": "abc"}})), "node n:a: invalid decimal text: 'abc'"),
+            (graph_doc(node(properties={"k": {"date": 20200101}})), "node n:a: invalid date text: 20200101"),
+            (graph_doc(node(properties={"k": {"decimal": 0.1}})), "node n:a: invalid decimal text: 0.1"),
+            (graph_doc(node(properties={"k": [{"decimal": 1}]})), "node n:a: invalid decimal text: 1"),
+            (graph_doc(node(properties={"k": {"time": "03:04"}})), "node n:a: unknown tagged value"),
+            (graph_doc(node(properties={"k": 1.5})), "node n:a: cannot decode property value: 1.5"),
         ],
     )
     def test_from_json_rejects_malformed_records(self, doc, message):
@@ -432,7 +439,7 @@ class TestJsonMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(
         hand_built_graphs(),
-        st.one_of(st.floats(), st.none(), st.just(object())),
+        st.one_of(st.floats(), st.none(), st.just(object()), st.just(datetime.datetime(2020, 1, 2, 3, 4))),
         st.booleans(),
     )
     def test_unsupported_value_raises_the_same_type_error(self, graph, bad, in_list):
@@ -446,3 +453,71 @@ class TestJsonMatchesReference:
             with pytest.raises(TypeError) as raised:
                 export(graph)
             assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# Every format's literals are valid in that format
+# ---------------------------------------------------------------------------
+
+EDGE_DECIMALS = [
+    Decimal(text)
+    for text in ("NaN", "-NaN", "sNaN", "-sNaN", "Infinity", "-Infinity", "1e400", "-1.5E-7", "0E-8", "-0")
+]
+any_decimal = st.one_of(st.sampled_from(EDGE_DECIMALS), st.decimals(allow_nan=True, allow_infinity=True))
+kind_values = [text_values, st.integers(min_value=-(2**100), max_value=2**100), st.booleans(), any_decimal, st.dates()]
+# one value of one kind, or a non-empty list of one kind
+valid_values = st.one_of(*kind_values, *(st.lists(kind, min_size=1, max_size=3) for kind in kind_values))
+
+# openCypher 9 literals: StringLiteral, BooleanLiteral, IntegerLiteral (decimal
+# form) and DoubleLiteral, each with an optional leading minus
+CYPHER_STRING = r'"(?:[^"\\]|\\[\\\'"bfnrtBFNRT])*"'
+CYPHER_NUMBER = r"-?(?:(?:0|[1-9][0-9]*)|[0-9]*\.[0-9]+|(?:[0-9]+|[0-9]+\.[0-9]+|\.[0-9]+)[Ee]-?[0-9]+)"
+CYPHER_SCALAR = f"(?:{CYPHER_STRING}|true|false|{CYPHER_NUMBER})"
+CYPHER_NODE = re.compile(
+    f'CREATE \\(n0:X \\{{id: "n", v: (?:{CYPHER_SCALAR}|\\[{CYPHER_SCALAR}(?:, {CYPHER_SCALAR})*\\])\\}}\\)\n',
+    re.DOTALL,
+)
+# the xsd:double lexical space (XSD 1.0: no "+INF")
+XSD_DOUBLE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?|-?INF|NaN")
+
+
+def one_value_graph(value):
+    graph = PropertyGraph()
+    graph.nodes["n"] = Node("n", {"X"}, {"v": value})
+    return graph
+
+
+class TestLiteralsAreValid:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_values)
+    def test_every_kind_writes_a_valid_literal_in_every_format(self, value):
+        graph = one_value_graph(value)
+        assert CYPHER_NODE.fullmatch(to_cypher(graph)), to_cypher(graph)
+        try:
+            graphml = to_graphml(graph).decode()
+        except UnrepresentableValue:  # a list element holding the separator
+            assert any(LIST_SEPARATOR in item for item in value if isinstance(item, str))
+            graphml = ""
+        double_keys = re.findall(r'<key id="(d[0-9]+)" [^>]*attr\.type="double"', graphml)
+        for key in double_keys:
+            for text in re.findall(f'<data key="{key}">([^<]*)</data>', graphml):
+                for item in text.split(LIST_SEPARATOR):
+                    assert XSD_DOUBLE.fullmatch(item), item
+        assert from_json(to_json(graph)).canonical_form() == graph.canonical_form()
+
+    @pytest.mark.parametrize(
+        "value, json_text, graphml_text, cypher_text",
+        [
+            (Decimal("NaN"), "NaN", "NaN", '"NaN"'),
+            (Decimal("sNaN"), "NaN", "NaN", '"NaN"'),
+            (Decimal("Infinity"), "INF", "INF", '"INF"'),
+            (Decimal("-Infinity"), "-INF", "-INF", '"-INF"'),
+            (Decimal("1e400"), "1E+400", "1E+400", "1E400"),
+            (Decimal("1.5e-7"), "1.5E-7", "1.5E-7", "1.5E-7"),
+        ],
+    )
+    def test_decimal_spelling(self, value, json_text, graphml_text, cypher_text):
+        graph = one_value_graph(value)
+        assert json.loads(to_json(graph))["nodes"][0]["properties"]["v"] == {"decimal": json_text}
+        assert f">{graphml_text}</data>" in to_graphml(graph).decode()
+        assert f"v: {cypher_text}}}" in to_cypher(graph)

@@ -154,6 +154,33 @@ class TestNodes:
         with pytest.raises(PropertyConflict):
             g.set_node_property(nid, "p", 2)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (True, 1),
+            (1, True),
+            (Decimal("1.0"), Decimal("1.00")),
+            ("1", 1),
+            (datetime.date(2020, 1, 2), "2020-01-02"),
+            (["a"], "a"),
+        ],
+    )
+    def test_values_of_another_kind_or_text_conflict(self, old, new):
+        g = PropertyGraph()
+        nid = g.upsert_node("k", labels={"A"}, properties={"p": old})
+        with pytest.raises(PropertyConflict):
+            g.set_node_property(nid, "p", new)
+        assert g.nodes[nid].properties["p"] is old
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(Decimal("NaN"), Decimal("NaN")), (Decimal("NaN"), Decimal("sNaN")), ([1, 2], [1, 2])],
+    )
+    def test_values_of_one_kind_and_text_agree(self, old, new):
+        g = PropertyGraph()
+        nid = g.upsert_node("k", labels={"A"}, properties={"p": old})
+        g.set_node_property(nid, "p", new)
+
     def test_set_property_on_missing_node(self):
         g = PropertyGraph()
         with pytest.raises(KeyError):

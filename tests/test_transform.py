@@ -243,6 +243,8 @@ INV, E2E, NESTED = NOTE_INVERSE, NOTE_EDGE_TO_EDGE, NOTE_NESTED
 LOSS = LOSS_PROPERTIES_OVER_PROPERTIES
 DROP = '<<ex:a ex:age "25">>'
 DEPTH2 = "<< <<ex:a ex:p ex:b>> ex:q ex:c >>"
+LAST_WINS = "<<ex:a ex:q ex:b>> ex:r "
+OVERWRITTEN = NOTE_OVERWRITTEN
 # (source, expected): expected is a list of (status, reason, notes), one per
 # unit in statement_units order, shared by every approach, or a dict from an
 # approach name ("*" for the others) to such a list.
@@ -285,6 +287,22 @@ STAR_REPORT_TABLE = [
             "*": [(CONVERTED, "", [NESTED, E2E]), (CONVERTED, "", [NESTED, IRI])],
         },
     ),
+    # last-wins on one edge key notes a value of another kind or canonical
+    # text, and only such a value
+    (
+        LAST_WINS + '"sNaN"^^xsd:decimal .\n' + LAST_WINS + '"1"^^xsd:decimal .',
+        [(CONVERTED, "", []), (CONVERTED, "", [OVERWRITTEN])],
+    ),
+    (
+        LAST_WINS + '"true"^^xsd:boolean .\n' + LAST_WINS + "1 .",
+        [(CONVERTED, "", []), (CONVERTED, "", [OVERWRITTEN])],
+    ),
+    (
+        LAST_WINS + '"1.0"^^xsd:decimal .\n' + LAST_WINS + '"1.00"^^xsd:decimal .',
+        [(CONVERTED, "", [OVERWRITTEN]), (CONVERTED, "", [])],
+    ),
+    (LAST_WINS + '"NaN"^^xsd:decimal .\n' + LAST_WINS + '"sNaN"^^xsd:decimal .', [(CONVERTED, "", [])] * 2),
+    (LAST_WINS + '"1"^^xsd:integer .\n' + LAST_WINS + '"01"^^xsd:integer .', [(CONVERTED, "", [])] * 2),
 ]
 
 
@@ -309,7 +327,7 @@ def unit_rows(dataset, report) -> list:
 def test_star_report_table(fn, source, expected):
     if isinstance(expected, dict):
         expected = expected.get(fn.__name__, expected["*"])
-    dataset = ds(EX + source)
+    dataset = ds(EX + XSD + source)
     _, report = fn(dataset)
     assert report.total == len(expected)
     assert unit_rows(dataset, report) == expected
@@ -407,6 +425,20 @@ class TestMultiValuePolicies:
         g2, _ = pgt(ds(backward))
         assert g1.canonical_form() == g2.canonical_form()
         assert the_edge(g1).properties["certainty"] == 1
+
+
+@pytest.mark.parametrize("approach", ["rpt", "pgt", "hybrid"])
+def test_signalling_nan_overwrite_converts(tmp_path, approach):
+    from rdfstar2pg.cli import main
+
+    path = tmp_path / "snan.ttls"
+    path.write_text(EX + XSD + LAST_WINS + '"sNaN"^^xsd:decimal .\n' + LAST_WINS + '"1"^^xsd:decimal .\n')
+    report_path = tmp_path / "report.json"
+    args = ["convert", str(path), "--approach", approach, "--output", str(tmp_path / "out.json")]
+    assert main([*args, "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    (loser,) = report["notes"]
+    assert NOTE_OVERWRITTEN in loser["notes"]
 
 
 class TestNamedGraphs:
