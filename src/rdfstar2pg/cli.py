@@ -12,10 +12,11 @@ import json
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring
 
 from .conformance import run_conformance
 from .exporters import to_cypher, to_graphml, to_json
-from .model import classify, quote_depth
+from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
 from .transform import (
     Approach,
@@ -54,7 +55,45 @@ def _paint(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m" if _use_color() else text
 
 
+def _report_json(report: dict) -> str:
+    """json.dumps(report, indent=2, ensure_ascii=False), with the C string encoder.
+
+    json.dumps runs its pure-Python encoder whenever it indents. The report
+    holds counts, converted_fraction (a float in [0, 1]) and four lists of
+    entries whose values are strings, None or lists of strings.
+    """
+    fields = [
+        f"  {encode_basestring(key)}: "
+        + (_entries_json(value) if isinstance(value, list) else repr(value))
+        for key, value in report.items()
+    ]
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def _entries_json(entries: list) -> str:
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(map(_entry_json, entries)) + "\n  ]"
+
+
+def _entry_json(entry: dict) -> str:
+    fields = []
+    for key, value in entry.items():
+        if value is None:
+            text = "null"
+        elif isinstance(value, str):
+            text = encode_basestring(value)
+        elif value:  # a list of notes
+            text = "[\n        " + ",\n        ".join(map(encode_basestring, value)) + "\n      ]"
+        else:
+            text = "[]"
+        fields.append(f"      {encode_basestring(key)}: {text}")
+    return "    {\n" + ",\n".join(fields) + "\n    }"
+
+
+@_gc_paused
 def cmd_convert(args) -> int:
+    """Parse, transform, export and report one document; returns the exit code."""
     try:
         source = _read_input(args.input)
     except OSError as exc:
@@ -85,10 +124,7 @@ def cmd_convert(args) -> int:
     _write_output(args.output, payload)
 
     if args.report:
-        report_bytes = (json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n").encode(
-            "utf-8"
-        )
-        _write_output(args.report, report_bytes)
+        _write_output(args.report, (_report_json(report.to_dict()) + "\n").encode("utf-8"))
 
     return 3 if report.lossy else 0
 

@@ -18,6 +18,7 @@ import json
 import re
 from json.encoder import encode_basestring
 
+from .model import _gc_paused
 from .pgraph import (
     Edge,
     EdgeRecord,
@@ -45,7 +46,9 @@ class UnsanitizableIdentifier(Exception):
 # ---------------------------------------------------------------------------
 
 
+@_gc_paused
 def to_json(graph: PropertyGraph) -> bytes:
+    """The graph's canonical form as indented JSON, in UTF-8."""
     nodes, edges = graph.canonical_records()
     text = "{\n" + _json_array("nodes", nodes) + ",\n" + _json_array("edges", edges) + "\n}\n"
     return text.encode("utf-8")
@@ -123,7 +126,9 @@ def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
     return set(labels), props
 
 
+@_gc_paused
 def from_json(data) -> PropertyGraph:
+    """The graph to_json wrote; ValueError for a document it cannot have written."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     try:
@@ -163,7 +168,9 @@ def _graphml_value(value) -> str:
     return LIST_SEPARATOR.join(parts)
 
 
+@_gc_paused
 def to_graphml(graph: PropertyGraph) -> bytes:
+    """The graph as GraphML in UTF-8, with one typed <key> per property key."""
     # Imported here: saxutils pulls in urllib.request, http.client and ssl,
     # tens of milliseconds that every convert launch would pay otherwise.
     from xml.sax.saxutils import escape, quoteattr
@@ -178,6 +185,9 @@ def to_graphml(graph: PropertyGraph) -> bytes:
                 key_values.setdefault((domain, key), []).append(value)
 
     declarations = [("node", "labels"), ("edge", "labels")]
+    for pair in declarations:
+        if pair in key_values:  # the transform writes p_labels instead
+            raise UnrepresentableValue(f"{pair[0]} property key 'labels' would share the label key")
     declarations.extend(sorted(key_values))
     key_ids = {pair: f"d{i}" for i, pair in enumerate(declarations)}
 
@@ -286,7 +296,9 @@ def _prop_block(record, memo: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+@_gc_paused
 def to_cypher(graph: PropertyGraph) -> str:
+    """The graph as openCypher CREATE statements, one per line."""
     nodes, edges = graph.canonical_records()
     if not nodes:
         return ""

@@ -9,6 +9,8 @@ at most MAX_NESTING levels deep.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +40,29 @@ MAX_NESTING = 128
 
 class NestingTooDeep(ValueError):
     """Raised when a quoted triple would nest deeper than MAX_NESTING."""
+
+
+def _gc_paused(func):
+    """Wrap a public pipeline call so it runs with the cyclic collector paused.
+
+    The pipeline builds trees of terms, statements, records and dicts, not
+    reference cycles, so a collection while it runs rescans a growing heap
+    and frees nothing. A caller that already paused the collector, or an
+    outer paused call, is left as it is; otherwise the collector is enabled
+    again when the call returns or raises.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _stored_hash(term) -> int:

@@ -54,6 +54,7 @@ from .model import (
     Literal,
     QuotedTriple,
     Statement,
+    _gc_paused,
     serialize_statement,
 )
 
@@ -543,6 +544,7 @@ class _Parser:
         return cells[0]
 
 
+@_gc_paused
 def parse_turtle_star(text: str) -> Dataset:
     """Parse a Turtle-star document (TriG-style graph blocks allowed)."""
     return _Parser(text).parse()

@@ -27,9 +27,10 @@ from typing import Callable, NamedTuple, Optional, Union
 
 PropertyValue = Union[str, bool, int, Decimal, date, list]
 
-# Keys the tooling itself uses (term bookkeeping, provenance, exporter ids)
-# rather than RDF payload; predicate-derived keys must stay out of this set.
-RESERVED_KEYS = frozenset({"id", "iri", "bnode", "value", "datatype", "lang", "graph"})
+# Keys the tooling itself uses (term bookkeeping, provenance, exporter ids
+# and GraphML's label key) rather than RDF payload; predicate-derived keys
+# must stay out of this set.
+RESERVED_KEYS = frozenset({"id", "iri", "bnode", "value", "datatype", "lang", "graph", "labels"})
 
 
 class PropertyConflict(Exception):
@@ -155,7 +156,11 @@ def encode_value(value: PropertyValue):
 
 
 def decode_value(encoded) -> PropertyValue:
-    """The value encode_value encoded; ValueError for anything it cannot write."""
+    """The value encode_value encoded; ValueError for anything it cannot write.
+
+    A tag's text must be the kind's canonical text, so " 1_0 " is no decimal
+    and "2020-W01-1" no date, though Decimal and date.fromisoformat read them.
+    """
     if isinstance(encoded, list):
         return [decode_value(v) for v in encoded]
     if isinstance(encoded, dict):
@@ -165,9 +170,12 @@ def decode_value(encoded) -> PropertyValue:
         text = encoded[kind.tag]
         if type(text) is str:  # a JSON number would read as a binary float
             try:
-                return kind.decode(text)
+                value = kind.decode(text)
             except (ValueError, InvalidOperation):
                 pass
+            else:
+                if kind.text(value) == text:
+                    return value
         raise ValueError(f"invalid {kind.name} text: {text!r}")
     kind = _KINDS.get(type(encoded))
     if kind is None or kind.tag is not None:

@@ -49,6 +49,7 @@ from .model import (
     QuotedTriple,
     Statement,
     StatementKind,
+    _gc_paused,
     classify,
     is_chain_statement,
     is_star,
@@ -171,7 +172,9 @@ class TransformReport:
     def lossy(self) -> bool:
         return bool(self.partial or self.ignored or self.errors)
 
+    @_gc_paused
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; convert --report writes it."""
         return {
             "total": self.total,
             "converted": self.converted,
@@ -568,6 +571,7 @@ class _Engine:
         )
 
 
+@_gc_paused
 def transform(dataset: Dataset, config: TransformConfig) -> Tuple[PropertyGraph, TransformReport]:
     """Transform a dataset under the given configuration."""
     return _Engine(dataset, config).run()

@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
-from rdfstar2pg.cli import build_parser, main
+from rdfstar2pg.cli import _report_json, build_parser, main
+from rdfstar2pg.conformance import builtin_corpus
+from rdfstar2pg.model import Iri, Literal, Statement
+from rdfstar2pg.parser import parse_turtle_star
+from rdfstar2pg.transform import Approach, ReportEntry, Status, TransformConfig, TransformReport, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
 SIMPLE = EX + "ex:alice ex:meets ex:bob .\n"
@@ -170,6 +174,35 @@ class TestConvert:
         assert code == 1 and out == b""
         assert err.decode().startswith("parse error at line 2, column 385: ")
         assert "Traceback" not in err.decode()
+
+
+def hand_report() -> TransformReport:
+    """Entries whose text holds non-ASCII and control characters, some notes empty."""
+    st = Statement(Iri("http://example.org/ä"), Iri("http://example.org/p"), Literal("\x01\u2028é\ud83d"))
+    entry = ReportEntry(Iri("http://example.org/g\u00fc"), st, Status.PARTIAL, "tab\there \x1f \"q\" \\", ["ü", "\x7f\n"])
+    bare = ReportEntry(None, st, Status.IGNORED)
+    return TransformReport(3, 1, [entry], [bare], [], [entry, bare])
+
+
+class TestReportWriter:
+    """convert --report writes the bytes json.dumps(indent=2) would."""
+
+    def expect_same(self, report: TransformReport) -> None:
+        data = report.to_dict()
+        assert _report_json(data) == json.dumps(data, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+    def test_corpus_reports(self, approach):
+        for case in builtin_corpus():
+            _, report = transform(parse_turtle_star(case.source), TransformConfig(approach=approach))
+            self.expect_same(report)
+
+    def test_non_ascii_and_control_characters(self):
+        self.expect_same(hand_report())
+
+    @pytest.mark.parametrize("total, converted", [(0, 0), (3, 1), (7, 7)])
+    def test_empty_reports_and_fractions(self, total, converted):
+        self.expect_same(TransformReport(total, converted, [], [], [], []))
 
 
 class TestConformanceCommand:

@@ -146,6 +146,11 @@ class TestJson:
             (graph_doc(node(properties={"k": {"date": 20200101}})), "node n:a: invalid date text: 20200101"),
             (graph_doc(node(properties={"k": {"decimal": 0.1}})), "node n:a: invalid decimal text: 0.1"),
             (graph_doc(node(properties={"k": [{"decimal": 1}]})), "node n:a: invalid decimal text: 1"),
+            # text Decimal or date.fromisoformat reads but to_json never writes
+            (graph_doc(node(properties={"k": {"decimal": " 1_0 "}})), "node n:a: invalid decimal text: ' 1_0 '"),
+            (graph_doc(node(properties={"k": {"decimal": "sNaN"}})), "node n:a: invalid decimal text: 'sNaN'"),
+            (graph_doc(node(properties={"k": {"decimal": "Infinity"}})), "node n:a: invalid decimal text: 'Infinity'"),
+            (graph_doc(node(properties={"k": {"date": "2020-W01-1"}})), "node n:a: invalid date text: '2020-W01-1'"),
             (graph_doc(node(properties={"k": {"time": "03:04"}})), "node n:a: unknown tagged value"),
             (graph_doc(node(properties={"k": 1.5})), "node n:a: cannot decode property value: 1.5"),
         ],
@@ -231,6 +236,20 @@ class TestGraphml:
         g = PropertyGraph()
         g.upsert_node("a", {"X"}, {"bad": [f"has{LIST_SEPARATOR}sep", "ok"]})
         with pytest.raises(UnrepresentableValue):
+            to_graphml(g)
+
+    def test_labels_property_from_a_predicate_gets_its_own_key(self):
+        graph, _ = pgt(parse_turtle_star(EX + 'ex:a ex:labels "x" .'))
+        text = to_graphml(graph).decode()
+        assert text.count('attr.name="labels"') == 2  # the node and edge label keys
+        assert 'attr.name="p_labels"' in text
+
+    @pytest.mark.parametrize("domain", ["node", "edge"])
+    def test_labels_property_built_by_hand_rejected(self, domain):
+        g = PropertyGraph()
+        a = g.upsert_node("a", {"X"}, {"labels": "x"} if domain == "node" else {})
+        g.upsert_edge("e", a, a, {"r"}, {"labels": "x"} if domain == "edge" else {})
+        with pytest.raises(UnrepresentableValue, match=f"{domain} property key 'labels'"):
             to_graphml(g)
 
     def test_scalar_with_separator_is_fine(self):

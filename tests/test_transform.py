@@ -577,6 +577,12 @@ class TestReservedKeyCollisions:
         node = node_by_iri(graph, "http://example.org/a")
         assert node.properties["p_id"] == "7"
 
+    def test_predicate_named_labels_gets_renamed(self):
+        graph, _ = pgt(ds(EX + 'ex:a ex:labels "x" .'))
+        node = node_by_iri(graph, "http://example.org/a")
+        assert node.properties["p_labels"] == "x"
+        assert "labels" not in node.properties
+
     def test_unreserved_keys_untouched(self):
         graph, _ = pgt(ds(EX + 'ex:a ex:name "x" .'))
         assert node_by_iri(graph, "http://example.org/a").properties["name"] == "x"
