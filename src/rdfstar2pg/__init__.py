@@ -16,7 +16,6 @@ from .conformance import (
 )
 from .exporters import (
     UnrepresentableValue,
-    UnsanitizableIdentifier,
     from_json,
     to_cypher,
     to_graphml,
@@ -89,7 +88,6 @@ __all__ = [
     "TransformConfig",
     "TransformReport",
     "UnrepresentableValue",
-    "UnsanitizableIdentifier",
     "builtin_corpus",
     "classify",
     "expected_shape_table",

@@ -1,8 +1,9 @@
 """Command-line interface: convert, conformance, and inspect.
 
-Exit codes: 0 clean, 1 parse/input error, 2 bad flags (argparse), 3 lossy
-conversion (the report lists partial/ignored/error statements). Output for
-a given invocation and input is byte-identical across runs.
+Exit codes: 0 clean, 1 parse/input error or an exporter's refusal, 2 bad
+flags (argparse), 3 lossy conversion (the report lists partial/ignored/error
+statements). Output for a given invocation and input is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from json.encoder import encode_basestring
 
 from .conformance import run_conformance
-from .exporters import to_cypher, to_graphml, to_json
+from .exporters import UnrepresentableValue, to_cypher, to_graphml, to_json
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
 from .transform import (
@@ -115,12 +116,16 @@ def cmd_convert(args) -> int:
     )
     graph, report = transform(dataset, config)
 
-    if args.format == "json":
-        payload = to_json(graph)
-    elif args.format == "graphml":
-        payload = to_graphml(graph)
-    else:
-        payload = to_cypher(graph).encode("utf-8")
+    try:
+        if args.format == "json":
+            payload = to_json(graph)
+        elif args.format == "graphml":
+            payload = to_graphml(graph)
+        else:
+            payload = to_cypher(graph).encode("utf-8")
+    except UnrepresentableValue as exc:
+        print(f"error: cannot write {args.format}: {exc}", file=sys.stderr)
+        return 1
     _write_output(args.output, payload)
 
     if args.report:

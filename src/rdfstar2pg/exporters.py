@@ -37,10 +37,6 @@ class UnrepresentableValue(Exception):
     """Raised when a value cannot survive the target format's encoding."""
 
 
-class UnsanitizableIdentifier(Exception):
-    """Raised when a label or key has no legal Cypher identifier form."""
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
@@ -249,31 +245,13 @@ def to_graphml(graph: PropertyGraph) -> bytes:
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _sanitize(name: str) -> str:
-    candidate = re.sub(r"[^A-Za-z0-9_]", "_", name)
-    if candidate and candidate[0].isdigit():
-        candidate = "_" + candidate
-    if not _IDENTIFIER.match(candidate):
-        raise UnsanitizableIdentifier(f"no legal identifier for {name!r}")
-    return candidate
-
-
-def _sanitize_all(names, what: str, memo: dict) -> dict:
-    """Sanitize each name, reusing memo (one to_cypher call's results)."""
-    mapping = {}
-    for name in names:
-        clean = memo.get(name)
-        if clean is None:
-            clean = memo[name] = _sanitize(name)
-        mapping[name] = clean
-    seen: dict = {}
-    for name, clean in mapping.items():
-        if clean in seen:
-            raise UnsanitizableIdentifier(
-                f"{what} {name!r} and {seen[clean]!r} both sanitize to {clean!r}"
-            )
-        seen[clean] = name
-    return mapping
+def _name(name: str) -> str:
+    """A label or key as openCypher reads it: bare if an identifier, else in backticks."""
+    if _IDENTIFIER.match(name):
+        return name
+    if not name:
+        raise UnrepresentableValue("an empty label or property key has no Cypher name")
+    return "`" + name.replace("`", "``") + "`"
 
 
 def _cypher_value(value) -> str:
@@ -282,17 +260,17 @@ def _cypher_value(value) -> str:
     return kind_of(value).cypher(value)
 
 
-def _label_chain(labels, memo: dict) -> str:
-    mapping = _sanitize_all(labels, "label", memo)
+def _label_chain(labels) -> str:
     ordered = sorted(labels, key=lambda s: (s.casefold(), s))
-    return "".join(":" + mapping[label] for label in ordered)
+    return "".join(":" + _name(label) for label in ordered)
 
 
-def _prop_block(record, memo: dict) -> str:
+def _prop_block(record) -> str:
     props = dict(record.properties)
+    if "id" in props:  # the transform writes p_id instead
+        raise UnrepresentableValue(f"property key 'id' of {record.id!r} would share the record id")
     props["id"] = record.id
-    mapping = _sanitize_all(props, "property key", memo)
-    parts = [f"{mapping[key]}: {_cypher_value(props[key])}" for key in sorted(props)]
+    parts = [f"{_name(key)}: {_cypher_value(props[key])}" for key in sorted(props)]
     return "{" + ", ".join(parts) + "}"
 
 
@@ -302,20 +280,17 @@ def to_cypher(graph: PropertyGraph) -> str:
     nodes, edges = graph.canonical_records()
     if not nodes:
         return ""
-    memo: dict = {}
     lines = []
     variables = {}
     for i, record in enumerate(nodes):
         var = f"n{i}"
         variables[record.id] = var
-        lines.append(
-            f"CREATE ({var}{_label_chain(record.labels, memo)} {_prop_block(record, memo)})"
-        )
+        lines.append(f"CREATE ({var}{_label_chain(record.labels)} {_prop_block(record)})")
     for record in edges:
         source = variables[record.source]
         target = variables[record.target]
         lines.append(
-            f"CREATE ({source})-[{_label_chain(record.labels, memo)} "
-            f"{_prop_block(record, memo)}]->({target})"
+            f"CREATE ({source})-[{_label_chain(record.labels)} "
+            f"{_prop_block(record)}]->({target})"
         )
     return "\n".join(lines) + "\n"

@@ -318,6 +318,12 @@ class _Parser:
             self._check_absolute(tok)
         return self._iri(tok.value)
 
+    def _pname(self, tok: Token) -> Iri:
+        namespace = self.prefixes.get(tok.value)
+        if namespace is None:
+            self.error(f"undefined prefix '{tok.value}:'", tok, ErrorKind.UNDEFINED_PREFIX)
+        return self._iri(namespace + tok.extra)
+
     def _literal(self, lexical: str, datatype: str, lang: Optional[str] = None) -> Literal:
         key = (lexical, datatype, lang)
         term = self.literals.get(key)
@@ -437,9 +443,7 @@ class _Parser:
         if tok.kind == IRIREF:
             return self._iriref(tok)
         if tok.kind == PNAME:
-            if tok.value not in self.prefixes:
-                self.error(f"undefined prefix '{tok.value}:'", tok, ErrorKind.UNDEFINED_PREFIX)
-            return self._iri(self.prefixes[tok.value] + tok.extra)
+            return self._pname(tok)
         if tok.kind == BLANK:
             return self._labeled_bnode(tok.value)
         if tok.kind == "[":
@@ -480,11 +484,7 @@ class _Parser:
             if dt_tok.kind == IRIREF:
                 dt = self._iriref(dt_tok).value
             elif dt_tok.kind == PNAME:
-                if dt_tok.value not in self.prefixes:
-                    self.error(
-                        f"undefined prefix '{dt_tok.value}:'", dt_tok, ErrorKind.UNDEFINED_PREFIX
-                    )
-                dt = self.prefixes[dt_tok.value] + dt_tok.extra
+                dt = self._pname(dt_tok).value
             else:
                 self.error("expected datatype IRI after '^^'", dt_tok)
             if dt == RDF_LANG_STRING:

@@ -237,6 +237,7 @@ class _Engine:
         self.edge_props: dict = {}
         self.collapsed: dict = {}  # graph scope -> {statement -> role}
         self.node_ids: dict = {}  # (term, graph suffix) -> node id
+        self.facts: set = set()  # pgt: (graph name, datatype statement) already staged
 
     # --- context helpers ---
 
@@ -300,6 +301,22 @@ class _Engine:
         staged = self.node_props.setdefault((node_id, key), [])
         if all(value != graph_iri for value, _ in staged):
             staged.append((graph_iri, None))
+
+    def stage_fact(self, st: Statement, graph_name: Optional[Iri], unit) -> Tuple[str, str]:
+        """Stage a datatype statement's value on its subject node; returns (node, key).
+
+        A statement both asserted and quoted, or quoted twice, is one fact:
+        its value is staged once per graph. Only pgt's drop rule stages
+        quoted statements, so only pgt keeps track.
+        """
+        node = self.node_id(st.subject, graph_name)
+        key = _safe_key(local_name(st.predicate))
+        if self.cfg.approach is Approach.PGT:
+            if (graph_name, st) in self.facts:
+                return node, key
+            self.facts.add((graph_name, st))
+        self._stage(self.node_props, node, key, literal_value(st.object), unit)
+        return node, key
 
     def _resolve(self, staged: list, policy: MultiValuePolicy):
         values = [v for v, _ in staged]
@@ -420,9 +437,7 @@ class _Engine:
             # pgt turns a directly embedded datatype-property statement into
             # a node property; the asserted pair has nowhere to live
             for embedded in drops:
-                node = self.node_id(embedded.subject, graph_name)
-                key = _safe_key(local_name(embedded.predicate))
-                self._stage(self.node_props, node, key, literal_value(embedded.object), unit)
+                self.stage_fact(embedded, graph_name, unit)
             for embedded in quoted:
                 if embedded not in drops:
                     self.embedded_edge(embedded, graph_name)
@@ -436,9 +451,7 @@ class _Engine:
         if not self.cfg.datatype_as_property():
             self.edge_for(st, graph_name)
             return
-        node = self.node_id(st.subject, graph_name)
-        key = _safe_key(local_name(st.predicate))
-        self._stage(self.node_props, node, key, literal_value(st.object), unit)
+        node, key = self.stage_fact(st, graph_name, unit)
         if (
             graph_name is not None
             and self.cfg.named_graph_policy is NamedGraphPolicy.EDGE_PROPERTY

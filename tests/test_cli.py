@@ -100,6 +100,27 @@ class TestConvert:
         assert err.decode().startswith("parse error at line 2, column 13: ")
         assert "Traceback" not in err.decode()
 
+    def test_exporter_refusal_exits_1(self, tmp_path):
+        # a collapsed list element holding GraphML's U+001F list separator
+        source = EX + 'ex:s ex:p ("a\\u001Fb" "c") .\n'
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["convert", "-", "--list-policy", "collapse", "--format", "graphml",
+             "--report", str(report_path)],
+            stdin=source,
+        )
+        assert code == 1 and out == b""
+        assert err.decode().splitlines() == [
+            "error: cannot write graphml: list element 'a\\x1fb' contains the 0x1f separator"
+        ]
+        assert not report_path.exists()
+
+    def test_quoted_names_stay_distinct(self):
+        source = EX + 'ex:s ex:a-b "1" . ex:s ex:a_b "2" .\n'
+        code, out, err = run_cli(["convert", "-", "--approach", "pgt", "--format", "cypher"], stdin=source)
+        assert code == 0, err
+        assert b'`a-b`: "1", a_b: "2"' in out
+
     def test_missing_file_exits_1(self):
         code, _, err = run_cli(["convert", "/nonexistent/input.ttls"])
         assert code == 1

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from rdfstar2pg.conformance import builtin_corpus, case_sort_key
 from rdfstar2pg.exporters import (
+    _IDENTIFIER,
     LIST_SEPARATOR,
     UnrepresentableValue,
-    UnsanitizableIdentifier,
     from_json,
     to_cypher,
     to_graphml,
@@ -334,27 +334,36 @@ class TestCypher:
         assert 'w: "2020-05-17"' in script
         assert 'l: ["x", "y"]' in script
 
-    def test_digit_prefix_label_sanitized(self):
+    def test_digit_prefix_label_quoted(self):
         g = PropertyGraph()
         g.upsert_node("a", {"22-rdf-syntax-nstype"})
-        script = to_cypher(g)
-        assert ":_22_rdf_syntax_nstype" in script
+        assert ":`22-rdf-syntax-nstype`" in to_cypher(g)
 
-    def test_sanitize_collision_rejected(self):
+    def test_near_names_stay_distinct(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"a-b": 1, "a_b": 2})
-        with pytest.raises(UnsanitizableIdentifier):
+        g.upsert_node("a", {"X"}, {"a-b": 1, "a_b": 2, "a:b": 3, "a.b": 4})
+        assert "{`a-b`: 1, `a.b`: 4, `a:b`: 3, a_b: 2, id: " in to_cypher(g)
+
+    def test_backticks_doubled(self):
+        g = PropertyGraph()
+        g.upsert_node("a", {"--", "x`y"}, {"`": 1})
+        script = to_cypher(g)
+        assert ":`--`:`x``y` {````: 1, id: " in script
+
+    @pytest.mark.parametrize("labels, props", [({""}, {}), ({"X"}, {"": 1})])
+    def test_empty_name_refused(self, labels, props):
+        g = PropertyGraph()
+        g.nodes["a"] = Node("a", labels, props)
+        with pytest.raises(UnrepresentableValue):
             to_cypher(g)
 
-    def test_dashes_become_underscores(self):
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_id_property_refused(self, edge):
         g = PropertyGraph()
-        g.upsert_node("a", {"--"}, {})
-        assert ":__" in to_cypher(g)
-
-    def test_unsanitizable_empty_identifier(self):
-        g = PropertyGraph()
-        g.upsert_node("a", {""}, {})
-        with pytest.raises(UnsanitizableIdentifier):
+        g.nodes["n:a"] = Node("n:a", {"X"}, {} if edge else {"id": "mine"})
+        if edge:
+            g.edges["e:a"] = Edge("e:a", "n:a", "n:a", {"r"}, {"id": "mine"})
+        with pytest.raises(UnrepresentableValue, match="'id'"):
             to_cypher(g)
 
     def test_empty_graph_is_empty_script(self):
@@ -374,28 +383,99 @@ class TestCypher:
             )
 
 
+# Every non-empty label and key survives to_cypher: bare when it is an
+# identifier, in backticks (each inner backtick doubled) otherwise.
+CYPHER_NAME = re.compile(r"`((?:[^`]|``)+)`|([A-Za-z_][A-Za-z0-9_]*)")
+SMALL_VALUE = re.compile(r': (?:-?[0-9]+|"[^"]*")')
+cypher_names = st.one_of(
+    st.sampled_from(["22-rdf-syntax-nstype", "inv:source", "name.graph", "`", "a``b", "caf\u00e9", "a b"]),
+    st.text(st.one_of(st.sampled_from("` :.09_-aZ"), st.characters()), min_size=1, max_size=8),
+)
+
+
+def read_names(text: str, pos: int) -> tuple:
+    """The (name, was bare) labels and keys of the CREATE pattern body at pos, and its end."""
+    labels, keys = [], []
+
+    def read(pos):
+        match = CYPHER_NAME.match(text, pos)
+        quoted, bare = match.groups()
+        name = bare if bare is not None else quoted.replace("``", "`")
+        return (name, bare is not None), match.end()
+
+    while text.startswith(":", pos):
+        label, pos = read(pos + 1)
+        labels.append(label)
+    assert text.startswith(" {", pos)
+    pos += 2
+    while True:
+        key, pos = read(pos)
+        keys.append(key)
+        pos = SMALL_VALUE.match(text, pos).end()
+        if not text.startswith(", ", pos):
+            break
+        pos += 2
+    assert text.startswith("}", pos)
+    return labels, keys, pos + 1
+
+
+class TestCypherNames:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sets(cypher_names, max_size=3),
+        st.dictionaries(cypher_names.filter(lambda key: key != "id"), st.integers(-9, 9), max_size=3),
+        st.sets(cypher_names, max_size=3),
+        st.dictionaries(cypher_names.filter(lambda key: key != "id"), st.integers(-9, 9), max_size=3),
+    )
+    def test_quoting_undoes_to_the_graph_names(self, node_labels, node_props, edge_labels, edge_props):
+        graph = PropertyGraph()
+        graph.nodes["n"] = Node("n", node_labels, node_props)
+        graph.edges["e"] = Edge("e", "n", "n", edge_labels, edge_props)
+        # a name may hold a line break, so the script is read as one text
+        script, pos, records = to_cypher(graph), 0, []
+        for head, tail in (("CREATE (n0", ")\n"), ("CREATE (n0)-[", "]->(n0)\n")):
+            assert script.startswith(head, pos)
+            labels, keys, pos = read_names(script, pos + len(head))
+            assert script.startswith(tail, pos)
+            pos += len(tail)
+            records.append((labels, keys))
+        assert pos == len(script)
+        for (labels, keys), (graph_labels, graph_props) in zip(
+            records, [(node_labels, node_props), (edge_labels, edge_props)]
+        ):
+            assert [name for name, _ in labels] == sorted(graph_labels, key=lambda s: (s.casefold(), s))
+            assert [name for name, _ in keys] == sorted([*graph_props, "id"])
+            for name, bare in labels + keys:
+                assert bare == bool(_IDENTIFIER.match(name)), name
+
+
 # ---------------------------------------------------------------------------
 # Byte identity
 # ---------------------------------------------------------------------------
 
-# sha256 over every corpus export: cases by case_sort_key, then Approach
-# order, then to_json, to_graphml and to_cypher bytes. Any change to an
-# exporter's output, however small, changes it.
-CORPUS_EXPORTS_SHA256 = "4c2e6635bcf640efbc5206a40cdb9b8bf14234cf58784d4118a0f8928a412df7"
+# sha256 over every corpus export in one format: cases by case_sort_key, then
+# Approach order. Any change to that exporter's output, however small,
+# changes its digest.
+CORPUS_EXPORTS_SHA256 = {
+    "json": "f25e8c229728429a9dba98cf99edc8bfe58742a7709aeffb40b675e9adc2b1a8",
+    "graphml": "1e49b8d8cc2fe6c92c583705c6aaca492516f8e2b289cc97819ae95aa4bf6ba0",
+    "cypher": "7650468355f5ab925bfc1e4a50794bc5fb7779197a9809094d4f535a00cb68f7",
+}
+EXPORTERS = {"json": to_json, "graphml": to_graphml, "cypher": lambda g: to_cypher(g).encode()}
 
 
-def test_corpus_export_bytes_are_pinned():
+@pytest.mark.parametrize("fmt", sorted(CORPUS_EXPORTS_SHA256))
+def test_corpus_export_bytes_are_pinned(fmt):
     digest = hashlib.sha256()
     count = 0
     for case in sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id)):
         dataset = parse_turtle_star(case.source)
         for approach in Approach:
             graph, _ = transform(dataset, TransformConfig(approach=approach))
-            for blob in (to_json(graph), to_graphml(graph), to_cypher(graph).encode()):
-                digest.update(blob)
-                count += 1
-    assert count == 207
-    assert digest.hexdigest() == CORPUS_EXPORTS_SHA256
+            digest.update(EXPORTERS[fmt](graph))
+            count += 1
+    assert count == 69
+    assert digest.hexdigest() == CORPUS_EXPORTS_SHA256[fmt]
 
 
 TRICKY_TEXT = ["", "caf\u00e9 \u65e5\u672c", "\x00\x1f\x7f", "a\u2028b\u2029c", '"\\/\n\t', "\U0001f600"]

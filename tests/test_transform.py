@@ -287,6 +287,12 @@ STAR_REPORT_TABLE = [
             "*": [(CONVERTED, "", [NESTED, E2E]), (CONVERTED, "", [NESTED, IRI])],
         },
     ),
+    # ... and one fact both asserted and quoted, or quoted on both sides
+    (
+        'ex:a ex:age "25" .\n' + DROP + " ex:certainty 0.5 .",
+        {"pgt": [(CONVERTED, "", []), (PARTIAL, LOSS, [])], "*": [(CONVERTED, "", [])] * 2},
+    ),
+    (DROP + " ex:same " + DROP + " .", {"pgt": [(PARTIAL, LOSS, [])], "*": [(CONVERTED, "", [E2E])]}),
     # last-wins on one edge key notes a value of another kind or canonical
     # text, and only such a value
     (
@@ -345,6 +351,17 @@ class TestPgtDropRule:
         (entry,) = report.partial
         assert entry.status is Status.PARTIAL
         assert entry.reason == LOSS_PROPERTIES_OVER_PROPERTIES
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'ex:alice ex:age "25" .\n<<ex:alice ex:age "25">> ex:certainty 0.5 .',
+            '<<ex:alice ex:age "25">> ex:same <<ex:alice ex:age "25">> .',
+        ],
+    )
+    def test_one_fact_is_staged_once(self, source):
+        graph, _ = pgt(ds(EX + source))
+        assert node_by_iri(graph, "http://example.org/alice").properties["age"] == "25"
 
     def test_rpt_keeps_both(self):
         graph, report = rpt(ds(self.SOURCE))
