@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
+from collections import defaultdict
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .model import _gc_paused
 from .pgraph import (
+    _KINDS,
     Edge,
     EdgeRecord,
     Node,
@@ -31,10 +35,19 @@ from .pgraph import (
 )
 
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
+_INT64 = range(-(2**63), 2**63)  # GraphML's long and openCypher's INTEGER
+_first = itemgetter(0)
 
 
 class UnrepresentableValue(Exception):
     """Raised when a value cannot survive the target format's encoding."""
+
+
+def _kind_64(key, value):
+    """kind_of(value), refusing an integer that 64 bits cannot hold."""
+    if type(value) is int and value not in _INT64:
+        raise UnrepresentableValue(f"property {key!r} holds an integer outside the signed 64-bit range")
+    return kind_of(value)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +87,8 @@ def _json_record(record) -> str:
         if not record.properties:
             return text + ',\n      "properties": {}\n    }'
         return text + ',\n      "properties": {\n        ' + ",\n        ".join(
-            encode_basestring(key) + ": " + _json_value(value, "        ")
+            encode_basestring(key) + ": "
+            + (encode_basestring(value) if type(value) is str else _json_value(value, "        "))
             for key, value in record.properties
         ) + "\n      }\n    }"
     except TypeError:
@@ -113,10 +127,16 @@ def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
         raise ValueError(f"{kind} {record['id']} has no labels")
     if not isinstance(properties, dict):
         raise ValueError(f"{kind} {record['id']} properties must be an object")
+    props = {}
     try:
-        props = {k: decode_value(v) for k, v in properties.items()}
-        for value in props.values():
-            check_value(value)
+        # a JSON string is a string value, and decode_value returns only
+        # valid scalars: just a list still needs its kinds checked
+        for key, value in properties.items():
+            if type(value) is not str:
+                value = decode_value(value)
+                if type(value) is list:
+                    check_value(value)
+            props[key] = value
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{kind} {record['id']}: {exc}") from exc
     return set(labels), props
@@ -153,11 +173,36 @@ def from_json(data) -> PropertyGraph:
 # GraphML
 # ---------------------------------------------------------------------------
 
+# The characters saxutils.escape (text) and quoteattr (attributes) change;
+# text holding none of them is written as it is, without the call.
+_XML_TEXT_SPECIAL = re.compile("[&<>]")
+_XML_ATTR_SPECIAL = re.compile(r'[&<>"\n\r\t]')
 
-def _graphml_value(value) -> str:
+
+def _xml_text(text: str) -> str:
+    """saxutils.escape(text)."""
+    if _XML_TEXT_SPECIAL.search(text) is None:
+        return text
+    # Imported here: saxutils pulls in urllib.request, http.client and ssl,
+    # tens of milliseconds that every convert launch would pay otherwise.
+    from xml.sax.saxutils import escape
+
+    return escape(text)
+
+
+def _xml_attr(text: str) -> str:
+    """saxutils.quoteattr(text)."""
+    if _XML_ATTR_SPECIAL.search(text) is None:
+        return '"' + text + '"'
+    from xml.sax.saxutils import quoteattr
+
+    return quoteattr(text)
+
+
+def _graphml_value(key: str, value) -> str:
     if not isinstance(value, list):
-        return kind_of(value).text(value)
-    parts = [kind_of(item).text(item) for item in value]
+        return _kind_64(key, value).text(value)
+    parts = [_kind_64(key, item).text(item) for item in value]
     for part in parts:
         if LIST_SEPARATOR in part:
             raise UnrepresentableValue(f"list element {part!r} contains the 0x1f separator")
@@ -167,71 +212,67 @@ def _graphml_value(value) -> str:
 @_gc_paused
 def to_graphml(graph: PropertyGraph) -> bytes:
     """The graph as GraphML in UTF-8, with one typed <key> per property key."""
-    # Imported here: saxutils pulls in urllib.request, http.client and ssl,
-    # tens of milliseconds that every convert launch would pay otherwise.
-    from xml.sax.saxutils import escape, quoteattr
-
     nodes, edges = graph.canonical_records()
 
-    # One <key> per (domain, property key); "labels" is always declared.
-    key_values: dict = {}
+    # One <key> per (domain, property key), typed by the kinds of its values
+    # and marked if any value is a list; "labels" is always declared.
+    value_types = {"node": defaultdict(set), "edge": defaultdict(set)}
+    list_keys = set()
     for domain, records in (("node", nodes), ("edge", edges)):
+        seen = value_types[domain]
         for record in records:
             for key, value in record.properties:
-                key_values.setdefault((domain, key), []).append(value)
+                types = seen[key]
+                if not isinstance(value, list):
+                    types.add(type(value))
+                    continue
+                list_keys.add((domain, key))
+                for item in value:
+                    kind_of(item)  # a nested list is no property value
+                    types.add(type(item))
 
+    for domain, seen in value_types.items():
+        if "labels" in seen:  # the transform writes p_labels instead
+            raise UnrepresentableValue(f"{domain} property key 'labels' would share the label key")
     declarations = [("node", "labels"), ("edge", "labels")]
-    for pair in declarations:
-        if pair in key_values:  # the transform writes p_labels instead
-            raise UnrepresentableValue(f"{pair[0]} property key 'labels' would share the label key")
-    declarations.extend(sorted(key_values))
-    key_ids = {pair: f"d{i}" for i, pair in enumerate(declarations)}
+    declarations.extend(sorted((domain, key) for domain, seen in value_types.items() for key in seen))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
     ]
-    for pair in declarations:
-        domain, key = pair
-        values = key_values.get(pair, [])
+    openers = {"node": {}, "edge": {}}  # domain -> key -> its <data> opening tag
+    for i, (domain, key) in enumerate(declarations):
+        openers[domain][key] = f'      <data key="d{i}">'
         # a key whose values are all of one kind gets that kind's attr.type
-        items = [item for value in values for item in (value if isinstance(value, list) else [value])]
-        types = {kind_of(item).graphml for item in items}
+        types = {_KINDS[t].graphml for t in value_types[domain].get(key, ())}
         attr_type = types.pop() if key != "labels" and len(types) == 1 else "string"
-        extra = ' list="true"' if any(isinstance(v, list) for v in values) else ""
+        extra = ' list="true"' if (domain, key) in list_keys else ""
         lines.append(
-            f'  <key id="{key_ids[pair]}" for="{domain}" '
-            f"attr.name={quoteattr(key)} attr.type=\"{attr_type}\"{extra}/>"
+            f'  <key id="d{i}" for="{domain}" '
+            f'attr.name={_xml_attr(key)} attr.type="{attr_type}"{extra}/>'
         )
     lines.append('  <graph id="G" edgedefault="directed">')
 
-    def data_lines(domain: str, record, indent: str) -> list:
-        out = [
-            f"{indent}<data key=\"{key_ids[(domain, 'labels')]}\">"
-            + escape(";".join(record.labels))
-            + "</data>"
-        ]
+    def data_lines(record, opener: dict) -> None:
+        lines.append(opener["labels"] + _xml_text(";".join(record.labels)) + "</data>")
         for key, value in record.properties:
-            out.append(
-                f'{indent}<data key="{key_ids[(domain, key)]}">'
-                + escape(_graphml_value(value))
-                + "</data>"
-            )
-        return out
+            text = value if type(value) is str else _graphml_value(key, value)
+            lines.append(opener[key] + _xml_text(text) + "</data>")
 
     # each node id is quoted once; edges reuse it for their endpoints (an
     # endpoint with no node, in a graph built by hand, is quoted on the spot)
     quoted_ids: dict = {}
     for record in nodes:
-        quoted_ids[record.id] = quoted = quoteattr(record.id)
+        quoted_ids[record.id] = quoted = _xml_attr(record.id)
         lines.append(f"    <node id={quoted}>")
-        lines.extend(data_lines("node", record, "      "))
+        data_lines(record, openers["node"])
         lines.append("    </node>")
     for record in edges:
-        source = quoted_ids.get(record.source) or quoteattr(record.source)
-        target = quoted_ids.get(record.target) or quoteattr(record.target)
-        lines.append(f"    <edge id={quoteattr(record.id)} source={source} target={target}>")
-        lines.extend(data_lines("edge", record, "      "))
+        source = quoted_ids.get(record.source) or _xml_attr(record.source)
+        target = quoted_ids.get(record.target) or _xml_attr(record.target)
+        lines.append(f"    <edge id={_xml_attr(record.id)} source={source} target={target}>")
+        data_lines(record, openers["edge"])
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -243,6 +284,9 @@ def to_graphml(graph: PropertyGraph) -> bytes:
 # ---------------------------------------------------------------------------
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The characters the string kind's Cypher literal escapes; a string holding
+# none of them is written as it is, in double quotes.
+_CYPHER_SPECIAL = re.compile(r'[\\"\n\r\t]')
 
 
 def _name(name: str) -> str:
@@ -251,13 +295,22 @@ def _name(name: str) -> str:
         return name
     if not name:
         raise UnrepresentableValue("an empty label or property key has no Cypher name")
+    if "\n" in name or "\r" in name:
+        raise UnrepresentableValue(f"the name {name!r} holds a line break; each record is one line")
     return "`" + name.replace("`", "``") + "`"
 
 
-def _cypher_value(value) -> str:
+def _cypher_scalar(key: str, value) -> str:
+    """The kind table's Cypher literal for one (non-list) value of property `key`."""
+    if type(value) is str and _CYPHER_SPECIAL.search(value) is None:
+        return '"' + value + '"'
+    return _kind_64(key, value).cypher(value)
+
+
+def _cypher_value(key: str, value) -> str:
     if isinstance(value, list):
-        return "[" + ", ".join(kind_of(item).cypher(item) for item in value) + "]"
-    return kind_of(value).cypher(value)
+        return "[" + ", ".join([_cypher_scalar(key, item) for item in value]) + "]"
+    return _cypher_scalar(key, value)
 
 
 def _label_chain(labels) -> str:
@@ -265,12 +318,22 @@ def _label_chain(labels) -> str:
     return "".join(":" + _name(label) for label in ordered)
 
 
-def _prop_block(record) -> str:
-    props = dict(record.properties)
-    if "id" in props:  # the transform writes p_id instead
+def _prop_block(record, prefixes: dict) -> str:
+    """{key: value, ...} with the record's id merged in at its sorted place.
+
+    prefixes maps each key already written to its "name: " text.
+    """
+    pairs = record.properties
+    at = bisect_left(pairs, "id", key=_first)
+    if at < len(pairs) and pairs[at][0] == "id":  # the transform writes p_id instead
         raise UnrepresentableValue(f"property key 'id' of {record.id!r} would share the record id")
-    props["id"] = record.id
-    parts = [f"{_name(key)}: {_cypher_value(props[key])}" for key in sorted(props)]
+    parts = []
+    for key, value in pairs:
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = prefixes[key] = _name(key) + ": "
+        parts.append(prefix + _cypher_value(key, value))
+    parts.insert(at, "id: " + _cypher_scalar("id", record.id))
     return "{" + ", ".join(parts) + "}"
 
 
@@ -280,17 +343,25 @@ def to_cypher(graph: PropertyGraph) -> str:
     nodes, edges = graph.canonical_records()
     if not nodes:
         return ""
+    chains: dict = {}  # sorted labels -> ":A:B"
+    prefixes: dict = {}  # property key -> "name: "
+
+    def body(record) -> str:
+        """Labels and properties, as every CREATE line writes them."""
+        labels = tuple(record.labels)
+        chain = chains.get(labels)
+        if chain is None:
+            chain = chains[labels] = _label_chain(labels)
+        return chain + " " + _prop_block(record, prefixes)
+
     lines = []
     variables = {}
     for i, record in enumerate(nodes):
         var = f"n{i}"
         variables[record.id] = var
-        lines.append(f"CREATE ({var}{_label_chain(record.labels)} {_prop_block(record)})")
+        lines.append(f"CREATE ({var}{body(record)})")
     for record in edges:
         source = variables[record.source]
         target = variables[record.target]
-        lines.append(
-            f"CREATE ({source})-[{_label_chain(record.labels)} "
-            f"{_prop_block(record)}]->({target})"
-        )
+        lines.append(f"CREATE ({source})-[{body(record)}]->({target})")
     return "\n".join(lines) + "\n"

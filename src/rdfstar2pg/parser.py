@@ -1,12 +1,13 @@
 """Turtle-star scanner and recursive-descent parser.
 
-Supported surface: @prefix directives, prefixed names, absolute IRIs, string
-literals with ^^datatype or @lang, integer/decimal shorthand, predicate lists
-(;), object lists (,), the `a` keyword, labeled and anonymous blank nodes,
-collections (expanded to rdf:first/rdf:rest/rdf:nil chains), quoted triples
-<< s p o >>, and named-graph blocks `<name> { ... }`. Quoted triples and
-collections nest at most MAX_NESTING (128) levels, counted together; the
-first '<<' or '(' past that is an UnsupportedConstruct error.
+Supported surface: @prefix directives, prefixed names, absolute IRIs (their
+\\uXXXX escapes decoded), string literals with ^^datatype or @lang,
+integer/decimal shorthand, predicate lists (;), object lists (,), the `a`
+keyword, labeled and anonymous blank nodes, collections (expanded to
+rdf:first/rdf:rest/rdf:nil chains), quoted triples << s p o >>, and
+named-graph blocks `<name> { ... }`. Quoted triples and collections nest at
+most MAX_NESTING (128) levels, counted together; the first '<<' or '(' past
+that is an UnsupportedConstruct error.
 
 Everything else fails loudly with a positioned ParseError; nothing is ever
 guessed at. In particular @base/relative IRIs, annotation syntax {| ... |},
@@ -121,7 +122,7 @@ _TOKEN = re.compile(
     (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
   | (?P<PUNCT><<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|))
   | (?P<STRING>"(?!"")[^"\\\n]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n]*)*")
-  | (?P<IRIREF><[^\x00-\x20<>"{}|^`]*>)
+  | (?P<IRIREF><[^\x00-\x20<>"{}|^`\\]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\]*)*>)
   | (?P<NUMBER>[+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE]))
   | (?P<LANGTAG>@(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
   | (?P<BLANK>_:[A-Za-z0-9_][A-Za-z0-9_\-]*)
@@ -134,6 +135,9 @@ _TOKEN = re.compile(
 _SKIP_SPACE = re.compile(_SPACE)
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|(.))")
 _ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+# What an IRI may not hold: IRIREF's exclusions, and the surrogates that no
+# UTF-8 output can carry.
+_IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
 
 _BARE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")
@@ -176,7 +180,12 @@ def _tokenize(text: str) -> list:
                 value = _ESCAPE.sub(_unescape, value)
             append(Token(STRING, value, start))
         elif kind == "IRIREF":
-            append(Token(IRIREF, lexeme[1:-1], start))
+            value = lexeme[1:-1]
+            if "\\" in value:  # only \uXXXX escapes match
+                value = _ESCAPE.sub(_unescape, value)
+                if _IRI_EXCLUDED.search(value):
+                    raise _iri_error(text, start)
+            append(Token(IRIREF, value, start))
         elif kind == "NUMBER":
             append(Token(DECIMAL if "." in lexeme else INTEGER, lexeme, start))
         elif kind == "LANGTAG":
@@ -205,9 +214,7 @@ def _lex_error(text: str, pos: int) -> ParseError:
         # (such as '²') leaves it malformed, reported at the '.'
         return error("malformed number", pos - 1)
     if ch == "<":
-        if text.find(">", pos + 1) < 0:
-            return error("unterminated IRI reference")
-        return error("illegal character inside IRI reference")
+        return _iri_error(text, pos)
     if ch == ">":
         return error("stray '>'")
     if text.startswith("{|", pos):
@@ -240,6 +247,29 @@ def _lex_error(text: str, pos: int) -> ParseError:
             return error("GRAPH keyword is not supported (use `<name> { ... }`)", kind=unsupported)
         return error(f"unexpected word {word!r}", kind=ErrorKind.SYNTAX)
     return error(f"unexpected character {ch!r}")
+
+
+def _iri_error(text: str, start: int) -> ParseError:
+    """The first fault of the IRI reference opening at `start`."""
+    if text.find(">", start + 1) < 0:
+        return _error_at(text, start, "unterminated IRI reference", ErrorKind.LEXICAL)
+    pos = start + 1
+    while text[pos] != ">":
+        if text[pos] == "\\":
+            esc = text[pos + 1 : pos + 2]
+            if esc != "u":
+                return _error_at(text, pos, f"unsupported escape sequence \\{esc}", ErrorKind.LEXICAL)
+            if not _HEX4.match(text, pos + 2):
+                return _error_at(text, pos, "bad \\u escape (need 4 hex digits)", ErrorKind.LEXICAL)
+            if _IRI_EXCLUDED.match(chr(int(text[pos + 2 : pos + 6], 16))):
+                message = f"escape {text[pos : pos + 6]} stands for a character IRIs exclude"
+                return _error_at(text, pos, message, ErrorKind.LEXICAL)
+            pos += 6
+        elif _IRI_EXCLUDED.match(text, pos):
+            break
+        else:
+            pos += 1
+    return _error_at(text, start, "illegal character inside IRI reference", ErrorKind.LEXICAL)
 
 
 def _string_error(text: str, start: int) -> ParseError:

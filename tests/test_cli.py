@@ -115,6 +115,23 @@ class TestConvert:
         ]
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["graphml", "cypher"])
+    def test_integer_beyond_64_bits_exits_1(self, fmt, tmp_path):
+        source = EX + "ex:a ex:big 1267650600228229401496703205376 .\n"
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["convert", "-", "--approach", "pgt", "--format", fmt, "--report", str(report_path)],
+            stdin=source,
+        )
+        assert code == 1 and out == b""
+        assert err.decode().splitlines() == [
+            f"error: cannot write {fmt}: property 'big' holds an integer outside the signed 64-bit range"
+        ]
+        assert not report_path.exists()
+        # JSON holds any integer
+        code, out, _ = run_cli(["convert", "-", "--approach", "pgt"], stdin=source)
+        assert code == 0 and b'"big": 1267650600228229401496703205376' in out
+
     def test_quoted_names_stay_distinct(self):
         source = EX + 'ex:s ex:a-b "1" . ex:s ex:a_b "2" .\n'
         code, out, err = run_cli(["convert", "-", "--approach", "pgt", "--format", "cypher"], stdin=source)

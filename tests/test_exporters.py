@@ -14,13 +14,16 @@ from rdfstar2pg.exporters import (
     _IDENTIFIER,
     LIST_SEPARATOR,
     UnrepresentableValue,
+    _cypher_scalar,
+    _xml_attr,
+    _xml_text,
     from_json,
     to_cypher,
     to_graphml,
     to_json,
 )
 from rdfstar2pg.parser import parse_turtle_star
-from rdfstar2pg.pgraph import Edge, Node, PropertyGraph, iri_key
+from rdfstar2pg.pgraph import Edge, Node, PropertyGraph, iri_key, kind_of
 from rdfstar2pg.transform import Approach, TransformConfig, hybrid, pgt, rpt, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
@@ -390,7 +393,7 @@ SMALL_VALUE = re.compile(r': (?:-?[0-9]+|"[^"]*")')
 cypher_names = st.one_of(
     st.sampled_from(["22-rdf-syntax-nstype", "inv:source", "name.graph", "`", "a``b", "caf\u00e9", "a b"]),
     st.text(st.one_of(st.sampled_from("` :.09_-aZ"), st.characters()), min_size=1, max_size=8),
-)
+).filter(lambda name: "\n" not in name and "\r" not in name)  # refused: see below
 
 
 def read_names(text: str, pos: int) -> tuple:
@@ -431,7 +434,6 @@ class TestCypherNames:
         graph = PropertyGraph()
         graph.nodes["n"] = Node("n", node_labels, node_props)
         graph.edges["e"] = Edge("e", "n", "n", edge_labels, edge_props)
-        # a name may hold a line break, so the script is read as one text
         script, pos, records = to_cypher(graph), 0, []
         for head, tail in (("CREATE (n0", ")\n"), ("CREATE (n0)-[", "]->(n0)\n")):
             assert script.startswith(head, pos)
@@ -447,6 +449,18 @@ class TestCypherNames:
             assert [name for name, _ in keys] == sorted([*graph_props, "id"])
             for name, bare in labels + keys:
                 assert bare == bool(_IDENTIFIER.match(name)), name
+
+    @pytest.mark.parametrize("name", ["a\nCREATE (x)", "a\rb", "\r\n", "`\n`"])
+    @pytest.mark.parametrize("place", ["node label", "node key", "edge label", "edge key"])
+    def test_a_line_break_in_a_name_is_refused(self, name, place):
+        # one record per line: a name spread over two lines would not be
+        graph = PropertyGraph()
+        graph.nodes["n"] = Node("n", {name if place == "node label" else "X"},
+                                {name: 1} if place == "node key" else {})
+        graph.edges["e"] = Edge("e", "n", "n", {name if place == "edge label" else "p"},
+                                {name: 1} if place == "edge key" else {})
+        with pytest.raises(UnrepresentableValue, match="line break"):
+            to_cypher(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +600,70 @@ def one_value_graph(value):
     return graph
 
 
+class TestIntegerRange:
+    @pytest.mark.parametrize(
+        "value, cypher_text",
+        [(2**63 - 1, "9223372036854775807"), (-(2**63), "-9223372036854775808"),
+         ([0, 2**63 - 1], "[0, 9223372036854775807]")],
+    )
+    def test_64_bit_integers_are_written(self, value, cypher_text):
+        graph = one_value_graph(value)
+        assert 'attr.type="long"' in to_graphml(graph).decode()
+        assert f"v: {cypher_text}}}" in to_cypher(graph)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, [1, 2**100], -(10**30)])
+    def test_wider_integers_are_refused_naming_the_key(self, value):
+        graph = one_value_graph(value)
+        for export in (to_graphml, to_cypher):
+            with pytest.raises(UnrepresentableValue) as exc_info:
+                export(graph)
+            assert str(exc_info.value) == "property 'v' holds an integer outside the signed 64-bit range"
+        assert from_json(to_json(graph)).canonical_form() == graph.canonical_form()
+
+    def test_a_parsed_integer_beyond_64_bits_is_refused(self):
+        graph, _ = pgt(parse_turtle_star(EX + "ex:a ex:big 1267650600228229401496703205376 ."))
+        for export in (to_graphml, to_cypher):
+            with pytest.raises(UnrepresentableValue, match="'big'"):
+                export(graph)
+        assert b'"big": 1267650600228229401496703205376' in to_json(graph)
+
+
+# Text that every escape path must treat alike: the characters each escapes,
+# other controls, quotes, backslashes, markup and non-ASCII.
+escape_text = st.text(
+    st.one_of(st.sampled_from('\\"\'\n\r\t&<>\x00\x1f\x7f\u2028\u00e9\U0001f600 a'), st.characters()),
+    max_size=16,
+)
+
+
+class TestEscapeFastPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(escape_text)
+    def test_cypher_string_is_the_kind_tables_literal(self, text):
+        assert _cypher_scalar("k", text) == kind_of(text).cypher(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(escape_text)
+    def test_graphml_text_and_attributes_are_saxutils_escapes(self, text):
+        from xml.sax.saxutils import escape, quoteattr
+
+        assert _xml_text(text) == escape(text)
+        assert _xml_attr(text) == quoteattr(text)
+
+
 class TestLiteralsAreValid:
     @settings(max_examples=300, deadline=None)
     @given(valid_values)
     def test_every_kind_writes_a_valid_literal_in_every_format(self, value):
         graph = one_value_graph(value)
+        assert from_json(to_json(graph)).canonical_form() == graph.canonical_form()
+        items = value if isinstance(value, list) else [value]
+        if any(type(item) is int and not -(2**63) <= item < 2**63 for item in items):
+            # GraphML's long and openCypher's INTEGER hold 64 bits
+            for export in (to_cypher, to_graphml):
+                with pytest.raises(UnrepresentableValue, match="'v' holds an integer outside"):
+                    export(graph)
+            return
         assert CYPHER_NODE.fullmatch(to_cypher(graph)), to_cypher(graph)
         try:
             graphml = to_graphml(graph).decode()
@@ -602,7 +675,6 @@ class TestLiteralsAreValid:
             for text in re.findall(f'<data key="{key}">([^<]*)</data>', graphml):
                 for item in text.split(LIST_SEPARATOR):
                     assert XSD_DOUBLE.fullmatch(item), item
-        assert from_json(to_json(graph)).canonical_form() == graph.canonical_form()
 
     @pytest.mark.parametrize(
         "value, json_text, graphml_text, cypher_text",

@@ -281,6 +281,15 @@ LEXER_ERRORS = [
     ("iri_space", "<http://x/a b> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 1, "illegal character inside IRI reference"),
     ("iri_brace", EX + "ex:a ex:b\n\t<http://x/{o}> .", ErrorKind.LEXICAL, 3, 2, "illegal character inside IRI reference"),
     ("iri_control", EX + "ex:a ex:b <http://x/\x01> .", ErrorKind.LEXICAL, 2, 11, "illegal character inside IRI reference"),
+    ("iri_escape_newline", EX + "ex:a ex:b <http://x/a\\n> .", ErrorKind.LEXICAL, 2, 22, "unsupported escape sequence \\n"),
+    ("iri_escape_big_u", "<http://x/\\U00000061> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 11, "unsupported escape sequence \\U"),
+    ("iri_escape_backslash_end", "<http://x/\\> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 11, "unsupported escape sequence \\>"),
+    ("iri_bad_u_escape", EX + "ex:a ex:b <http://x/\\u12> .", ErrorKind.LEXICAL, 2, 21, "bad \\u escape (need 4 hex digits)"),
+    ("iri_escape_after_space", "<http://x/a b\\q> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 1, "illegal character inside IRI reference"),
+    ("iri_escaped_space", EX + "ex:a ex:b <http://x/a\\u0020b> .", ErrorKind.LEXICAL, 2, 22, "escape \\u0020 stands for a character IRIs exclude"),
+    ("iri_escaped_gt", EX + "ex:a ex:b\n  <http://x/\\u00e9\\u003e> .", ErrorKind.LEXICAL, 3, 19, "escape \\u003e stands for a character IRIs exclude"),
+    ("iri_escaped_backslash", "@prefix ex: <http://x/\\u005C> .", ErrorKind.LEXICAL, 1, 23, "escape \\u005C stands for a character IRIs exclude"),
+    ("iri_escaped_surrogate", "<http://x/\\uD800> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 11, "escape \\uD800 stands for a character IRIs exclude"),
     ("long_string", EX + 'ex:a ex:b """long""" .', ErrorKind.UNSUPPORTED, 2, 11, "long string literals are not supported"),
     ("newline_in_string", EX + 'ex:a ex:b "ab\ncd" .', ErrorKind.LEXICAL, 2, 14, "newline inside string literal"),
     ("newline_in_string_crlf", EX + 'ex:a ex:b "ab\r\ncd" .', ErrorKind.LEXICAL, 2, 15, "newline inside string literal"),
@@ -335,6 +344,28 @@ def test_lexer_error_table(source, kind, line, column, message):
     err = exc_info.value
     assert (err.kind, err.line, err.column, err.message) == (kind, line, column, message)
     assert str(err) == f"line {line}, column {column}: {message}"
+
+
+class TestIriEscapes:
+    def test_an_escaped_iri_is_the_iri_it_spells(self):
+        source = EX + "ex:s ex:p ex:ab . ex:s ex:p <http://example.org/a\\u0062> ."
+        assert len(parse_turtle_star(source).default) == 1
+
+    def test_escapes_decode_in_every_iri_position(self):
+        escaped = parse_turtle_star(
+            "@prefix ex: <http://example.org/\\u0065x/> .\n"
+            "ex:a <http://example.org/ex/caf\\u00E9> <http://example.org/ex/\\u00e9t\\u00E9> ."
+        )
+        plain = parse_turtle_star(
+            "<http://example.org/ex/a> <http://example.org/ex/caf\u00e9> <http://example.org/ex/\u00e9t\u00e9> ."
+        )
+        assert escaped.default == plain.default
+
+    def test_decoded_iris_serialize_to_parseable_text(self):
+        dataset = parse_turtle_star(EX + "ex:a ex:p <http://example.org/\\u00e9\\u007e> .")
+        text = to_turtle_star(dataset)
+        assert "<http://example.org/\u00e9~>" in text
+        assert parse_turtle_star(text).default == dataset.default
 
 
 def quoted_as_subject(depth):
