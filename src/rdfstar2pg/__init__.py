@@ -47,7 +47,6 @@ from .transform import (
     Approach,
     DatatypePolicy,
     ListPolicy,
-    MultiValuePolicy,
     NamedGraphPolicy,
     RdfTypePolicy,
     Status,
@@ -73,7 +72,6 @@ __all__ = [
     "Iri",
     "ListPolicy",
     "Literal",
-    "MultiValuePolicy",
     "NamedGraphPolicy",
     "Node",
     "ParseError",

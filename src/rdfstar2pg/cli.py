@@ -30,11 +30,28 @@ from .transform import (
 )
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_document(path: str):
+    """Parse a file, or stdin for "-", read as strict UTF-8; None once it printed why not.
+
+    Each CR LF or lone CR becomes LF, as text-mode reading makes it.
+    """
+    try:
+        if path == "-":
+            source = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(path, "rb") as fh:
+                source = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return parse_turtle_star(source)
+    except ParseError as exc:
+        print(f"parse error at line {exc.line}, column {exc.column}: {exc.message}",
+              file=sys.stderr)
+        return None
 
 
 def _write_output(path: str, data: bytes) -> None:
@@ -95,16 +112,8 @@ def _entry_json(entry: dict) -> str:
 @_gc_paused
 def cmd_convert(args) -> int:
     """Parse, transform, export and report one document; returns the exit code."""
-    try:
-        source = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        dataset = parse_turtle_star(source)
-    except ParseError as exc:
-        print(f"parse error at line {exc.line}, column {exc.column}: {exc.message}",
-              file=sys.stderr)
+    dataset = _read_document(args.input)
+    if dataset is None:
         return 1
 
     config = TransformConfig(
@@ -163,16 +172,8 @@ def cmd_conformance(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        source = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        dataset = parse_turtle_star(source)
-    except ParseError as exc:
-        print(f"parse error at line {exc.line}, column {exc.column}: {exc.message}",
-              file=sys.stderr)
+    dataset = _read_document(args.input)
+    if dataset is None:
         return 1
 
     statements = [st for _, st in dataset.statements()]

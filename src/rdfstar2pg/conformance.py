@@ -14,7 +14,7 @@ and overall status) against the expected-shape table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Optional
 
@@ -173,12 +173,9 @@ def observed_shape(graph, report: TransformReport) -> Shape:
     )
 
 
-def run_conformance(
-    approaches: Optional[list] = None, config: Optional[TransformConfig] = None
-) -> ConformanceReport:
-    """Replay the corpus under each approach and check expected shapes."""
+def run_conformance(approaches: Optional[list] = None) -> ConformanceReport:
+    """Replay the corpus under each approach's defaults and check expected shapes."""
     approaches = list(approaches or (Approach.RPT, Approach.PGT, Approach.HYBRID))
-    base = config or TransformConfig()
     table = expected_shape_table()
     cases = sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id))
 
@@ -187,7 +184,7 @@ def run_conformance(
     for case in cases:
         dataset = parse_turtle_star(case.source)
         for approach in approaches:
-            graph, report = transform(dataset, replace(base, approach=approach))
+            graph, report = transform(dataset, TransformConfig(approach=approach))
             observed = observed_shape(graph, report)
             expected = table[(case.id, approach)]
             rows.append(

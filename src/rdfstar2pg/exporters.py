@@ -28,7 +28,6 @@ from .pgraph import (
     EdgeRecord,
     Node,
     PropertyGraph,
-    _json_ready,
     check_value,
     decode_value,
     kind_of,
@@ -71,31 +70,25 @@ def _json_array(name: str, records: list) -> str:
 
 def _json_record(record) -> str:
     """One walk record, laid out as json.dumps(indent=2) puts it in the array."""
-    try:
-        text = '    {\n      "id": ' + encode_basestring(record.id)
-        if isinstance(record, EdgeRecord):
-            text += (
-                ',\n      "source": ' + encode_basestring(record.source)
-                + ',\n      "target": ' + encode_basestring(record.target)
-            )
-        if record.labels:
-            text += ',\n      "labels": [\n        ' + ",\n        ".join(
-                map(encode_basestring, record.labels)
-            ) + "\n      ]"
-        else:
-            text += ',\n      "labels": []'
-        if not record.properties:
-            return text + ',\n      "properties": {}\n    }'
-        return text + ',\n      "properties": {\n        ' + ",\n        ".join(
-            encode_basestring(key) + ": "
-            + (encode_basestring(value) if type(value) is str else _json_value(value, "        "))
-            for key, value in record.properties
-        ) + "\n      }\n    }"
-    except TypeError:
-        # A non-string id, label or key (only a graph built by hand has one):
-        # json decides how it prints.
-        text = json.dumps(_json_ready(record), indent=2, ensure_ascii=False)
-        return "    " + text.replace("\n", "\n    ")
+    text = '    {\n      "id": ' + encode_basestring(record.id)
+    if isinstance(record, EdgeRecord):
+        text += (
+            ',\n      "source": ' + encode_basestring(record.source)
+            + ',\n      "target": ' + encode_basestring(record.target)
+        )
+    if record.labels:
+        text += ',\n      "labels": [\n        ' + ",\n        ".join(
+            map(encode_basestring, record.labels)
+        ) + "\n      ]"
+    else:
+        text += ',\n      "labels": []'
+    if not record.properties:
+        return text + ',\n      "properties": {}\n    }'
+    return text + ',\n      "properties": {\n        ' + ",\n        ".join(
+        encode_basestring(key) + ": "
+        + (encode_basestring(value) if type(value) is str else _json_value(value, "        "))
+        for key, value in record.properties
+    ) + "\n      }\n    }"
 
 
 def _json_value(value, indent: str) -> str:

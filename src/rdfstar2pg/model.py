@@ -392,8 +392,11 @@ def embedded_star_statements(statement: Statement) -> list:
 
 
 def is_chain_statement(statement: Statement) -> bool:
-    """Collection-expansion chain statements fold into their head statement."""
-    return statement.predicate.value in (RDF_FIRST, RDF_REST)
+    """A plain rdf:first/rdf:rest statement, which folds into its head statement.
+
+    A star statement is a unit of its own whatever its predicate.
+    """
+    return statement.predicate.value in (RDF_FIRST, RDF_REST) and not is_star(statement)
 
 
 def statement_units(dataset: Dataset) -> list:

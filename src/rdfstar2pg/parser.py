@@ -138,6 +138,8 @@ _ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 # What an IRI may not hold: IRIREF's exclusions, and the surrogates that no
 # UTF-8 output can carry.
 _IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
+# What a string literal's escapes may not stand for; no UTF-8 output carries it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _BARE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")
@@ -178,6 +180,8 @@ def _tokenize(text: str) -> list:
             value = lexeme[1:-1]
             if "\\" in value:
                 value = _ESCAPE.sub(_unescape, value)
+                if _SURROGATE.search(value):
+                    raise _string_error(text, start)
             append(Token(STRING, value, start))
         elif kind == "IRIREF":
             value = lexeme[1:-1]
@@ -287,12 +291,17 @@ def _string_error(text: str, start: int) -> ParseError:
             if esc == "u":
                 if not _HEX4.match(text, pos + 2):
                     return _error_at(text, pos, "bad \\u escape (need 4 hex digits)", ErrorKind.LEXICAL)
+                if _SURROGATE.match(chr(int(text[pos + 2 : pos + 6], 16))):
+                    message = f"escape {text[pos : pos + 6]} stands for a character strings exclude"
+                    return _error_at(text, pos, message, ErrorKind.LEXICAL)
                 pos += 6
                 continue
             if esc not in _ESCAPED:
                 return _error_at(text, pos, f"unsupported escape sequence \\{esc}", ErrorKind.LEXICAL)
             pos += 2
             continue
+        if _SURROGATE.match(ch):
+            return _error_at(text, pos, f"lone surrogate {ch!r} inside string literal", ErrorKind.LEXICAL)
         pos += 1
     return _error_at(text, start, "unterminated string literal", ErrorKind.LEXICAL)
 

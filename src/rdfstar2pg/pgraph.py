@@ -231,16 +231,25 @@ class EdgeRecord(NamedTuple):
     properties: list  # (key, value) pairs sorted by key
 
 
-def _edge_order(edge: Edge) -> tuple:
-    return (edge.source, ";".join(sorted(edge.labels)), edge.target, edge.id)
+def _strings(names):
+    """names, each checked to be a str; only a graph built by hand holds another."""
+    for name in names:
+        if type(name) is not str:
+            raise TypeError(f"node and edge ids, labels and property keys must be strings, got {name!r}")
+    return names
 
 
 def _sorted_properties(properties: dict) -> list:
-    items = sorted(properties.items())
-    for _, value in items:
+    for value in _strings(properties).values():
         if type(value) not in _KINDS:  # a list, or no property value
             encode_value(value)
-    return items
+    return sorted(properties.items())
+
+
+def _edge_order(edge: Edge) -> tuple:
+    """An edge's place in the walk; each edge's names are checked here, before any sorting."""
+    _strings((edge.id, edge.source, edge.target))
+    return (edge.source, ";".join(sorted(_strings(edge.labels))), edge.target, edge.id)
 
 
 def _json_ready(record) -> dict:
@@ -315,13 +324,14 @@ class PropertyGraph:
 
         Nodes come sorted by id and edges by _edge_order. Each record has
         sorted labels and (key, value) property pairs sorted by key, with the
-        values as Python values. A value JSON cannot encode raises the same
-        TypeError encode_value raises, before any record is returned.
+        values as Python values. Before any record is returned, an id,
+        endpoint, label or key that is no string raises _strings' TypeError,
+        and a value JSON cannot encode the one encode_value raises.
         """
         nodes = []
-        for node_id in sorted(self.nodes):
+        for node_id in sorted(_strings(self.nodes)):
             node = self.nodes[node_id]
-            nodes.append(NodeRecord(node_id, sorted(node.labels), _sorted_properties(node.properties)))
+            nodes.append(NodeRecord(node_id, sorted(_strings(node.labels)), _sorted_properties(node.properties)))
         edges = [
             EdgeRecord(
                 edge.id, edge.source, edge.target, sorted(edge.labels),

@@ -89,11 +89,6 @@ class ListPolicy(enum.Enum):
     COLLAPSE_LITERALS = "collapse"
 
 
-class MultiValuePolicy(enum.Enum):
-    LIST_MERGE = "list-merge"
-    LAST_WINS = "last-wins"
-
-
 @dataclass(frozen=True)
 class TransformConfig:
     approach: Approach = Approach.HYBRID
@@ -103,12 +98,6 @@ class TransformConfig:
     rdf_type_policy: Optional[RdfTypePolicy] = None
     named_graph_policy: NamedGraphPolicy = NamedGraphPolicy.EDGE_PROPERTY
     list_policy: ListPolicy = ListPolicy.EXPAND
-    # plain datatype properties with several values for one (subject, key)
-    multi_value_policy: MultiValuePolicy = MultiValuePolicy.LIST_MERGE
-    # asserted pairs attached to one edge under the same key
-    star_multi_value_policy: MultiValuePolicy = MultiValuePolicy.LAST_WINS
-    # None resolves per approach: statement-kind edge labels on for rpt only
-    kind_labels: Optional[bool] = None
 
     def resolved_type_policy(self) -> RdfTypePolicy:
         if self.rdf_type_policy is not None:
@@ -116,11 +105,6 @@ class TransformConfig:
         if self.approach is Approach.PGT:
             return RdfTypePolicy.AS_LABEL
         return RdfTypePolicy.AS_EDGE
-
-    def resolved_kind_labels(self) -> bool:
-        if self.kind_labels is not None:
-            return self.kind_labels
-        return self.approach is Approach.RPT
 
     def datatype_as_property(self) -> bool:
         """Whether plain datatype-property statements become node properties."""
@@ -221,6 +205,33 @@ def literal_value(lit: Literal) -> pgraph.PropertyValue:
     return lit.lexical
 
 
+def _list_merge(staged: list) -> pgraph.PropertyValue:
+    """A node key's staged values as one list; mixed kinds merge as text, noted."""
+    if len(staged) == 1:
+        return staged[0][0]
+    flat: list = []
+    for value, _ in staged:
+        flat.extend(value if isinstance(value, list) else [value])
+    kinds = [pgraph.kind_of(v) for v in flat]
+    if len({kind.name for kind in kinds}) > 1:
+        flat = [kind.text(v) for kind, v in zip(kinds, flat)]
+        for _, unit in staged:
+            if unit is not None and NOTE_MIXED_TYPES not in unit.notes:
+                unit.notes.append(NOTE_MIXED_TYPES)
+    return flat
+
+
+def _last_wins(staged: list) -> pgraph.PropertyValue:
+    """An edge key's last staged value; each unit with another value is noted."""
+    winner = staged[-1][0]
+    if len(staged) > 1:
+        winner_key = pgraph.value_key(winner)
+        for value, unit in staged[:-1]:
+            if unit is not None and pgraph.value_key(value) != winner_key:
+                unit.notes.append(NOTE_OVERWRITTEN)
+    return winner
+
+
 def _safe_key(key: str) -> str:
     """Dodge the bookkeeping keys; a predicate named 'iri' must not clobber ours."""
     return "p_" + key if key in pgraph.RESERVED_KEYS else key
@@ -318,33 +329,11 @@ class _Engine:
         self._stage(self.node_props, node, key, literal_value(st.object), unit)
         return node, key
 
-    def _resolve(self, staged: list, policy: MultiValuePolicy):
-        values = [v for v, _ in staged]
-        if len(values) == 1:
-            return values[0]
-        if policy is MultiValuePolicy.LAST_WINS:
-            winner = pgraph.value_key(values[-1])
-            for value, unit in staged[:-1]:
-                if unit is not None and pgraph.value_key(value) != winner:
-                    unit.notes.append(NOTE_OVERWRITTEN)
-            return values[-1]
-        flat: list = []
-        for value in values:
-            flat.extend(value if isinstance(value, list) else [value])
-        kinds = [pgraph.kind_of(v) for v in flat]
-        if len({kind.name for kind in kinds}) > 1:
-            flat = [kind.text(v) for kind, v in zip(kinds, flat)]
-            for _, unit in staged:
-                if unit is not None and NOTE_MIXED_TYPES not in unit.notes:
-                    unit.notes.append(NOTE_MIXED_TYPES)
-        return flat
-
     def _apply_staged(self) -> None:
         for (node_id, key), staged in sorted(self.node_props.items()):
-            self.graph.set_node_property(node_id, key, self._resolve(staged, self.cfg.multi_value_policy))
+            self.graph.set_node_property(node_id, key, _list_merge(staged))
         for (edge_id, key), staged in sorted(self.edge_props.items()):
-            value = self._resolve(staged, self.cfg.star_multi_value_policy)
-            self.graph.replace_edge_property(edge_id, key, value)
+            self.graph.replace_edge_property(edge_id, key, _last_wins(staged))
 
     # --- edges ---
 
@@ -353,7 +342,7 @@ class _Engine:
         source = self.node_id(st.subject, graph_name)
         target = self.node_id(st.object, graph_name)
         labels = {local_name(st.predicate)}
-        if self.cfg.resolved_kind_labels():
+        if self.cfg.approach is Approach.RPT:
             labels.add(classify(st).value)  # ObjectProperty / DatatypeProperty
         suffix = self._suffix(graph_name, for_edge=True)
         key = pgraph.with_graph("stmt:" + serialize_statement(st), suffix)
@@ -546,12 +535,8 @@ class _Engine:
                     key = _safe_key(local_name(st.predicate))
                     self._stage(self.node_props, node, key, role[1], unit)
                     continue
-                if is_chain_statement(st):
-                    # chain statements fold into their head for accounting
-                    # but still materialize structurally
-                    self._chain_statement(st, graph_name)
-                    continue
-                unit = self._unit(graph_name, st)
+                # a chain statement materializes but has no unit: it folds into its head
+                unit = None if is_chain_statement(st) else self._unit(graph_name, st)
                 kind = classify(st)
                 if kind is StatementKind.OBJECT_PROPERTY:
                     self.object_statement(st, graph_name, unit)
@@ -561,12 +546,6 @@ class _Engine:
                     self.star_statement(st, graph_name, unit)
         self._apply_staged()
         return self.graph, self._report()
-
-    def _chain_statement(self, st: Statement, graph_name: Optional[Iri]) -> None:
-        if classify(st) is StatementKind.DATATYPE_PROPERTY:
-            self.datatype_statement(st, graph_name, None)
-        else:
-            self.object_statement(st, graph_name, None)
 
     def _report(self) -> TransformReport:
         partial = [u for u in self.units if u.status is Status.PARTIAL]

@@ -1,12 +1,18 @@
+import argparse
+import dataclasses
+import enum
 import json
+import re
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
 import pytest
 
 from rdfstar2pg.cli import _report_json, build_parser, main
 from rdfstar2pg.conformance import builtin_corpus
-from rdfstar2pg.model import Iri, Literal, Statement
+from rdfstar2pg.model import Iri, Literal, Statement, statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import Approach, ReportEntry, Status, TransformConfig, TransformReport, transform
 
@@ -16,10 +22,11 @@ LOSSY = EX + '<<ex:alice ex:age "25">> ex:certainty 0.5 .\n'
 BROKEN = "ex:a ex:b ex:c .\n"
 
 
-def run_cli(args, stdin: str = ""):
+def run_cli(args, stdin="") -> tuple:
+    """(exit code, stdout, stderr); stdin is text, or bytes sent as they are."""
     proc = subprocess.run(
         [sys.executable, "-m", "rdfstar2pg", *args],
-        input=stdin.encode(),
+        input=stdin if isinstance(stdin, bytes) else stdin.encode(),
         capture_output=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -275,6 +282,79 @@ class TestConformanceCommand:
     def test_no_color_in_pipes(self):
         _, out, _ = run_cli(["conformance"])
         assert b"\x1b[" not in out  # not a tty, so no ANSI codes
+
+
+NOT_UTF8 = EX.encode() + b'ex:a ex:name "caf\xe9" .\n'
+
+
+@pytest.mark.parametrize("command", ["convert", "inspect"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_input_that_is_not_utf8_exits_1(command, from_stdin, tmp_path):
+    path = tmp_path / "latin1.ttls"
+    path.write_bytes(NOT_UTF8)
+    where = "-" if from_stdin else str(path)
+    code, out, err = run_cli([command, where], stdin=NOT_UTF8 if from_stdin else "")
+    assert code == 1 and out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: cannot read {where}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cr_and_crlf_line_ends_read_as_lf(tmp_path):
+    # each line end, whatever the file uses, cuts the string on line 3
+    source = SIMPLE + 'ex:a ex:p "x\ny" .\n'
+    expected = run_cli(["convert", "-"], stdin=source)
+    assert expected[0] == 1 and b"line 3, column 13" in expected[2]
+    for ending in ("\r\n", "\r"):
+        path = tmp_path / "lines.ttls"
+        path.write_bytes(source.replace("\n", ending).encode())
+        assert run_cli(["convert", str(path)]) == expected
+
+
+STAR_CHAINS = [
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+    + EX + "<<ex:a ex:b ex:c>> rdf:first ex:d .\n",
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+    + EX + "ex:x rdf:rest <<ex:a ex:b ex:c>> .\n",
+]
+
+
+@pytest.mark.parametrize("approach", ["rpt", "pgt", "hybrid"])
+@pytest.mark.parametrize("source", STAR_CHAINS, ids=["star_first", "star_rest"])
+def test_star_statement_with_a_chain_predicate_is_one_unit(source, approach, tmp_path):
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["convert", "-", "--approach", approach, "--report", str(report_path)], stdin=source
+    )
+    assert code == 0, err
+    assert json.loads(out)["edges"]
+    total = json.loads(report_path.read_text())["total"]
+    assert total == len(statement_units(parse_turtle_star(source))) == 1
+
+
+def convert_flags() -> dict:
+    """convert's options: flag -> its argparse action."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag: action for action in sub.choices["convert"]._actions for flag in action.option_strings}
+
+
+def test_every_config_field_is_a_convert_flag_and_a_readme_row():
+    """No TransformConfig option is library-only, and README lists exactly the fields."""
+    flags = convert_flags()
+    hints = typing.get_type_hints(TransformConfig)
+    names = [field.name for field in dataclasses.fields(TransformConfig)]
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        assert flag in flags, f"TransformConfig.{name} has no convert flag {flag}"
+        enum_type = next(
+            t for t in (hints[name], *typing.get_args(hints[name]))
+            if isinstance(t, type) and issubclass(t, enum.Enum)
+        )
+        assert sorted(flags[flag].choices) == sorted(m.value for m in enum_type), flag
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert rows == names
 
 
 class TestInspect:

@@ -542,12 +542,44 @@ class TestJsonMatchesReference:
         assert to_json(PropertyGraph()) == b'{\n  "nodes": [],\n  "edges": []\n}\n'
 
     def test_non_string_ids_labels_and_keys(self):
-        # Only a graph built by hand has these; json decides how they print.
-        graph = PropertyGraph()
-        graph.nodes[7] = Node(7, {1, 2}, {3: "x", 4: [[1, 2], []]})
-        graph.nodes[8] = Node(8, {"A"}, {})
-        graph.edges[None] = Edge(None, 7, 8, {"r"}, {"w": Decimal("1.5")})
-        assert to_json(graph) == json_reference(graph)
+        # Only a graph built by hand has these; the walk refuses each one
+        # with the same TypeError, whichever format asked.
+        def node_id(graph):
+            graph.nodes[7] = Node(7, {"C"}, {})
+
+        def edge_id(graph):
+            graph.edges["e:s"] = Edge(7, "n:a", "n:b", {"r"}, {})
+
+        def source(graph):
+            graph.edges["e:r"].source = 7
+
+        def target(graph):
+            graph.edges["e:r"].target = 7
+
+        def node_label(graph):
+            graph.nodes["n:a"].labels.add(7)
+
+        def edge_label(graph):
+            graph.edges["e:r"].labels.add(7)
+
+        def key(graph):
+            graph.nodes["n:b"].properties[7] = "x"
+
+        for spoil in (node_id, edge_id, source, target, node_label, edge_label, key):
+            graph = PropertyGraph()
+            graph.nodes["n:a"] = Node("n:a", {"A"}, {"k": "x"})
+            graph.nodes["n:b"] = Node("n:b", {"B"}, {})
+            graph.edges["e:r"] = Edge("e:r", "n:a", "n:b", {"r"}, {"w": Decimal("1.5")})
+            spoil(graph)
+            with pytest.raises(TypeError) as expected:
+                graph.canonical_form()
+            assert str(expected.value) == (
+                "node and edge ids, labels and property keys must be strings, got 7"
+            ), spoil.__name__
+            for export in (to_json, to_graphml, to_cypher):
+                with pytest.raises(TypeError) as raised:
+                    export(graph)
+                assert str(raised.value) == str(expected.value), (spoil.__name__, export.__name__)
 
     @settings(max_examples=100, deadline=None)
     @given(

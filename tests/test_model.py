@@ -397,6 +397,15 @@ class TestStatementUnits:
         assert is_chain_statement(st(BlankNode("b0"), Iri(RDF_REST), Iri(RDF_NIL)))
         assert not is_chain_statement(st(iri("a"), Iri(RDF_TYPE), iri("b")))
 
+    def test_a_star_statement_is_never_a_chain_statement(self):
+        quoted = QuotedTriple(st(iri("a"), iri("p"), iri("b")))
+        for statement in (
+            st(quoted, Iri(RDF_FIRST), iri("d")),
+            st(BlankNode("b0"), Iri(RDF_REST), quoted),
+        ):
+            assert not is_chain_statement(statement)
+            assert statement_units(Dataset([statement])) == [(None, statement)]
+
 
 class TestIsomorphic:
     def test_identical(self):

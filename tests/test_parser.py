@@ -297,6 +297,10 @@ LEXER_ERRORS = [
     ("short_u_escape", EX + 'ex:a ex:b "\\u12', ErrorKind.LEXICAL, 2, 12, "bad \\u escape (need 4 hex digits)"),
     ("unsupported_escape", EX + 'ex:a ex:b "x\\q" .', ErrorKind.LEXICAL, 2, 13, "unsupported escape sequence \\q"),
     ("unterminated_string", EX + 'ex:a ex:b "open .', ErrorKind.LEXICAL, 2, 11, "unterminated string literal"),
+    ("string_escaped_surrogate", EX + 'ex:a ex:p "\\uD800" .', ErrorKind.LEXICAL, 2, 12, "escape \\uD800 stands for a character strings exclude"),
+    ("string_escaped_low_surrogate", EX + 'ex:a ex:p\n  "ok \\t\\udfff" .', ErrorKind.LEXICAL, 3, 9, "escape \\udfff stands for a character strings exclude"),
+    ("string_escaped_surrogate_in_quote", EX + '<<ex:a ex:p "x\\uDBFF\\uDC00">> ex:q ex:r .', ErrorKind.LEXICAL, 2, 15, "escape \\uDBFF stands for a character strings exclude"),
+    ("string_raw_surrogate_beside_escape", EX + 'ex:a ex:p "\ud800\\t" .', ErrorKind.LEXICAL, 2, 12, "lone surrogate '\\ud800' inside string literal"),
     ("unterminated_string_after_escape", EX + 'ex:a ex:b\n  "a\\"b', ErrorKind.LEXICAL, 3, 3, "unterminated string literal"),
     ("base", "@base <http://x/> .", ErrorKind.UNSUPPORTED, 1, 1, "@base / relative IRIs are not supported"),
     ("base_after_comment", "# header\r\n\r\n  @base <http://x/> .", ErrorKind.UNSUPPORTED, 3, 3, "@base / relative IRIs are not supported"),
@@ -366,6 +370,12 @@ class TestIriEscapes:
         text = to_turtle_star(dataset)
         assert "<http://example.org/\u00e9~>" in text
         assert parse_turtle_star(text).default == dataset.default
+
+
+class TestStringEscapes:
+    def test_escapes_beside_the_surrogates_decode(self):
+        dataset = parse_turtle_star(EX + 'ex:a ex:p "\\uD7FF\\uE000\\uFFFD" .')
+        assert dataset.default[0].object.lexical == "\ud7ff\ue000\ufffd"
 
 
 def quoted_as_subject(depth):

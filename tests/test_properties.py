@@ -169,14 +169,24 @@ def test_statements_about_predicates_stay_disconnected(s, p, o, q, x):
     assert node_for(p) not in component
 
 
-HARMONIZED = TransformConfig(rdf_type_policy=RdfTypePolicy.AS_EDGE, kind_labels=False)
+HARMONIZED = TransformConfig(rdf_type_policy=RdfTypePolicy.AS_EDGE)
+
+
+def without_kind_labels(graph):
+    """The graph with rpt's statement-kind edge label taken off."""
+    for edge in graph.edges.values():
+        edge.labels.discard("ObjectProperty")
+    return graph
 
 
 @settings(max_examples=1000, deadline=None)
 @given(dataset_of(object_statements))
 def test_approach_agreement_without_quotes_or_literals(dataset):
-    """Object-property-only data converts identically under all approaches."""
-    outputs = {to_json(fn(dataset, HARMONIZED)[0]) for fn in (rpt, pgt, hybrid)}
+    """Object-property-only data converts identically under all approaches,
+    apart from the kind label rpt puts on every edge."""
+    outputs = {
+        to_json(without_kind_labels(fn(dataset, HARMONIZED)[0])) for fn in (rpt, pgt, hybrid)
+    }
     assert len(outputs) == 1
 
 

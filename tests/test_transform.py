@@ -21,7 +21,6 @@ from rdfstar2pg.transform import (
     Approach,
     DatatypePolicy,
     ListPolicy,
-    MultiValuePolicy,
     NamedGraphPolicy,
     RdfTypePolicy,
     Status,
@@ -119,16 +118,6 @@ class TestApproachShapes:
         cfg = TransformConfig(datatype_policy=DatatypePolicy.AS_EDGE)
         graph, _ = hybrid(ds(EX + 'ex:alice ex:age "25" .'), cfg)
         assert len(graph.nodes) == 2 and len(graph.edges) == 1
-
-    def test_kind_labels_can_be_disabled_for_rpt(self):
-        cfg = TransformConfig(kind_labels=False)
-        graph, _ = rpt(ds(self.SOURCE), cfg)
-        assert the_edge(graph).labels == {"meets"}
-
-    def test_kind_labels_can_be_enabled_for_pgt(self):
-        cfg = TransformConfig(kind_labels=True)
-        graph, _ = pgt(ds(self.SOURCE), cfg)
-        assert the_edge(graph).labels == {"meets", "ObjectProperty"}
 
     def test_bnode_nodes(self):
         graph, _ = pgt(ds(EX + "ex:a ex:p _:x .\n_:x ex:q ex:b ."))
@@ -389,13 +378,6 @@ class TestMultiValuePolicies:
         node = node_by_iri(graph, "http://example.org/dp")
         assert node.properties["subject"] == ["Info_Page", "aau_page"]
 
-    def test_last_wins_for_node_props(self):
-        cfg = TransformConfig(multi_value_policy=MultiValuePolicy.LAST_WINS)
-        graph, report = pgt(ds(self.MULTI), cfg)
-        node = node_by_iri(graph, "http://example.org/dp")
-        assert node.properties["subject"] == "aau_page"
-        assert any(NOTE_OVERWRITTEN in e.notes for e in report.notes)
-
     def test_mixed_types_merge_as_strings(self):
         source = EX + 'ex:a ex:val "x" .\nex:a ex:val 3 .'
         graph, report = pgt(ds(source))
@@ -414,18 +396,6 @@ class TestMultiValuePolicies:
         losers = [e for e in report.notes if NOTE_OVERWRITTEN in e.notes]
         assert len(losers) == 1
         assert "0.5" in str(losers[0].statement)
-
-    def test_edge_props_list_merge_option(self):
-        cfg = TransformConfig(star_multi_value_policy=MultiValuePolicy.LIST_MERGE)
-        source = (
-            EX
-            + "<<ex:a ex:likes ex:b>> ex:certainty 0.5 .\n"
-            + "<<ex:a ex:likes ex:b>> ex:certainty 1 ."
-        )
-        graph, _ = pgt(ds(source), cfg)
-        assert the_edge(graph).properties["certainty"] == [Decimal("0.5"), 1] or the_edge(
-            graph
-        ).properties["certainty"] == ["0.5", "1"]
 
     def test_canonical_order_decides_winner_not_document_order(self):
         forward = (
@@ -671,7 +641,6 @@ class TestKindConstants:
         assert Approach.HYBRID.value == "hybrid"
         assert NamedGraphPolicy.EDGE_PROPERTY.value == "edge-property"
         assert ListPolicy.COLLAPSE_LITERALS.value == "collapse"
-        assert MultiValuePolicy.LIST_MERGE.value == "list-merge"
 
     def test_status_values(self):
         assert [s.value for s in Status] == ["Converted", "Partial", "Ignored", "Error"]
