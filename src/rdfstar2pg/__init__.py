@@ -35,7 +35,7 @@ from .model import (
     quote_depth,
     statement_units,
 )
-from .parser import ParseError, parse_file, parse_turtle_star, to_turtle_star
+from .parser import ParseError, parse_turtle_star, to_turtle_star
 from .pgraph import (
     DanglingEndpoint,
     Edge,
@@ -93,7 +93,6 @@ __all__ = [
     "hybrid",
     "isomorphic",
     "local_name",
-    "parse_file",
     "parse_turtle_star",
     "pgt",
     "quote_depth",

@@ -7,6 +7,9 @@ directly; nothing is encoded to JSON-ready form and decoded back. JSON and
 GraphML return UTF-8 bytes; Cypher returns text. Every format is written
 line by line with LF endings to keep output byte-reproducible.
 
+The walk refuses a graph that breaks pgraph's rules, so each exporter
+refuses only what its own format cannot hold (UnrepresentableValue).
+
 to_json writes, record by record, exactly the bytes of
 json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False) plus a
 newline, using json's own C string encoder.
@@ -28,9 +31,11 @@ from .pgraph import (
     EdgeRecord,
     Node,
     PropertyGraph,
+    _endpoints,
+    _labelled,
+    _strings,
     check_value,
     decode_value,
-    kind_of,
 )
 
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
@@ -43,10 +48,10 @@ class UnrepresentableValue(Exception):
 
 
 def _kind_64(key, value):
-    """kind_of(value), refusing an integer that 64 bits cannot hold."""
+    """The kind of value, refusing an integer that 64 bits cannot hold."""
     if type(value) is int and value not in _INT64:
         raise UnrepresentableValue(f"property {key!r} holds an integer outside the signed 64-bit range")
-    return kind_of(value)
+    return _KINDS[type(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +81,9 @@ def _json_record(record) -> str:
             ',\n      "source": ' + encode_basestring(record.source)
             + ',\n      "target": ' + encode_basestring(record.target)
         )
-    if record.labels:
-        text += ',\n      "labels": [\n        ' + ",\n        ".join(
-            map(encode_basestring, record.labels)
-        ) + "\n      ]"
-    else:
-        text += ',\n      "labels": []'
+    text += ',\n      "labels": [\n        ' + ",\n        ".join(
+        map(encode_basestring, record.labels)
+    ) + "\n      ]"
     if not record.properties:
         return text + ',\n      "properties": {}\n    }'
     return text + ',\n      "properties": {\n        ' + ",\n        ".join(
@@ -94,36 +96,31 @@ def _json_record(record) -> str:
 def _json_value(value, indent: str) -> str:
     """encode_value(value) as json.dumps(indent=2) prints it at this indent."""
     inner = indent + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
+    if type(value) is list:  # flat and non-empty: the walk checked it
         items = ",\n".join(inner + _json_value(item, inner) for item in value)
         return "[\n" + items + "\n" + indent + "]"
-    kind = kind_of(value)
+    kind = _KINDS[type(value)]
     if kind.tag is None:
         return kind.json(value)
     text = encode_basestring(kind.text(value))
     return "{\n" + inner + f'"{kind.tag}": ' + text + "\n" + indent + "}"
 
 
-def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
-    """(labels, properties) of one JSON node or edge record, shape-checked."""
+def _record_parts(record, kind: str, string_fields: tuple, nodes: dict) -> tuple:
+    """(labels, properties) of one JSON record; string_fields name its id, then any endpoints."""
     if not isinstance(record, dict):
         raise ValueError(f"{kind} record is not an object: {record!r}")
-    for name in string_fields:
-        if not isinstance(record.get(name), str):
-            raise ValueError(f"{kind} {name} must be a string, got {record.get(name)!r}")
     labels, properties = record.get("labels"), record.get("properties")
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"{kind} {record['id']} labels must be a list of strings")
-    if not labels:
-        raise ValueError(f"{kind} {record['id']} has no labels")
-    if not isinstance(properties, dict):
-        raise ValueError(f"{kind} {record['id']} properties must be an object")
-    props = {}
     try:
-        # a JSON string is a string value, and decode_value returns only
-        # valid scalars: just a list still needs its kinds checked
+        _endpoints(nodes, *_strings([record.get(name) for name in string_fields])[1:])
+        if not isinstance(labels, list):
+            raise ValueError("labels must be a list")
+        _labelled(_strings(labels))
+        if not isinstance(properties, dict):
+            raise ValueError("properties must be an object")
+        props = {}
+        # a JSON key and a JSON string are strings, and decode_value returns
+        # only valid scalars: just a list still needs its kinds checked
         for key, value in properties.items():
             if type(value) is not str:
                 value = decode_value(value)
@@ -131,7 +128,7 @@ def _record_parts(record, kind: str, string_fields: tuple) -> tuple:
                     check_value(value)
             props[key] = value
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{kind} {record['id']}: {exc}") from exc
+        raise ValueError(f"{kind} {record.get('id')}: {exc}") from exc
     return set(labels), props
 
 
@@ -151,14 +148,11 @@ def from_json(data) -> PropertyGraph:
 
     graph = PropertyGraph()
     for record in nodes:
-        labels, props = _record_parts(record, "node", ("id",))
+        labels, props = _record_parts(record, "node", ("id",), graph.nodes)
         graph.nodes[record["id"]] = Node(record["id"], labels, props)
     for record in edges:
-        labels, props = _record_parts(record, "edge", ("id", "source", "target"))
-        edge = Edge(record["id"], record["source"], record["target"], labels, props)
-        if edge.source not in graph.nodes or edge.target not in graph.nodes:
-            raise ValueError(f"edge {edge.id} references a missing node")
-        graph.edges[edge.id] = edge
+        labels, props = _record_parts(record, "edge", ("id", "source", "target"), graph.nodes)
+        graph.edges[record["id"]] = Edge(record["id"], record["source"], record["target"], labels, props)
     return graph
 
 
@@ -208,21 +202,18 @@ def to_graphml(graph: PropertyGraph) -> bytes:
     nodes, edges = graph.canonical_records()
 
     # One <key> per (domain, property key), typed by the kinds of its values
-    # and marked if any value is a list; "labels" is always declared.
+    # and marked if any value is a list; "labels" is always declared. A list
+    # is non-empty and of one kind, so its first item gives its kind.
     value_types = {"node": defaultdict(set), "edge": defaultdict(set)}
     list_keys = set()
     for domain, records in (("node", nodes), ("edge", edges)):
         seen = value_types[domain]
         for record in records:
             for key, value in record.properties:
-                types = seen[key]
-                if not isinstance(value, list):
-                    types.add(type(value))
-                    continue
-                list_keys.add((domain, key))
-                for item in value:
-                    kind_of(item)  # a nested list is no property value
-                    types.add(type(item))
+                if type(value) is list:
+                    list_keys.add((domain, key))
+                    value = value[0]
+                seen[key].add(type(value))
 
     for domain, seen in value_types.items():
         if "labels" in seen:  # the transform writes p_labels instead
@@ -253,8 +244,7 @@ def to_graphml(graph: PropertyGraph) -> bytes:
             text = value if type(value) is str else _graphml_value(key, value)
             lines.append(opener[key] + _xml_text(text) + "</data>")
 
-    # each node id is quoted once; edges reuse it for their endpoints (an
-    # endpoint with no node, in a graph built by hand, is quoted on the spot)
+    # each node id is quoted once; edges reuse it for their endpoints
     quoted_ids: dict = {}
     for record in nodes:
         quoted_ids[record.id] = quoted = _xml_attr(record.id)
@@ -262,8 +252,7 @@ def to_graphml(graph: PropertyGraph) -> bytes:
         data_lines(record, openers["node"])
         lines.append("    </node>")
     for record in edges:
-        source = quoted_ids.get(record.source) or _xml_attr(record.source)
-        target = quoted_ids.get(record.target) or _xml_attr(record.target)
+        source, target = quoted_ids[record.source], quoted_ids[record.target]
         lines.append(f"    <edge id={_xml_attr(record.id)} source={source} target={target}>")
         data_lines(record, openers["edge"])
         lines.append("    </edge>")

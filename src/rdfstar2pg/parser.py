@@ -121,8 +121,8 @@ _TOKEN = re.compile(
     + r"""(?:
     (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
   | (?P<PUNCT><<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|))
-  | (?P<STRING>"(?!"")[^"\\\n]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n]*)*")
-  | (?P<IRIREF><[^\x00-\x20<>"{}|^`\\]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\]*)*>)
+  | (?P<STRING>"(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*")
+  | (?P<IRIREF><[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>)
   | (?P<NUMBER>[+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE]))
   | (?P<LANGTAG>@(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
   | (?P<BLANK>_:[A-Za-z0-9_][A-Za-z0-9_\-]*)
@@ -135,10 +135,10 @@ _TOKEN = re.compile(
 _SKIP_SPACE = re.compile(_SPACE)
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|(.))")
 _ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
-# What an IRI may not hold: IRIREF's exclusions, and the surrogates that no
-# UTF-8 output can carry.
+# What an IRI may not hold, raw or escaped: IRIREF's exclusions, the
+# surrogates that no UTF-8 output can carry among them.
 _IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
-# What a string literal's escapes may not stand for; no UTF-8 output carries it.
+# What a string literal may not hold, raw or escaped; no UTF-8 output carries it.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 _BARE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
@@ -396,7 +396,7 @@ class _Parser:
             if tok.kind in (IRIREF, PNAME) and self._starts_graph_block():
                 self._graph_block()
                 continue
-            statements = self._triples(in_block=False)
+            statements = self._triples()
             self.expect(".", "'.' after statement")
             self.default.extend(statements)
         return Dataset(self.default, self.named)
@@ -431,14 +431,14 @@ class _Parser:
                 break
             if tok.kind == EOF:
                 self.error("unterminated graph block", tok)
-            statements.extend(self._triples(in_block=True))
+            statements.extend(self._triples())
             sep = self.peek()
             if sep.kind == ".":
                 self.next()
             elif sep.kind != "}":
                 self.error(f"expected '.' or '}}', got {sep.value!r}", sep)
 
-    def _triples(self, in_block: bool) -> list:
+    def _triples(self) -> list:
         self.pending = []
         first_tok = self.peek()
         subject = self._term(position="subject")
@@ -587,11 +587,6 @@ class _Parser:
 def parse_turtle_star(text: str) -> Dataset:
     """Parse a Turtle-star document (TriG-style graph blocks allowed)."""
     return _Parser(text).parse()
-
-
-def parse_file(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_turtle_star(handle.read())
 
 
 def to_turtle_star(dataset: Dataset) -> str:

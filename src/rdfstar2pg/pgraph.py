@@ -9,6 +9,11 @@ whose values stay Python values. Every exporter reads that walk directly.
 canonical_form() is the same walk as a plain JSON-ready structure, so two
 graphs are equal exactly when their canonical forms are equal.
 
+A valid graph keeps four rules, each one helper that the setters, the walk
+and from_json call: every id, endpoint, label and key is a str (_strings),
+every record has a label (_labelled), every value passes check_value, and
+every endpoint is a node (_endpoints). The exporters trust the walk.
+
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
 (not a datetime.datetime), or a flat homogeneous list of one of those. The
 value-kind table, _KINDS, is the one place that decides what kind a value is
@@ -37,8 +42,8 @@ class PropertyConflict(Exception):
     """Raised when an upsert would change an already-set property value."""
 
 
-class DanglingEndpoint(Exception):
-    """Raised when an edge references a node id that does not exist."""
+class DanglingEndpoint(ValueError):
+    """Raised when an edge's source or target is not a node of its graph."""
 
 
 def _quote(component: str) -> str:
@@ -137,12 +142,13 @@ def value_key(value: PropertyValue) -> tuple:
 
 
 def check_value(value: PropertyValue) -> None:
-    if isinstance(value, list):
+    """The value rule: one value of a known kind, or a flat, non-empty list of one kind."""
+    if type(value) is list:
         if not value:
             raise TypeError("empty list is not a valid property value")
         kinds = {kind_of(v).name for v in value}  # raises on nested lists
         if len(kinds) > 1:
-            raise TypeError(f"list property values must be homogeneous, got {kinds}")
+            raise TypeError(f"list property values must be homogeneous, got {sorted(kinds)}")
         return
     kind_of(value)
 
@@ -203,8 +209,30 @@ class Edge:
     properties: dict = field(default_factory=dict)
 
 
+def _strings(names):
+    """The name rule: names, each checked to be a str."""
+    for name in names:
+        if type(name) is not str:
+            raise TypeError(f"node and edge ids, labels and property keys must be strings, got {name!r}")
+    return names
+
+
+def _labelled(labels):
+    """The label rule: labels, checked to hold at least one label."""
+    if not labels:
+        raise ValueError("nodes and edges need at least one label")
+    return labels
+
+
+def _endpoints(nodes: dict, *ends: str) -> None:
+    """The endpoint rule: each of ends is a node of nodes."""
+    for end in ends:
+        if end not in nodes:
+            raise DanglingEndpoint(f"edge endpoint {end!r} is not a node")
+
+
 def _merge_properties(owner: str, existing: dict, incoming: dict) -> None:
-    for key, value in incoming.items():
+    for key, value in _strings(incoming).items():
         check_value(value)
         if key in existing and value_key(existing[key]) != value_key(value):
             raise PropertyConflict(
@@ -231,25 +259,15 @@ class EdgeRecord(NamedTuple):
     properties: list  # (key, value) pairs sorted by key
 
 
-def _strings(names):
-    """names, each checked to be a str; only a graph built by hand holds another."""
-    for name in names:
-        if type(name) is not str:
-            raise TypeError(f"node and edge ids, labels and property keys must be strings, got {name!r}")
-    return names
+def _sorted_labels(labels) -> list:
+    return sorted(_labelled(_strings(labels)))
 
 
 def _sorted_properties(properties: dict) -> list:
     for value in _strings(properties).values():
         if type(value) not in _KINDS:  # a list, or no property value
-            encode_value(value)
+            check_value(value)
     return sorted(properties.items())
-
-
-def _edge_order(edge: Edge) -> tuple:
-    """An edge's place in the walk; each edge's names are checked here, before any sorting."""
-    _strings((edge.id, edge.source, edge.target))
-    return (edge.source, ";".join(sorted(_strings(edge.labels))), edge.target, edge.id)
 
 
 def _json_ready(record) -> dict:
@@ -270,9 +288,8 @@ class PropertyGraph:
 
     def upsert_node(self, identity_key: str, labels=(), properties=None) -> str:
         """Create or merge the node for identity_key; returns its id."""
-        labels = set(labels)
-        if not labels:
-            raise ValueError("nodes need at least one label")
+        labels = _labelled(set(labels))
+        _strings((identity_key, *labels))
         node_id = "n:" + identity_key
         node = self.nodes.get(node_id)
         if node is None:
@@ -292,13 +309,9 @@ class PropertyGraph:
 
     def upsert_edge(self, identity_key: str, source: str, target: str, labels=(), properties=None) -> str:
         """Create or merge the edge for identity_key; returns its id."""
-        if source not in self.nodes:
-            raise DanglingEndpoint(f"edge source {source!r} does not exist")
-        if target not in self.nodes:
-            raise DanglingEndpoint(f"edge target {target!r} does not exist")
-        labels = set(labels)
-        if not labels:
-            raise ValueError("edges need at least one label")
+        labels = _labelled(set(labels))
+        _strings((identity_key, source, target, *labels))
+        _endpoints(self.nodes, source, target)
         edge_id = self._edge_ids.get(identity_key)
         if edge_id is None:
             digest = hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
@@ -314,6 +327,7 @@ class PropertyGraph:
 
     def replace_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
         """Deliberate overwrite; the transform uses this for last-wins merges."""
+        _strings((key,))
         check_value(value)
         self.edges[edge_id].properties[key] = value
 
@@ -322,23 +336,24 @@ class PropertyGraph:
     def canonical_records(self) -> tuple:
         """The one canonical walk: (node records, edge records), in order.
 
-        Nodes come sorted by id and edges by _edge_order. Each record has
-        sorted labels and (key, value) property pairs sorted by key, with the
-        values as Python values. Before any record is returned, an id,
-        endpoint, label or key that is no string raises _strings' TypeError,
-        and a value JSON cannot encode the one encode_value raises.
+        Nodes come sorted by id and edges by (source, labels joined with
+        ";", target, id). Each record has sorted labels and (key, value)
+        property pairs sorted by key, with the values as Python values.
+        Every record is checked against the module's four graph rules before
+        any is returned, so a graph that breaks one raises that rule's
+        exception and message, whichever exporter asked.
         """
         nodes = []
         for node_id in sorted(_strings(self.nodes)):
             node = self.nodes[node_id]
-            nodes.append(NodeRecord(node_id, sorted(_strings(node.labels)), _sorted_properties(node.properties)))
-        edges = [
-            EdgeRecord(
-                edge.id, edge.source, edge.target, sorted(edge.labels),
-                _sorted_properties(edge.properties),
-            )
-            for edge in sorted(self.edges.values(), key=_edge_order)
-        ]
+            nodes.append(NodeRecord(node_id, _sorted_labels(node.labels), _sorted_properties(node.properties)))
+        edges = []
+        for edge in self.edges.values():
+            _strings((edge.id, edge.source, edge.target))
+            _endpoints(self.nodes, edge.source, edge.target)
+            labels, properties = _sorted_labels(edge.labels), _sorted_properties(edge.properties)
+            edges.append(EdgeRecord(edge.id, edge.source, edge.target, labels, properties))
+        edges.sort(key=lambda record: (record.source, ";".join(record.labels), record.target, record.id))
         return nodes, edges
 
     def canonical_form(self) -> dict:

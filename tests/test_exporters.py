@@ -23,7 +23,7 @@ from rdfstar2pg.exporters import (
     to_json,
 )
 from rdfstar2pg.parser import parse_turtle_star
-from rdfstar2pg.pgraph import Edge, Node, PropertyGraph, iri_key, kind_of
+from rdfstar2pg.pgraph import DanglingEndpoint, Edge, Node, PropertyGraph, iri_key, kind_of
 from rdfstar2pg.transform import Approach, TransformConfig, hybrid, pgt, rpt, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
@@ -131,20 +131,23 @@ class TestJson:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            (graph_doc(node(id=7)), "node id must be a string"),
-            (graph_doc(node(labels=[1])), "node n:a labels must be a list of strings"),
-            (graph_doc(node(labels="X")), "node n:a labels must be a list of strings"),
-            (graph_doc(node(properties=[])), "node n:a properties must be an object"),
-            (graph_doc(node(properties=None)), "node n:a properties must be an object"),
+            (graph_doc(node(id=7)), "node 7: node and edge ids, labels and property keys must be strings, got 7"),
+            (graph_doc(node(labels=[1])), "node n:a: node and edge ids, labels and property keys must be strings, got 1"),
+            (graph_doc(node(labels="X")), "node n:a: labels must be a list"),
+            (graph_doc(node(labels=[])), "node n:a: nodes and edges need at least one label"),
+            (graph_doc(node(properties=[])), "node n:a: properties must be an object"),
+            (graph_doc(node(properties=None)), "node n:a: properties must be an object"),
             (graph_doc(node(properties={"k": []})), "node n:a: empty list"),
             (graph_doc(node(properties={"k": [1, "x"]})), "node n:a: list property values must be homogeneous"),
             (graph_doc("n:a"), "node record is not an object"),
             ({"nodes": {"n:a": node()}, "edges": []}, "nodes and edges must be lists"),
-            (graph_doc(node(), edge(id=1)), "edge id must be a string"),
-            (graph_doc(node(), edge(source=None)), "edge source must be a string"),
-            (graph_doc(node(), edge(target=["n:a"])), "edge target must be a string"),
-            (graph_doc(node(), edge(labels=[None])), "edge e:1 labels must be a list of strings"),
-            (graph_doc(node(), edge(properties=[1])), "edge e:1 properties must be an object"),
+            (graph_doc(node(), edge(id=1)), "edge 1: node and edge ids, labels and property keys must be strings, got 1"),
+            (graph_doc(node(), edge(source=None)), "edge e:1: node and edge ids, labels and property keys must be strings, got None"),
+            (graph_doc(node(), edge(target=["n:a"])), "edge e:1: node and edge ids, labels and property keys must be strings, got "),
+            (graph_doc(node(), edge(target="n:b")), "edge e:1: edge endpoint 'n:b' is not a node"),
+            (graph_doc(node(), edge(labels=[None])), "edge e:1: node and edge ids, labels and property keys must be strings, got None"),
+            (graph_doc(node(), edge(labels=[])), "edge e:1: nodes and edges need at least one label"),
+            (graph_doc(node(), edge(properties=[1])), "edge e:1: properties must be an object"),
             (graph_doc(node(properties={"k": {"decimal": "abc"}})), "node n:a: invalid decimal text: 'abc'"),
             (graph_doc(node(properties={"k": {"date": 20200101}})), "node n:a: invalid date text: 20200101"),
             (graph_doc(node(properties={"k": {"decimal": 0.1}})), "node n:a: invalid decimal text: 0.1"),
@@ -195,10 +198,14 @@ class TestGraphml:
     def test_edge_endpoints_quoted_as_their_nodes(self):
         graph = PropertyGraph()
         graph.nodes['n:<a&"b">'] = Node('n:<a&"b">', {"X"}, {})
-        graph.edges["e:1"] = Edge("e:1", 'n:<a&"b">', "n:gone", {"r"}, {})  # built by hand
+        graph.nodes["n:c"] = Node("n:c", {"X"}, {})
+        graph.edges["e:1"] = Edge("e:1", 'n:<a&"b">', "n:c", {"r"}, {})
         text = to_graphml(graph).decode()
         assert """<node id='n:&lt;a&amp;"b"&gt;'>""" in text
-        assert """<edge id="e:1" source='n:&lt;a&amp;"b"&gt;' target="n:gone">""" in text
+        assert """<edge id="e:1" source='n:&lt;a&amp;"b"&gt;' target="n:c">""" in text
+        graph.edges["e:1"].target = "n:gone"  # built by hand: no such node
+        with pytest.raises(DanglingEndpoint, match="edge endpoint 'n:gone' is not a node"):
+            to_graphml(graph)
 
     def test_list_separator_is_a_raw_control_character(self):
         # list values embed U+001F verbatim; consumers split on it, and strict
@@ -425,9 +432,9 @@ def read_names(text: str, pos: int) -> tuple:
 class TestCypherNames:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sets(cypher_names, max_size=3),
+        st.sets(cypher_names, min_size=1, max_size=3),
         st.dictionaries(cypher_names.filter(lambda key: key != "id"), st.integers(-9, 9), max_size=3),
-        st.sets(cypher_names, max_size=3),
+        st.sets(cypher_names, min_size=1, max_size=3),
         st.dictionaries(cypher_names.filter(lambda key: key != "id"), st.integers(-9, 9), max_size=3),
     )
     def test_quoting_undoes_to_the_graph_names(self, node_labels, node_props, edge_labels, edge_props):
@@ -503,15 +510,15 @@ scalar_kinds = [
     st.dates(),
 ]
 property_values = st.one_of(
-    *scalar_kinds, *(st.lists(kind, max_size=3) for kind in scalar_kinds)
+    *scalar_kinds, *(st.lists(kind, min_size=1, max_size=3) for kind in scalar_kinds)
 )
 property_maps = st.dictionaries(text_values, property_values, max_size=4)
-label_sets = st.sets(text_values, max_size=3)
+label_sets = st.sets(text_values, min_size=1, max_size=3)
 
 
 @st.composite
 def hand_built_graphs(draw):
-    """Graphs built record by record, so empty labels and properties occur."""
+    """Valid graphs built record by record, so empty properties and names occur."""
     graph = PropertyGraph()
     for node_id in draw(st.lists(text_values, max_size=4, unique=True)):
         graph.nodes[node_id] = Node(node_id, draw(label_sets), draw(property_maps))
@@ -537,13 +544,18 @@ class TestJsonMatchesReference:
     def test_every_value_kind(self, graph):
         assert to_json(graph) == json_reference(graph)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hand_built_graphs())
+    def test_from_json_reads_back_every_graph_the_walk_accepts(self, graph):
+        assert from_json(to_json(graph)).canonical_form() == graph.canonical_form()
+
     def test_empty_graph(self):
         assert to_json(PropertyGraph()) == json_reference(PropertyGraph())
         assert to_json(PropertyGraph()) == b'{\n  "nodes": [],\n  "edges": []\n}\n'
 
     def test_non_string_ids_labels_and_keys(self):
-        # Only a graph built by hand has these; the walk refuses each one
-        # with the same TypeError, whichever format asked.
+        # Only a graph built by hand breaks a graph rule; the walk refuses
+        # each break with the same exception and message, whichever format asked.
         def node_id(graph):
             graph.nodes[7] = Node(7, {"C"}, {})
 
@@ -565,26 +577,62 @@ class TestJsonMatchesReference:
         def key(graph):
             graph.nodes["n:b"].properties[7] = "x"
 
-        for spoil in (node_id, edge_id, source, target, node_label, edge_label, key):
+        def node_no_labels(graph):
+            graph.nodes["n:a"].labels.clear()
+
+        def edge_no_labels(graph):
+            graph.edges["e:r"].labels.clear()
+
+        def dangling_source(graph):
+            graph.edges["e:r"].source = "n:zz"
+
+        def dangling_target(graph):
+            graph.edges["e:r"].target = "n:zz"
+
+        def empty_list(graph):
+            graph.nodes["n:a"].properties["k"] = []
+
+        def nested_lists(graph):
+            graph.edges["e:r"].properties["w"] = [[1, 2], []]
+
+        def mixed_list(graph):
+            graph.nodes["n:b"].properties["k"] = [1, "x"]
+
+        not_a_string = (TypeError, "node and edge ids, labels and property keys must be strings, got 7")
+        no_labels = (ValueError, "nodes and edges need at least one label")
+        refusals = [
+            (node_id, not_a_string), (edge_id, not_a_string), (source, not_a_string),
+            (target, not_a_string), (node_label, not_a_string), (edge_label, not_a_string),
+            (key, not_a_string), (node_no_labels, no_labels), (edge_no_labels, no_labels),
+            (dangling_source, (DanglingEndpoint, "edge endpoint 'n:zz' is not a node")),
+            (dangling_target, (DanglingEndpoint, "edge endpoint 'n:zz' is not a node")),
+            (empty_list, (TypeError, "empty list is not a valid property value")),
+            (nested_lists, (TypeError, "unsupported property value: [1, 2]")),
+            (mixed_list, (TypeError, "list property values must be homogeneous")),
+        ]
+        for spoil, (error, message) in refusals:
             graph = PropertyGraph()
             graph.nodes["n:a"] = Node("n:a", {"A"}, {"k": "x"})
             graph.nodes["n:b"] = Node("n:b", {"B"}, {})
             graph.edges["e:r"] = Edge("e:r", "n:a", "n:b", {"r"}, {"w": Decimal("1.5")})
             spoil(graph)
-            with pytest.raises(TypeError) as expected:
+            with pytest.raises(Exception) as expected:
                 graph.canonical_form()
-            assert str(expected.value) == (
-                "node and edge ids, labels and property keys must be strings, got 7"
-            ), spoil.__name__
+            assert type(expected.value) is error, spoil.__name__
+            assert str(expected.value).startswith(message), spoil.__name__
             for export in (to_json, to_graphml, to_cypher):
-                with pytest.raises(TypeError) as raised:
+                with pytest.raises(Exception) as raised:
                     export(graph)
+                assert type(raised.value) is error, (spoil.__name__, export.__name__)
                 assert str(raised.value) == str(expected.value), (spoil.__name__, export.__name__)
 
     @settings(max_examples=100, deadline=None)
     @given(
         hand_built_graphs(),
-        st.one_of(st.floats(), st.none(), st.just(object()), st.just(datetime.datetime(2020, 1, 2, 3, 4))),
+        st.one_of(
+            st.floats(), st.none(), st.just(object()), st.just(datetime.datetime(2020, 1, 2, 3, 4)),
+            st.just([]), st.just([[1, 2], []]), st.just([1, "x"]),
+        ),
         st.booleans(),
     )
     def test_unsupported_value_raises_the_same_type_error(self, graph, bad, in_list):

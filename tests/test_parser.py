@@ -301,6 +301,8 @@ LEXER_ERRORS = [
     ("string_escaped_low_surrogate", EX + 'ex:a ex:p\n  "ok \\t\\udfff" .', ErrorKind.LEXICAL, 3, 9, "escape \\udfff stands for a character strings exclude"),
     ("string_escaped_surrogate_in_quote", EX + '<<ex:a ex:p "x\\uDBFF\\uDC00">> ex:q ex:r .', ErrorKind.LEXICAL, 2, 15, "escape \\uDBFF stands for a character strings exclude"),
     ("string_raw_surrogate_beside_escape", EX + 'ex:a ex:p "\ud800\\t" .', ErrorKind.LEXICAL, 2, 12, "lone surrogate '\\ud800' inside string literal"),
+    ("string_raw_surrogate", '<http://a> <http://b> "x\ud800" .', ErrorKind.LEXICAL, 1, 25, "lone surrogate '\\ud800' inside string literal"),
+    ("iri_raw_surrogate", "<http://a\ud800> <http://b> <http://c> .", ErrorKind.LEXICAL, 1, 1, "illegal character inside IRI reference"),
     ("unterminated_string_after_escape", EX + 'ex:a ex:b\n  "a\\"b', ErrorKind.LEXICAL, 3, 3, "unterminated string literal"),
     ("base", "@base <http://x/> .", ErrorKind.UNSUPPORTED, 1, 1, "@base / relative IRIs are not supported"),
     ("base_after_comment", "# header\r\n\r\n  @base <http://x/> .", ErrorKind.UNSUPPORTED, 3, 3, "@base / relative IRIs are not supported"),

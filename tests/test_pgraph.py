@@ -139,8 +139,28 @@ class TestNodes:
 
     def test_node_requires_label(self):
         g = PropertyGraph()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nodes and edges need at least one label"):
             g.upsert_node("k")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, a: g.upsert_node(7, labels={"A"}),
+            lambda g, a: g.upsert_node("k", labels={7}),
+            lambda g, a: g.upsert_node("k", labels={"A"}, properties={7: "x"}),
+            lambda g, a: g.set_node_property(a, 7, "x"),
+            lambda g, a: g.upsert_edge(7, a, a, labels={"r"}),
+            lambda g, a: g.upsert_edge("e", a, a, labels={7}),
+            lambda g, a: g.upsert_edge("e", a, a, labels={"r"}, properties={7: "x"}),
+            lambda g, a: g.replace_edge_property(g.upsert_edge("e", a, a, labels={"r"}), 7, "x"),
+        ],
+    )
+    def test_setters_refuse_names_that_are_not_strings(self, build):
+        g = PropertyGraph()
+        a = g.upsert_node("a", labels={"A"})
+        with pytest.raises(TypeError) as raised:
+            build(g, a)
+        assert str(raised.value) == "node and edge ids, labels and property keys must be strings, got 7"
 
     def test_same_value_reassignment_is_fine(self):
         g = PropertyGraph()
@@ -204,9 +224,9 @@ class TestEdges:
 
     def test_dangling_endpoints_rejected(self):
         g, a, _ = small_graph()
-        with pytest.raises(DanglingEndpoint):
+        with pytest.raises(DanglingEndpoint, match="edge endpoint 'n:ghost' is not a node"):
             g.upsert_edge("stmt:x", a, "n:ghost", labels={"likes"})
-        with pytest.raises(DanglingEndpoint):
+        with pytest.raises(DanglingEndpoint, match="edge endpoint 'n:ghost' is not a node"):
             g.upsert_edge("stmt:x", "n:ghost", a, labels={"likes"})
 
     def test_same_key_different_endpoints_rejected(self):
@@ -217,7 +237,7 @@ class TestEdges:
 
     def test_edge_requires_label(self):
         g, a, b = small_graph()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nodes and edges need at least one label"):
             g.upsert_edge("stmt:x", a, b)
 
     def test_edge_property_conflict(self):
