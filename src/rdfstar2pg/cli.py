@@ -16,7 +16,8 @@ from collections import Counter
 from json.encoder import encode_basestring
 
 from .conformance import run_conformance
-from .exporters import UnrepresentableValue, to_cypher, to_graphml, to_json
+# to_json stays a name of this module: perfbench/spans.py wraps it here.
+from .exporters import UnrepresentableValue, _json_chunks, to_cypher, to_graphml, to_json  # noqa: F401
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
 from .transform import (
@@ -54,13 +55,14 @@ def _read_document(path: str):
         return None
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str, chunks) -> None:
+    """Write an iterable of bytes chunks to a file, or to stdout for "-"."""
     if path == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
 
 
 def _use_color() -> bool:
@@ -125,20 +127,23 @@ def cmd_convert(args) -> int:
     )
     graph, report = transform(dataset, config)
 
+    # JSON is written as it is made: it refuses nothing beyond the walk,
+    # which _json_chunks runs first. GraphML and Cypher can refuse partway
+    # through a graph, so each is made whole before a byte is written.
     try:
         if args.format == "json":
-            payload = to_json(graph)
+            chunks = _json_chunks(graph)
         elif args.format == "graphml":
-            payload = to_graphml(graph)
+            chunks = (to_graphml(graph),)
         else:
-            payload = to_cypher(graph).encode("utf-8")
+            chunks = (to_cypher(graph).encode("utf-8"),)
     except UnrepresentableValue as exc:
         print(f"error: cannot write {args.format}: {exc}", file=sys.stderr)
         return 1
-    _write_output(args.output, payload)
+    _write_output(args.output, chunks)
 
     if args.report:
-        _write_output(args.report, (_report_json(report.to_dict()) + "\n").encode("utf-8"))
+        _write_output(args.report, ((_report_json(report.to_dict()) + "\n").encode("utf-8"),))
 
     return 3 if report.lossy else 0
 
@@ -166,7 +171,7 @@ def cmd_conformance(args) -> int:
     if args.json:
         _write_output(
             args.json,
-            (json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8"),
+            ((json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8"),),
         )
     return 0 if report.passed else 1
 

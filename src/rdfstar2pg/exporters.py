@@ -12,7 +12,9 @@ refuses only what its own format cannot hold (UnrepresentableValue).
 
 to_json writes, record by record, exactly the bytes of
 json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False) plus a
-newline, using json's own C string encoder.
+newline, using json's own C string encoder. It joins the chunks of
+_json_chunks, which the CLI writes out one by one instead, so that it never
+holds the whole output.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from json.encoder import encode_basestring
 from operator import itemgetter
+from typing import Iterator
 
 from .model import _gc_paused
 from .pgraph import (
@@ -34,10 +37,12 @@ from .pgraph import (
     _endpoints,
     _labelled,
     _strings,
+    _unique,
     check_value,
     decode_value,
 )
 
+_CHUNK = 1 << 16  # least JSON characters per chunk streamed, the last excepted
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
 _INT64 = range(-(2**63), 2**63)  # GraphML's long and openCypher's INTEGER
 _first = itemgetter(0)
@@ -62,15 +67,50 @@ def _kind_64(key, value):
 @_gc_paused
 def to_json(graph: PropertyGraph) -> bytes:
     """The graph's canonical form as indented JSON, in UTF-8."""
+    return b"".join(_json_chunks(graph))
+
+
+def _json_chunks(graph: PropertyGraph) -> Iterator[bytes]:
+    """to_json's bytes, in UTF-8 chunks of _CHUNK characters or a record more.
+
+    The walk runs, and refuses an invalid graph, before this returns; the
+    chunks cannot fail after that, since JSON holds every valid graph.
+    """
     nodes, edges = graph.canonical_records()
-    text = "{\n" + _json_array("nodes", nodes) + ",\n" + _json_array("edges", edges) + "\n}\n"
-    return text.encode("utf-8")
+    return _utf8_chunks(_json_pieces(nodes, edges))
 
 
-def _json_array(name: str, records: list) -> str:
+def _json_pieces(nodes: list, edges: list) -> Iterator[str]:
+    yield "{\n"
+    yield from _json_array("nodes", nodes)
+    yield ",\n"
+    yield from _json_array("edges", edges)
+    yield "\n}\n"
+
+
+def _json_array(name: str, records: list) -> Iterator[str]:
     if not records:
-        return f'  "{name}": []'
-    return f'  "{name}": [\n' + ",\n".join(map(_json_record, records)) + "\n  ]"
+        yield f'  "{name}": []'
+        return
+    before = f'  "{name}": [\n'
+    for record in records:
+        yield before + _json_record(record)
+        before = ",\n"
+    yield "\n  ]"
+
+
+def _utf8_chunks(pieces) -> Iterator[bytes]:
+    """The text of pieces, encoded in chunks of at least _CHUNK characters, the last excepted."""
+    buffer: list = []
+    size = 0
+    for piece in pieces:
+        buffer.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(buffer).encode("utf-8")
+            buffer.clear()
+            size = 0
+    yield "".join(buffer).encode("utf-8")
 
 
 def _json_record(record) -> str:
@@ -106,13 +146,18 @@ def _json_value(value, indent: str) -> str:
     return "{\n" + inner + f'"{kind.tag}": ' + text + "\n" + indent + "}"
 
 
-def _record_parts(record, kind: str, string_fields: tuple, nodes: dict) -> tuple:
-    """(labels, properties) of one JSON record; string_fields name its id, then any endpoints."""
+def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: dict) -> tuple:
+    """(labels, properties) of one JSON record; string_fields name its id, then any endpoints.
+
+    filed holds the records of its kind read so far.
+    """
     if not isinstance(record, dict):
         raise ValueError(f"{kind} record is not an object: {record!r}")
     labels, properties = record.get("labels"), record.get("properties")
     try:
-        _endpoints(nodes, *_strings([record.get(name) for name in string_fields])[1:])
+        record_id, *ends = _strings([record.get(name) for name in string_fields])
+        _unique(filed, record_id)
+        _endpoints(nodes, *ends)
         if not isinstance(labels, list):
             raise ValueError("labels must be a list")
         _labelled(_strings(labels))
@@ -148,10 +193,10 @@ def from_json(data) -> PropertyGraph:
 
     graph = PropertyGraph()
     for record in nodes:
-        labels, props = _record_parts(record, "node", ("id",), graph.nodes)
+        labels, props = _record_parts(record, "node", ("id",), graph.nodes, graph.nodes)
         graph.nodes[record["id"]] = Node(record["id"], labels, props)
     for record in edges:
-        labels, props = _record_parts(record, "edge", ("id", "source", "target"), graph.nodes)
+        labels, props = _record_parts(record, "edge", ("id", "source", "target"), graph.nodes, graph.edges)
         graph.edges[record["id"]] = Edge(record["id"], record["source"], record["target"], labels, props)
     return graph
 

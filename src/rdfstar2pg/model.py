@@ -13,7 +13,6 @@ import functools
 import gc
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Optional, Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -69,11 +68,12 @@ def _stored_hash(term) -> int:
     return term._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute IRI. Equality is exact string equality."""
 
     value: str
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.value,)))
@@ -87,7 +87,7 @@ class Iri:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     """A blank node under its canonical document-scoped label (b0, b1, ...).
 
@@ -97,6 +97,7 @@ class BlankNode:
 
     label: str
     original: Optional[str] = field(default=None, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.label,)))
@@ -110,7 +111,7 @@ class BlankNode:
         return f"BlankNode(_:{self.label})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A literal: lexical form, datatype IRI, optional language tag.
 
@@ -122,6 +123,7 @@ class Literal:
     lexical: str
     datatype: Iri = Iri(XSD_STRING)
     lang: Optional[str] = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lang is not None and self.datatype.value == XSD_STRING:
@@ -143,7 +145,7 @@ class Literal:
         return f"Literal({self.lexical!r}^^{self.datatype.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotedTriple:
     """A statement used as a term (quoted, not asserted).
 
@@ -153,6 +155,7 @@ class QuotedTriple:
 
     statement: "Statement"
     depth: int = field(default=1, init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         subject, obj = self.statement.subject, self.statement.object
@@ -178,16 +181,19 @@ Term = Union[Iri, BlankNode, Literal, QuotedTriple]
 SubjectTerm = Union[Iri, BlankNode, QuotedTriple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One (subject, predicate, object) statement, possibly with quoted terms.
 
-    _text is the canonical text, made on first use by serialize_statement.
+    _text is the canonical text, made on first use by serialize_statement
+    and kept in its slot; None until then.
     """
 
     subject: SubjectTerm
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, compare=False, repr=False)
+    _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.subject, Literal):
@@ -206,11 +212,6 @@ class Statement:
 
     def __reduce__(self):
         return Statement, (self.subject, self.predicate, self.object)
-
-    @cached_property
-    def _text(self) -> str:
-        parts = (self.subject, self.predicate, self.object)
-        return " ".join(map(serialize_term, parts))
 
     def __repr__(self) -> str:
         return f"Statement({serialize_statement(self)})"
@@ -298,13 +299,17 @@ def serialize_term(term: Term) -> str:
             return body
         return f"{body}^^<{term.datatype.value}>"
     if isinstance(term, QuotedTriple):
-        return f"<< {term.statement._text} >>"
+        return f"<< {serialize_statement(term.statement)} >>"
     raise TypeError(f"not a term: {term!r}")
 
 
 def serialize_statement(statement: Statement) -> str:
     """The statement's canonical text; made once per statement object."""
-    return statement._text
+    text = statement._text
+    if text is None:
+        text = " ".join(map(serialize_term, (statement.subject, statement.predicate, statement.object)))
+        object.__setattr__(statement, "_text", text)
+    return text
 
 
 def statement_sort_key(statement: Statement) -> str:

@@ -18,8 +18,11 @@ The scanner is one compiled pattern of named alternatives, matched once per
 token at the current offset, with space and comments as its prefix. Tokens
 carry only their source offset; line and column are worked out when an
 error is raised. When no alternative matches, _lex_error explains why at
-the offending character. The whole document is scanned before parsing, so a
-lexical error anywhere wins over a syntax error before it.
+the offending character. The scanner is a generator that runs two tokens
+ahead of the parser, so no token list is ever built. A lexical error still
+wins over a syntax error before it: when the parser finds an error, it
+scans the rest of the document first and raises the first lexical error
+there, if any.
 
 Blank nodes are relabeled b0, b1, ... in order of first appearance; the
 source label survives on BlankNode.original. Each graph is deduplicated with
@@ -157,10 +160,11 @@ def _error_at(text: str, offset: int, message: str, kind: ErrorKind) -> ParseErr
     return ParseError(message, line, offset - text.rfind("\n", 0, offset), kind)
 
 
-def _tokenize(text: str) -> list:
-    """All tokens of `text`, ending in two EOF tokens (the parser looks one ahead)."""
-    out = []
-    append = out.append
+def _tokenize(text: str):
+    """Yield the tokens of `text` in order, ending in one EOF token.
+
+    A lexical error is raised when the scanner reaches it, not before.
+    """
     match = _TOKEN.match
     pos = 0
     while True:
@@ -173,35 +177,34 @@ def _tokenize(text: str) -> list:
         start = pos - len(lexeme)
         if kind == "PNAME":
             prefix, _, local = lexeme.partition(":")
-            append(Token(PNAME, prefix, start, local))
+            yield Token(PNAME, prefix, start, local)
         elif kind == "PUNCT":
-            append(Token(lexeme, lexeme, start))
+            yield Token(lexeme, lexeme, start)
         elif kind == "STRING":
             value = lexeme[1:-1]
             if "\\" in value:
                 value = _ESCAPE.sub(_unescape, value)
                 if _SURROGATE.search(value):
                     raise _string_error(text, start)
-            append(Token(STRING, value, start))
+            yield Token(STRING, value, start)
         elif kind == "IRIREF":
             value = lexeme[1:-1]
             if "\\" in value:  # only \uXXXX escapes match
                 value = _ESCAPE.sub(_unescape, value)
                 if _IRI_EXCLUDED.search(value):
                     raise _iri_error(text, start)
-            append(Token(IRIREF, value, start))
+            yield Token(IRIREF, value, start)
         elif kind == "NUMBER":
-            append(Token(DECIMAL if "." in lexeme else INTEGER, lexeme, start))
+            yield Token(DECIMAL if "." in lexeme else INTEGER, lexeme, start)
         elif kind == "LANGTAG":
-            append(Token(LANGTAG, lexeme[1:], start))
+            yield Token(LANGTAG, lexeme[1:], start)
         elif kind == "BLANK":
-            append(Token(BLANK, lexeme[2:], start))
+            yield Token(BLANK, lexeme[2:], start)
         elif kind == "EOF":
-            eof = Token(EOF, "", start)
-            out += (eof, eof)
-            return out
+            yield Token(EOF, "", start)
+            return
         else:  # A_KW, PREFIX_KW
-            append(Token(kind, lexeme, start))
+            yield Token(kind, lexeme, start)
 
 
 def _lex_error(text: str, pos: int) -> ParseError:
@@ -309,8 +312,10 @@ def _string_error(text: str, start: int) -> ParseError:
 class _Parser:
     def __init__(self, text: str):
         self.text = text.lstrip("\ufeff")
-        self.toks = _tokenize(self.text)
-        self.i = 0
+        self.tokens = _tokenize(self.text)
+        # the two-token look-ahead: the current token and the one after it
+        self.tok = next(self.tokens)
+        self.ahead = next(self.tokens, self.tok)
         self.depth = 0  # << >> and ( ) nesting of the term in flight
         self.prefixes: dict = {}
         self.bnode_map: dict = {}  # source label -> BlankNode
@@ -323,14 +328,11 @@ class _Parser:
 
     # --- token helpers ---
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
-
     def next(self) -> Token:
-        # every caller that consumes an EOF raises at once, so the index never
-        # passes the second EOF
-        tok = self.toks[self.i]
-        self.i += 1
+        # once the scanner has yielded its EOF, the EOF repeats
+        tok = self.tok
+        self.tok = self.ahead
+        self.ahead = next(self.tokens, self.ahead)
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
@@ -340,6 +342,9 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: Token, kind: ErrorKind = ErrorKind.SYNTAX):
+        # a lexical error anywhere wins: scan the rest of the document first
+        for _ in self.tokens:
+            pass
         raise _error_at(self.text, tok.start, message, kind)
 
     # --- shared terms and blank nodes ---
@@ -386,7 +391,7 @@ class _Parser:
 
     def parse(self) -> Dataset:
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == EOF:
                 break
             if tok.kind == PREFIX_KW:
@@ -402,7 +407,7 @@ class _Parser:
         return Dataset(self.default, self.named)
 
     def _starts_graph_block(self) -> bool:
-        return self.peek(1).kind == "{"
+        return self.ahead.kind == "{"
 
     def _prefix_directive(self) -> None:
         self.next()  # @prefix
@@ -421,18 +426,18 @@ class _Parser:
     def _graph_block(self) -> None:
         name = self._term(position="graph name")
         if not isinstance(name, Iri):
-            self.error("graph name must be an IRI", self.peek())
+            self.error("graph name must be an IRI", self.tok)
         self.expect("{", "'{'")
         statements = self.named.setdefault(name, [])
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "}":
                 self.next()
                 break
             if tok.kind == EOF:
                 self.error("unterminated graph block", tok)
             statements.extend(self._triples())
-            sep = self.peek()
+            sep = self.tok
             if sep.kind == ".":
                 self.next()
             elif sep.kind != "}":
@@ -440,7 +445,7 @@ class _Parser:
 
     def _triples(self) -> list:
         self.pending = []
-        first_tok = self.peek()
+        first_tok = self.tok
         subject = self._term(position="subject")
         if isinstance(subject, Literal):
             self.error("literal cannot be the subject of a statement", first_tok)
@@ -454,21 +459,21 @@ class _Parser:
             while True:
                 obj = self._term(position="object")
                 statements.append(Statement(subject, predicate, obj))
-                if self.peek().kind == ",":
+                if self.tok.kind == ",":
                     self.next()
                     continue
                 break
-            if self.peek().kind == ";":
+            if self.tok.kind == ";":
                 # swallow repeats; a dangling ';' before the terminator is legal
-                while self.peek().kind == ";":
+                while self.tok.kind == ";":
                     self.next()
-                if self.peek().kind in (".", "}"):
+                if self.tok.kind in (".", "}"):
                     return
                 continue
             return
 
     def _verb(self) -> Iri:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == A_KW:
             self.next()
             return self._iri(RDF_TYPE)
@@ -513,7 +518,7 @@ class _Parser:
         self.error(f"expected {position}, got {tok.value!r}", tok)
 
     def _literal_tail(self, tok: Token) -> Literal:
-        nxt = self.peek()
+        nxt = self.tok
         if nxt.kind == LANGTAG:
             self.next()
             return self._literal(tok.value, RDF_LANG_STRING, nxt.value)
@@ -564,7 +569,7 @@ class _Parser:
         self._enter(open_tok)
         elements = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == ")":
                 self.next()
                 break

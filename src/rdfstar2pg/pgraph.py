@@ -9,10 +9,12 @@ whose values stay Python values. Every exporter reads that walk directly.
 canonical_form() is the same walk as a plain JSON-ready structure, so two
 graphs are equal exactly when their canonical forms are equal.
 
-A valid graph keeps four rules, each one helper that the setters, the walk
-and from_json call: every id, endpoint, label and key is a str (_strings),
-every record has a label (_labelled), every value passes check_value, and
-every endpoint is a node (_endpoints). The exporters trust the walk.
+A valid graph keeps five rules, each checked where it can break: every id,
+endpoint, label and key is a str (_strings), every record has a label
+(_labelled), every value passes check_value, every endpoint is a node
+(_endpoints), and every record is filed under its own id, so no two share
+one (_own_key in the walk, _unique as from_json files records; the setters
+file each record under its id). The exporters trust the walk.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
 (not a datetime.datetime), or a flat homogeneous list of one of those. The
@@ -193,14 +195,14 @@ def is_bookkeeping_key(key: str) -> bool:
     return key in RESERVED_KEYS or key.endswith(".graph")
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: str
     labels: set = field(default_factory=set)
     properties: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: str
     source: str
@@ -229,6 +231,18 @@ def _endpoints(nodes: dict, *ends: str) -> None:
     for end in ends:
         if end not in nodes:
             raise DanglingEndpoint(f"edge endpoint {end!r} is not a node")
+
+
+def _unique(records: dict, record_id: str) -> None:
+    """The id rule as records are filed: no record of records has record_id yet."""
+    if record_id in records:
+        raise ValueError(f"id {record_id!r} is repeated")
+
+
+def _own_key(key: str, record_id: str) -> None:
+    """The id rule once filed: a record's id is its key, so no two records share an id."""
+    if record_id != key:
+        raise ValueError(f"id {record_id!r} is filed under the key {key!r}")
 
 
 def _merge_properties(owner: str, existing: dict, incoming: dict) -> None:
@@ -282,7 +296,6 @@ class PropertyGraph:
     def __init__(self) -> None:
         self.nodes: dict = {}
         self.edges: dict = {}
-        self._edge_ids: dict = {}
 
     # --- nodes ---
 
@@ -312,13 +325,10 @@ class PropertyGraph:
         labels = _labelled(set(labels))
         _strings((identity_key, source, target, *labels))
         _endpoints(self.nodes, source, target)
-        edge_id = self._edge_ids.get(identity_key)
-        if edge_id is None:
-            digest = hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
-            edge_id = "e:" + digest
-            self._edge_ids[identity_key] = edge_id
-            self.edges[edge_id] = Edge(edge_id, source, target)
-        edge = self.edges[edge_id]
+        edge_id = "e:" + hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
+        edge = self.edges.get(edge_id)
+        if edge is None:
+            edge = self.edges[edge_id] = Edge(edge_id, source, target)
         if (edge.source, edge.target) != (source, target):
             raise PropertyConflict(f"edge {edge_id} endpoints differ for key {identity_key!r}")
         edge.labels |= labels
@@ -339,17 +349,19 @@ class PropertyGraph:
         Nodes come sorted by id and edges by (source, labels joined with
         ";", target, id). Each record has sorted labels and (key, value)
         property pairs sorted by key, with the values as Python values.
-        Every record is checked against the module's four graph rules before
+        Every record is checked against the module's five graph rules before
         any is returned, so a graph that breaks one raises that rule's
         exception and message, whichever exporter asked.
         """
         nodes = []
         for node_id in sorted(_strings(self.nodes)):
             node = self.nodes[node_id]
+            _own_key(node_id, node.id)
             nodes.append(NodeRecord(node_id, _sorted_labels(node.labels), _sorted_properties(node.properties)))
         edges = []
-        for edge in self.edges.values():
+        for edge_id, edge in self.edges.items():
             _strings((edge.id, edge.source, edge.target))
+            _own_key(edge_id, edge.id)
             _endpoints(self.nodes, edge.source, edge.target)
             labels, properties = _sorted_labels(edge.labels), _sorted_properties(edge.properties)
             edges.append(EdgeRecord(edge.id, edge.source, edge.target, labels, properties))

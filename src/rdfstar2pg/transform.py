@@ -25,6 +25,8 @@ upserted once per graph scope.
 from __future__ import annotations
 
 import enum
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -121,7 +123,7 @@ class Status(enum.Enum):
     ERROR = "Error"
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportEntry:
     graph: Optional[Iri]
     statement: Statement
@@ -180,6 +182,7 @@ NOTE_NESTED = "nested quoted triple flattened to dotted property key"
 NOTE_OVERWRITTEN = "value overwritten by a later statement (last-wins)"
 NOTE_MIXED_TYPES = "mixed-type values merged as strings"
 NOTE_EDGE_TO_EDGE = "statement relates two quoted triples; recorded as edge id references"
+NOTE_LONG_INTEGER = "integer longer than int() reads stored as string value"
 
 
 def literal_value(lit: Literal) -> pgraph.PropertyValue:
@@ -203,6 +206,29 @@ def literal_value(lit: Literal) -> pgraph.PropertyValue:
     except (ValueError, InvalidOperation):
         return lit.lexical
     return lit.lexical
+
+
+# int() reads any decimal string this short, whatever sys.set_int_max_str_digits says
+_ALWAYS_READ = sys.int_info.str_digits_check_threshold
+_XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _holds_long_integer(st: Statement) -> bool:
+    """Whether st, or a statement it quotes, has a valid xsd:integer object
+    that int() refuses for its length, so literal_value keeps its text."""
+    for term in (st.subject, st.object):
+        if isinstance(term, QuotedTriple):
+            if _holds_long_integer(term.statement):
+                return True
+        elif (
+            isinstance(term, Literal)
+            and len(term.lexical) > _ALWAYS_READ
+            and term.datatype.value == XSD_INTEGER
+            and _XSD_INTEGER.fullmatch(term.lexical)
+            and type(literal_value(term)) is str
+        ):
+            return True
+    return False
 
 
 def _list_merge(staged: list) -> pgraph.PropertyValue:
@@ -264,6 +290,8 @@ class _Engine:
 
     def _unit(self, graph_name: Optional[Iri], st: Statement) -> ReportEntry:
         entry = ReportEntry(graph_name, st, Status.CONVERTED)
+        if _holds_long_integer(st):
+            entry.notes.append(NOTE_LONG_INTEGER)
         if graph_name is not None and self.cfg.named_graph_policy is NamedGraphPolicy.MERGE:
             entry.status = Status.PARTIAL
             entry.reason = LOSS_GRAPH_NAME_DISCARDED

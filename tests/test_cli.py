@@ -12,6 +12,7 @@ import pytest
 
 from rdfstar2pg.cli import _report_json, build_parser, main
 from rdfstar2pg.conformance import builtin_corpus
+from rdfstar2pg.exporters import _json_chunks, to_json
 from rdfstar2pg.model import Iri, Literal, Statement, statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import Approach, ReportEntry, Status, TransformConfig, TransformReport, transform
@@ -219,6 +220,44 @@ class TestConvert:
         assert code == 1 and out == b""
         assert err.decode().startswith("parse error at line 2, column 385: ")
         assert "Traceback" not in err.decode()
+
+
+# a document whose JSON runs to several chunks, with text of every UTF-8 length
+STREAMED = EX + "".join(
+    f'ex:s{i} ex:knows ex:s{i + 1} ; ex:name "näme {i} ✓ 𝄞" .\n'
+    f"<<ex:s{i} ex:knows ex:s{i + 1}>> ex:since {i} .\n"
+    for i in range(400)
+)
+
+
+class TestStreamedJson:
+    """convert writes JSON chunk by chunk, byte for byte what to_json returns."""
+
+    @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+    @pytest.mark.parametrize(
+        "source", [case.source for case in builtin_corpus()] + [STREAMED],
+        ids=[case.id for case in builtin_corpus()] + ["streamed"],
+    )
+    def test_stdout_and_output_file_are_to_json(self, source, approach, tmp_path, capsysbinary):
+        path = tmp_path / "in.ttl"
+        path.write_text(source, encoding="utf-8")
+        graph, report = transform(parse_turtle_star(source), TransformConfig(approach=approach))
+        expected = to_json(graph)
+        code = 3 if report.lossy else 0
+        assert main(["convert", str(path), "--approach", approach.value]) == code
+        assert capsysbinary.readouterr().out == expected
+        target = tmp_path / "out.json"
+        assert main(["convert", str(path), "--approach", approach.value, "--output", str(target)]) == code
+        assert capsysbinary.readouterr().out == b""
+        assert target.read_bytes() == expected
+
+    def test_large_output_comes_in_several_chunks(self):
+        graph, _ = transform(parse_turtle_star(STREAMED), TransformConfig())
+        chunks = list(_json_chunks(graph))
+        assert len(chunks) > 2
+        assert b"".join(chunks) == to_json(graph)
+        for chunk in chunks:
+            chunk.decode("utf-8")  # no character is split between chunks
 
 
 def hand_report() -> TransformReport:

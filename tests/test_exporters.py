@@ -159,6 +159,9 @@ class TestJson:
             (graph_doc(node(properties={"k": {"date": "2020-W01-1"}})), "node n:a: invalid date text: '2020-W01-1'"),
             (graph_doc(node(properties={"k": {"time": "03:04"}})), "node n:a: unknown tagged value"),
             (graph_doc(node(properties={"k": 1.5})), "node n:a: cannot decode property value: 1.5"),
+            # a second record with one id used to replace the first: one node labelled Y, k lost
+            ({"nodes": [node(properties={"k": 1}), node(labels=["Y"])], "edges": []}, "node n:a: id 'n:a' is repeated"),
+            (graph_doc(node(), edge(), edge()), "edge e:1: id 'e:1' is repeated"),
         ],
     )
     def test_from_json_rejects_malformed_records(self, doc, message):
@@ -598,6 +601,13 @@ class TestJsonMatchesReference:
         def mixed_list(graph):
             graph.nodes["n:b"].properties["k"] = [1, "x"]
 
+        def node_filed_elsewhere(graph):
+            graph.nodes["n:b"].id = "n:c"
+
+        def two_edges_one_id(graph):
+            # to_json used to write both records, and from_json kept the second
+            graph.edges["e:2"] = Edge("e:r", "n:a", "n:b", {"r"}, {})
+
         not_a_string = (TypeError, "node and edge ids, labels and property keys must be strings, got 7")
         no_labels = (ValueError, "nodes and edges need at least one label")
         refusals = [
@@ -609,6 +619,8 @@ class TestJsonMatchesReference:
             (empty_list, (TypeError, "empty list is not a valid property value")),
             (nested_lists, (TypeError, "unsupported property value: [1, 2]")),
             (mixed_list, (TypeError, "list property values must be homogeneous")),
+            (node_filed_elsewhere, (ValueError, "id 'n:c' is filed under the key 'n:b'")),
+            (two_edges_one_id, (ValueError, "id 'e:r' is filed under the key 'e:2'")),
         ]
         for spoil, (error, message) in refusals:
             graph = PropertyGraph()

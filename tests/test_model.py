@@ -334,6 +334,23 @@ class TestStoredHashes:
         assert int(found) == int(built) == len(statements) == 3
 
 
+def test_pipeline_objects_are_slotted_and_pickle():
+    from rdfstar2pg.pgraph import Edge, Node
+    from rdfstar2pg.transform import ReportEntry, Status
+
+    statement = parse_turtle_star(PICKLED).default[0]
+    serialize_statement(statement)  # fills its text slot
+    objects = [
+        Iri("http://x/a"), BlankNode("b0", original="x"), Literal("1", Iri(XSD_INTEGER)),
+        Literal("a", lang="en"), QuotedTriple(statement), statement,
+        Node("n:a", {"A"}, {"k": 1}), Edge("e:1", "n:a", "n:a", {"r"}, {}),
+        ReportEntry(None, statement, Status.CONVERTED, notes=["a note"]),
+    ]
+    for item in objects:
+        assert not hasattr(item, "__dict__"), type(item).__name__
+        assert pickle.loads(pickle.dumps(item)) == item, type(item).__name__
+
+
 class TestDataset:
     def test_dedup_preserves_first_appearance(self):
         s1 = st(iri("a"), iri("p"), iri("b"))

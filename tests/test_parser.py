@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rdfstar2pg.model import (
@@ -26,6 +28,7 @@ from rdfstar2pg.parser import (
 from rdfstar2pg.transform import hybrid, pgt, rpt
 
 EX = "@prefix ex: <http://example.org/> .\n"
+FILLER = "ex:s ex:p ex:o .\n" * 2000
 
 
 def only(dataset):
@@ -336,6 +339,11 @@ LEXER_ERRORS = [
     # space before an error must not backtrack exponentially: this row hangs if it does
     ("long_space_run", EX + "ex:a ex:b\n" + " \t" * 20 + "?", ErrorKind.LEXICAL, 3, 41, "unexpected character '?'"),
     ("lexical_after_syntax", EX + "ex:a ex:b ex:c ex:d .\nex:e ex:f ^ .", ErrorKind.LEXICAL, 3, 11, "stray '^' (datatype marker is '^^')"),
+    # the scanner runs only two tokens ahead of the parser; a lexical error
+    # far past the parser's first error must still win
+    ("lexical_2000_statements_after_syntax", EX + "ex:a ex:b ex:c ex:d .\n" + FILLER + "ex:e ex:f ^ .", ErrorKind.LEXICAL, 2003, 11, "stray '^' (datatype marker is '^^')"),
+    ("lexical_2000_statements_after_undefined_prefix", EX + "ex:a zz:b ex:c .\n" + FILLER + "ex:e ex:f $ .", ErrorKind.LEXICAL, 2003, 11, "unexpected character '$'"),
+    ("lexical_2000_statements_after_unsupported", EX + "ex:a ex:b [ ex:c ex:d ] .\n" + FILLER + '"\\q"', ErrorKind.LEXICAL, 2003, 2, "unsupported escape sequence \\q"),
 ]
 
 
@@ -461,3 +469,28 @@ class TestSerializeStatement:
         assert serialize_statement(st) == (
             "<http://example.org/alice> <http://example.org/meets> <http://example.org/bob>"
         )
+
+
+def mixed_document(count: int) -> str:
+    """count distinct statements of every kind the parser reads, some quoted."""
+    lines = [EX, "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"]
+    for i in range(count // 5):
+        lines.append(
+            f"ex:s{i} ex:knows ex:s{i + 1} ; a ex:Person ;\n"
+            f'    ex:name "n\\t{i}"@en ; ex:age {i} .\n'
+            f"<<ex:s{i} ex:knows ex:s{i + 1}>> ex:since \"{i}.5\"^^xsd:decimal .\n"
+        )
+    return "".join(lines)
+
+
+def test_parse_peaks_near_what_the_dataset_keeps():
+    # a token list of the whole document puts the peak at about 3.4 times this
+    text = mixed_document(5000)
+    tracemalloc.start()
+    try:
+        dataset = parse_turtle_star(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 5000
+    assert peak <= 2 * kept, (peak, kept)

@@ -15,6 +15,7 @@ from rdfstar2pg.transform import (
     NOTE_EDGE_TO_EDGE,
     NOTE_INVERSE,
     NOTE_IRI_AS_STRING,
+    NOTE_LONG_INTEGER,
     NOTE_MIXED_TYPES,
     NOTE_NESTED,
     NOTE_OVERWRITTEN,
@@ -81,6 +82,33 @@ class TestLiteralValue:
     def test_language_tagged_stays_string(self):
         st = parse_turtle_star(EX + 'ex:a ex:p "Bog"@da .').default[0]
         assert literal_value(st.object) == "Bog"
+
+
+class TestLongIntegers:
+    """int() refuses more than 4,300 digits by default; such an integer is
+    kept as its text, and the report says so."""
+
+    BIG = "9" * 5000
+
+    @pytest.mark.parametrize("fn", [pgt, hybrid, rpt])
+    def test_too_long_for_int_is_noted(self, fn):
+        graph, report = fn(ds(EX + f"ex:a ex:big {self.BIG} ."))
+        values = [p for n in graph.nodes.values() for k, p in n.properties.items() if k in ("big", "value")]
+        assert values == [self.BIG]
+        assert [entry.notes for entry in report.notes] == [[NOTE_LONG_INTEGER]]
+        assert not report.lossy
+
+    @pytest.mark.parametrize("fn", [pgt, hybrid])
+    def test_quoted_too_long_for_int_is_noted(self, fn):
+        _, report = fn(ds(EX + f"<<ex:a ex:big -{self.BIG}>> ex:source ex:b ."))
+        (entry,) = report.notes + report.partial
+        assert NOTE_LONG_INTEGER in entry.notes
+
+    @pytest.mark.parametrize("fn", [pgt, hybrid])
+    @pytest.mark.parametrize("literal", ["9" * 4300, f'"{BIG}x"^^xsd:integer', f'"{BIG}"'])
+    def test_read_or_not_an_integer_is_not_noted(self, fn, literal):
+        _, report = fn(ds(EX + XSD + f"ex:a ex:big {literal} ."))
+        assert report.notes == []
 
 
 class TestApproachShapes:
