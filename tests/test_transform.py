@@ -1,11 +1,13 @@
 import datetime
 import hashlib
+import itertools
 import json
 from decimal import Decimal
 
 import pytest
 
 from rdfstar2pg.conformance import builtin_corpus, case_sort_key
+from rdfstar2pg.exporters import to_cypher, to_graphml, to_json
 from rdfstar2pg.model import Dataset, Iri, statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import (
@@ -741,3 +743,39 @@ def test_corpus_report_bytes_are_pinned():
             count += 1
     assert count == 69
     assert digest.hexdigest() == CORPUS_REPORTS_SHA256
+
+
+# sha256 over the JSON, GraphML, Cypher and report bytes of every corpus case
+# under every TransformConfig: configurations in field and enum order (None
+# first for the rdf:type policy), then cases by case_sort_key.
+ALL_CONFIGS_SHA256 = {
+    "json": "53c3f06f224c19ce045ad9e68bc303190de96461c95cf2c79a82d7b774ad85fe",
+    "graphml": "1d4142d5892f9b33f3ad11ee7a968c4fe371d4e7503432b8e9354cf281271045",
+    "cypher": "58c3993cfb6e461ca99a6231944ead996885a12f04b716c98293d4cd201b3848",
+    "report": "18f0a0fa97532201ddde9b151e9f1069d7e2792eaa81a9f51fb172596c848aa4",
+}
+
+
+def test_every_configuration_is_pinned():
+    cases = [
+        parse_turtle_star(case.source)
+        for case in sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id))
+    ]
+    configs = [
+        TransformConfig(*fields)
+        for fields in itertools.product(
+            Approach, DatatypePolicy, [None, *RdfTypePolicy], NamedGraphPolicy, ListPolicy
+        )
+    ]
+    digests = {fmt: hashlib.sha256() for fmt in ALL_CONFIGS_SHA256}
+    for cfg in configs:
+        for dataset in cases:
+            graph, report = transform(dataset, cfg)
+            digests["json"].update(to_json(graph))
+            digests["graphml"].update(to_graphml(graph))
+            digests["cypher"].update(to_cypher(graph).encode())
+            digests["report"].update(
+                json.dumps(report.to_dict(), indent=2, ensure_ascii=False).encode()
+            )
+    assert (len(configs), len(cases)) == (108, 23)
+    assert {fmt: d.hexdigest() for fmt, d in digests.items()} == ALL_CONFIGS_SHA256
