@@ -204,24 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser("convert", help="parse, transform, and export a document")
     convert.add_argument("input", help="input file, or - for standard input")
     convert.add_argument(
-        "--approach", choices=["rpt", "pgt", "hybrid"], default="hybrid",
+        "--approach", choices=[m.value for m in Approach], default="hybrid",
         help="transformation approach (default: hybrid)",
     )
     convert.add_argument(
-        "--datatype-policy", choices=["edge", "property"], default="property",
+        "--datatype-policy", choices=[m.value for m in DatatypePolicy], default="property",
         help="hybrid only: what plain datatype statements become (default: property)",
     )
     convert.add_argument(
-        "--rdf-type-policy", choices=["edge", "label"], default=None,
+        "--rdf-type-policy", choices=[m.value for m in RdfTypePolicy], default=None,
         help="rdf:type handling (default: label for pgt, edge otherwise)",
     )
     convert.add_argument(
-        "--named-graph-policy", choices=["merge", "partition", "edge-property"],
-        default="edge-property",
+        "--named-graph-policy", choices=[m.value for m in NamedGraphPolicy], default="edge-property",
         help="named graph handling (default: edge-property)",
     )
     convert.add_argument(
-        "--list-policy", choices=["expand", "collapse"], default="expand",
+        "--list-policy", choices=[m.value for m in ListPolicy], default="expand",
         help="collection handling (default: expand)",
     )
     convert.add_argument(
