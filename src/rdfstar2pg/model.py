@@ -312,10 +312,6 @@ def serialize_statement(statement: Statement) -> str:
     return text
 
 
-def statement_sort_key(statement: Statement) -> str:
-    return serialize_statement(statement)
-
-
 # ---------------------------------------------------------------------------
 # Dataset
 # ---------------------------------------------------------------------------

@@ -11,9 +11,18 @@ Three approaches:
 
 Star statements materialize their embedded statement as an edge and attach
 the asserted (predicate, object) pair as an edge property. The one genuine
-loss is pgt on a star statement whose embedded statement is a
-datatype-property statement: there is no edge to attach to, so the asserted
-pair is dropped and the statement is reported as partial.
+loss is pgt on a star statement that quotes a datatype-property statement
+directly: there is no edge to attach to, so the asserted pair is dropped
+and the statement is reported as partial.
+
+The engine reads its TransformConfig once, at construction, into the rules
+that differ between approaches: rpt's kind labels on edges, pgt's
+drop-and-stage-once rule for quoted facts, datatype statements as
+properties or edges, rdf:type as a label or an edge (None resolved per
+approach), and whether all-literal collections collapse. Each graph of the
+dataset is then entered once: the graph in flight fixes the node and edge
+key suffixes, the edge "graph" property value and whether the graph name is
+discarded, so no statement re-decides the named-graph policy.
 
 Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
@@ -57,7 +66,6 @@ from .model import (
     is_star,
     local_name,
     serialize_statement,
-    statement_sort_key,
 )
 from .pgraph import PropertyGraph
 
@@ -100,20 +108,6 @@ class TransformConfig:
     rdf_type_policy: Optional[RdfTypePolicy] = None
     named_graph_policy: NamedGraphPolicy = NamedGraphPolicy.EDGE_PROPERTY
     list_policy: ListPolicy = ListPolicy.EXPAND
-
-    def resolved_type_policy(self) -> RdfTypePolicy:
-        if self.rdf_type_policy is not None:
-            return self.rdf_type_policy
-        if self.approach is Approach.PGT:
-            return RdfTypePolicy.AS_LABEL
-        return RdfTypePolicy.AS_EDGE
-
-    def datatype_as_property(self) -> bool:
-        """Whether plain datatype-property statements become node properties."""
-        return self.approach is Approach.PGT or (
-            self.approach is Approach.HYBRID
-            and self.datatype_policy is DatatypePolicy.AS_PROPERTY
-        )
 
 
 class Status(enum.Enum):
@@ -266,33 +260,46 @@ def _safe_key(key: str) -> str:
 class _Engine:
     def __init__(self, dataset: Dataset, cfg: TransformConfig):
         self.dataset = dataset
-        self.cfg = cfg
+        approach = cfg.approach
+        # rpt: an edge also carries its statement kind as a label
+        self.kind_labels = approach is Approach.RPT
+        # pgt: a star statement quoting a datatype statement stages that fact,
+        # once per graph, and drops its own pair
+        self.drop_fact_pairs = approach is Approach.PGT
+        self.datatype_as_property = approach is Approach.PGT or (
+            approach is Approach.HYBRID and cfg.datatype_policy is DatatypePolicy.AS_PROPERTY
+        )
+        type_policy = cfg.rdf_type_policy or (
+            RdfTypePolicy.AS_LABEL if approach is Approach.PGT else RdfTypePolicy.AS_EDGE
+        )
+        self.type_as_label = type_policy is RdfTypePolicy.AS_LABEL
+        self.collapse_lists = (
+            cfg.list_policy is ListPolicy.COLLAPSE_LITERALS and self.datatype_as_property
+        )
+        self.graph_policy = cfg.named_graph_policy
         self.graph = PropertyGraph()
         self.units: list = []
         # staged properties: identity -> list of (value, unit or None)
         self.node_props: dict = {}
         self.edge_props: dict = {}
-        self.collapsed: dict = {}  # graph scope -> {statement -> role}
-        self.node_ids: dict = {}  # (term, graph suffix) -> node id
-        self.facts: set = set()  # pgt: (graph name, datatype statement) already staged
+        self.node_ids: dict = {}  # (term, node key suffix) -> node id
 
-    # --- context helpers ---
+    def _enter(self, graph_name: Optional[Iri]) -> None:
+        """Set the graph in flight; every statement until the next call is in it."""
+        name = None if graph_name is None else graph_name.value
+        policy = self.graph_policy
+        self.graph_name = graph_name
+        self.name_discarded = name is not None and policy is NamedGraphPolicy.MERGE
+        self.node_suffix = name if policy is NamedGraphPolicy.PARTITION else None
+        self.edge_suffix = None if policy is NamedGraphPolicy.MERGE else name
+        self.graph_value = name if policy is NamedGraphPolicy.EDGE_PROPERTY else None
+        self.facts: set = set()  # pgt: datatype statements already staged in this graph
 
-    def _suffix(self, graph_name: Optional[Iri], for_edge: bool) -> Optional[str]:
-        if graph_name is None:
-            return None
-        policy = self.cfg.named_graph_policy
-        if policy is NamedGraphPolicy.PARTITION:
-            return graph_name.value
-        if policy is NamedGraphPolicy.EDGE_PROPERTY and for_edge:
-            return graph_name.value
-        return None
-
-    def _unit(self, graph_name: Optional[Iri], st: Statement) -> ReportEntry:
-        entry = ReportEntry(graph_name, st, Status.CONVERTED)
+    def _unit(self, st: Statement) -> ReportEntry:
+        entry = ReportEntry(self.graph_name, st, Status.CONVERTED)
         if _holds_long_integer(st):
             entry.notes.append(NOTE_LONG_INTEGER)
-        if graph_name is not None and self.cfg.named_graph_policy is NamedGraphPolicy.MERGE:
+        if self.name_discarded:
             entry.status = Status.PARTIAL
             entry.reason = LOSS_GRAPH_NAME_DISCARDED
         self.units.append(entry)
@@ -305,9 +312,9 @@ class _Engine:
 
     # --- node materialization ---
 
-    def node_id(self, term, graph_name: Optional[Iri]) -> str:
-        """The node of a term in a graph scope, upserted the first time only."""
-        suffix = self._suffix(graph_name, for_edge=False)
+    def node_id(self, term) -> str:
+        """The node of a term in the graph in flight, upserted the first time only."""
+        suffix = self.node_suffix
         node_id = self.node_ids.get((term, suffix))
         if node_id is None:
             node_id = self.node_ids[term, suffix] = self._upsert_node(term, suffix)
@@ -336,25 +343,28 @@ class _Engine:
     def _stage(table: dict, owner: str, key: str, value, unit) -> None:
         table.setdefault((owner, key), []).append((value, unit))
 
-    def stage_graph_companion(self, node_id: str, key: str, graph_iri: str) -> None:
+    def stage_graph_companion(self, node_id: str, key: str) -> None:
+        """Under edge-property, record on a node the graphs that stated key."""
+        if self.graph_value is None:
+            return
         staged = self.node_props.setdefault((node_id, key), [])
-        if all(value != graph_iri for value, _ in staged):
-            staged.append((graph_iri, None))
+        if all(value != self.graph_value for value, _ in staged):
+            staged.append((self.graph_value, None))
 
-    def stage_fact(self, st: Statement, graph_name: Optional[Iri], unit) -> Tuple[str, str]:
-        """Stage a datatype statement's value on its subject node; returns (node, key).
+    def stage_fact(self, st: Statement, value, unit) -> Tuple[str, str]:
+        """Stage a fact's value on its subject node; returns (node, key).
 
         A statement both asserted and quoted, or quoted twice, is one fact:
         its value is staged once per graph. Only pgt's drop rule stages
         quoted statements, so only pgt keeps track.
         """
-        node = self.node_id(st.subject, graph_name)
+        node = self.node_id(st.subject)
         key = _safe_key(local_name(st.predicate))
-        if self.cfg.approach is Approach.PGT:
-            if (graph_name, st) in self.facts:
+        if self.drop_fact_pairs:
+            if st in self.facts:
                 return node, key
-            self.facts.add((graph_name, st))
-        self._stage(self.node_props, node, key, literal_value(st.object), unit)
+            self.facts.add(st)
+        self._stage(self.node_props, node, key, value, unit)
         return node, key
 
     def _apply_staged(self) -> None:
@@ -365,21 +375,15 @@ class _Engine:
 
     # --- edges ---
 
-    def edge_for(self, st: Statement, graph_name: Optional[Iri]) -> str:
+    def edge_for(self, st: Statement) -> str:
         """Materialize a plain statement as an edge between term nodes."""
-        source = self.node_id(st.subject, graph_name)
-        target = self.node_id(st.object, graph_name)
+        source = self.node_id(st.subject)
+        target = self.node_id(st.object)
         labels = {local_name(st.predicate)}
-        if self.cfg.approach is Approach.RPT:
+        if self.kind_labels:
             labels.add(classify(st).value)  # ObjectProperty / DatatypeProperty
-        suffix = self._suffix(graph_name, for_edge=True)
-        key = pgraph.with_graph("stmt:" + serialize_statement(st), suffix)
-        props = {}
-        if (
-            graph_name is not None
-            and self.cfg.named_graph_policy is NamedGraphPolicy.EDGE_PROPERTY
-        ):
-            props["graph"] = graph_name.value
+        key = pgraph.with_graph("stmt:" + serialize_statement(st), self.edge_suffix)
+        props = {} if self.graph_value is None else {"graph": self.graph_value}
         return self.graph.upsert_edge(key, source, target, labels, props)
 
     # --- star statements ---
@@ -396,7 +400,7 @@ class _Engine:
             return "_:" + term.label
         raise TypeError(f"no property value for {term!r}")
 
-    def embedded_edge(self, st: Statement, graph_name: Optional[Iri]) -> Tuple[str, str]:
+    def embedded_edge(self, st: Statement) -> Tuple[str, str]:
         """Turn an embedded statement into an edge; returns (edge id, key prefix).
 
         A plain embedded statement maps straight to an edge regardless of
@@ -405,12 +409,12 @@ class _Engine:
         statement and attaches its asserted pair under a dotted key.
         """
         if not is_star(st):
-            return self.edge_for(st, graph_name), ""
-        unit = self._unit(graph_name, st)
+            return self.edge_for(st), ""
+        unit = self._unit(st)
         unit.notes.append(NOTE_NESTED)
-        return self.attach_pair(st, graph_name, unit)
+        return self.attach_pair(st, unit)
 
-    def attach_pair(self, st: Statement, graph_name: Optional[Iri], unit: ReportEntry) -> Tuple[str, str]:
+    def attach_pair(self, st: Statement, unit: ReportEntry) -> Tuple[str, str]:
         """Attach a star statement's asserted pair to the edge it quotes.
 
         The carrier is the subject-side edge, or the object-side edge when
@@ -421,13 +425,13 @@ class _Engine:
         kind = classify(st)
         predicate = local_name(st.predicate)
         if kind is StatementKind.STAR_OBJECT:
-            edge_id, prefix = self.embedded_edge(st.object.statement, graph_name)
+            edge_id, prefix = self.embedded_edge(st.object.statement)
             key = "inv:" + predicate
         else:
-            edge_id, prefix = self.embedded_edge(st.subject.statement, graph_name)
+            edge_id, prefix = self.embedded_edge(st.subject.statement)
             key = predicate
         if kind is StatementKind.STAR_BOTH:
-            object_edge, _ = self.embedded_edge(st.object.statement, graph_name)
+            object_edge, _ = self.embedded_edge(st.object.statement)
         if prefix:
             key = f"{prefix}.{key}"
             if NOTE_NESTED not in unit.notes:
@@ -439,7 +443,7 @@ class _Engine:
             unit.notes.append(NOTE_INVERSE)
             value = self.pair_value(st.subject, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
-            subject_node = self.node_id(st.subject, graph_name)
+            subject_node = self.node_id(st.subject)
             self._stage(self.node_props, subject_node, _safe_key(predicate), edge_id, unit)
         else:  # STAR_BOTH: the two edges reference each other
             unit.notes.append(NOTE_EDGE_TO_EDGE)
@@ -447,81 +451,64 @@ class _Engine:
             self._stage(self.edge_props, object_edge, _safe_key("inv:" + predicate), edge_id, unit)
         return edge_id, key
 
-    def star_statement(self, st: Statement, graph_name: Optional[Iri], unit: ReportEntry) -> None:
-        quoted = [t.statement for t in (st.subject, st.object) if isinstance(t, QuotedTriple)]
-        drops = [q for q in quoted if classify(q) is StatementKind.DATATYPE_PROPERTY]
-        if self.cfg.approach is Approach.PGT and drops:
-            # pgt turns a directly embedded datatype-property statement into
-            # a node property; the asserted pair has nowhere to live
-            for embedded in drops:
-                self.stage_fact(embedded, graph_name, unit)
-            for embedded in quoted:
-                if embedded not in drops:
-                    self.embedded_edge(embedded, graph_name)
-            self._mark_partial(unit, LOSS_PROPERTIES_OVER_PROPERTIES)
-            return
-        self.attach_pair(st, graph_name, unit)
+    def star_statement(self, st: Statement, unit: ReportEntry) -> None:
+        if self.drop_fact_pairs:
+            quoted = [t.statement for t in (st.subject, st.object) if isinstance(t, QuotedTriple)]
+            drops = [q for q in quoted if classify(q) is StatementKind.DATATYPE_PROPERTY]
+            if drops:
+                # a directly quoted datatype statement becomes a node
+                # property; the asserted pair has nowhere to live
+                for embedded in drops:
+                    self.stage_fact(embedded, literal_value(embedded.object), unit)
+                for embedded in quoted:
+                    if embedded not in drops:
+                        self.embedded_edge(embedded)
+                self._mark_partial(unit, LOSS_PROPERTIES_OVER_PROPERTIES)
+                return
+        self.attach_pair(st, unit)
 
     # --- plain statements ---
 
-    def datatype_statement(self, st: Statement, graph_name: Optional[Iri], unit) -> None:
-        if not self.cfg.datatype_as_property():
-            self.edge_for(st, graph_name)
+    def datatype_statement(self, st: Statement, unit) -> None:
+        if not self.datatype_as_property:
+            self.edge_for(st)
             return
-        node, key = self.stage_fact(st, graph_name, unit)
-        if (
-            graph_name is not None
-            and self.cfg.named_graph_policy is NamedGraphPolicy.EDGE_PROPERTY
-        ):
-            self.stage_graph_companion(node, key + ".graph", graph_name.value)
+        node, key = self.stage_fact(st, literal_value(st.object), unit)
+        self.stage_graph_companion(node, key + ".graph")
 
-    def object_statement(self, st: Statement, graph_name: Optional[Iri], unit) -> None:
-        if (
-            st.predicate.value == RDF_TYPE
-            and self.cfg.resolved_type_policy() is RdfTypePolicy.AS_LABEL
-            and isinstance(st.object, Iri)
-        ):
+    def object_statement(self, st: Statement, unit) -> None:
+        if self.type_as_label and st.predicate.value == RDF_TYPE and isinstance(st.object, Iri):
             label = local_name(st.object)
-            node = self.node_id(st.subject, graph_name)
+            node = self.node_id(st.subject)
             self.graph.nodes[node].labels.add(label)
-            if (
-                graph_name is not None
-                and self.cfg.named_graph_policy is NamedGraphPolicy.EDGE_PROPERTY
-            ):
-                self.stage_graph_companion(node, label + ".graph", graph_name.value)
+            self.stage_graph_companion(node, label + ".graph")
             return
-        self.edge_for(st, graph_name)
+        self.edge_for(st)
 
-    # --- collection collapsing (pgt-style lists) ---
+    # --- collections ---
 
-    def _collect_chains(self) -> None:
-        """When collapsing, map each well-formed all-literal chain to a list."""
-        if self.cfg.list_policy is not ListPolicy.COLLAPSE_LITERALS or not self.cfg.datatype_as_property():
-            return
-        for graph_name, statements in self.dataset.graphs():
-            statements = list(statements)
-            firsts, rests, mentions = {}, {}, {}
-            for st in statements:
-                for term in (st.subject, st.object):
-                    if isinstance(term, BlankNode):
-                        mentions[term] = mentions.get(term, 0) + 1
-                if isinstance(st.subject, BlankNode):
-                    if st.predicate.value == RDF_FIRST:
-                        firsts.setdefault(st.subject, []).append(st)
-                    elif st.predicate.value == RDF_REST:
-                        rests.setdefault(st.subject, []).append(st)
-            collapsed = {}
-            for st in statements:
-                if is_chain_statement(st) or not isinstance(st.object, BlankNode):
-                    continue
-                chain = self._walk_chain(st.object, firsts, rests, mentions)
-                if chain is not None:
-                    values, members = chain
-                    collapsed[st] = ("head", values)
-                    for member in members:
-                        collapsed[member] = ("member", None)
-            if collapsed:
-                self.collapsed[graph_name] = collapsed
+    def _chains(self, statements) -> Tuple[dict, set]:
+        """The graph's well-formed all-literal chains: ({head statement: values}, members)."""
+        firsts, rests, mentions = {}, {}, {}
+        for st in statements:
+            for term in (st.subject, st.object):
+                if isinstance(term, BlankNode):
+                    mentions[term] = mentions.get(term, 0) + 1
+            if isinstance(st.subject, BlankNode):
+                if st.predicate.value == RDF_FIRST:
+                    firsts.setdefault(st.subject, []).append(st)
+                elif st.predicate.value == RDF_REST:
+                    rests.setdefault(st.subject, []).append(st)
+        heads, members = {}, set()
+        for st in statements:
+            if is_chain_statement(st) or not isinstance(st.object, BlankNode):
+                continue
+            chain = self._walk_chain(st.object, firsts, rests, mentions)
+            if chain is not None:
+                values, chain_members = chain
+                heads[st] = values
+                members.update(chain_members)
+        return heads, members
 
     @staticmethod
     def _walk_chain(head: BlankNode, firsts: dict, rests: dict, mentions: dict):
@@ -547,31 +534,59 @@ class _Engine:
                 return None
             cell = tail
 
+    @staticmethod
+    def _note_long_lists(statements, cells: list, units: list) -> None:
+        """Note NOTE_LONG_INTEGER on the units whose collections reach cells.
+
+        A chain statement has no unit of its own: it folds into each
+        statement that reaches its cell through rdf:first/rdf:rest links.
+        """
+        by_object: dict = {}
+        for st in statements:
+            by_object.setdefault(st.object, []).append(st)
+        heads, seen = set(), set()
+        while cells:
+            cell = cells.pop()
+            if cell not in seen:
+                seen.add(cell)
+                for st in by_object.get(cell, ()):
+                    if is_chain_statement(st):
+                        cells.append(st.subject)
+                    else:
+                        heads.add(st)
+        for unit in units:
+            if unit.statement in heads and NOTE_LONG_INTEGER not in unit.notes:
+                unit.notes.append(NOTE_LONG_INTEGER)
+
     # --- driver ---
 
     def run(self) -> Tuple[PropertyGraph, TransformReport]:
-        self._collect_chains()
         for graph_name, statements in self.dataset.graphs():
-            collapsed = self.collapsed.get(graph_name, {})
-            for st in sorted(statements, key=statement_sort_key):
-                role = collapsed.get(st)
-                if role is not None:
-                    if role[0] == "member":
+            self._enter(graph_name)
+            heads, members = self._chains(statements) if self.collapse_lists else ({}, set())
+            first_unit, long_cells = len(self.units), []
+            for st in sorted(statements, key=serialize_statement):
+                if is_chain_statement(st):
+                    # no unit: it folds into its head, which _note_long_lists finds
+                    if _holds_long_integer(st):
+                        long_cells.append(st.subject)
+                    if st in members:
                         continue
-                    unit = self._unit(graph_name, st)
-                    node = self.node_id(st.subject, graph_name)
-                    key = _safe_key(local_name(st.predicate))
-                    self._stage(self.node_props, node, key, role[1], unit)
-                    continue
-                # a chain statement materializes but has no unit: it folds into its head
-                unit = None if is_chain_statement(st) else self._unit(graph_name, st)
+                    unit = None
+                else:
+                    unit = self._unit(st)
+                    if st in heads:
+                        self.stage_fact(st, heads[st], unit)
+                        continue
                 kind = classify(st)
                 if kind is StatementKind.OBJECT_PROPERTY:
-                    self.object_statement(st, graph_name, unit)
+                    self.object_statement(st, unit)
                 elif kind is StatementKind.DATATYPE_PROPERTY:
-                    self.datatype_statement(st, graph_name, unit)
+                    self.datatype_statement(st, unit)
                 else:
-                    self.star_statement(st, graph_name, unit)
+                    self.star_statement(st, unit)
+            if long_cells:
+                self._note_long_lists(statements, long_cells, self.units[first_unit:])
         self._apply_staged()
         return self.graph, self._report()
 
@@ -598,15 +613,12 @@ def transform(dataset: Dataset, config: TransformConfig) -> Tuple[PropertyGraph,
 
 
 def rpt(dataset: Dataset, config: Optional[TransformConfig] = None):
-    cfg = replace(config or TransformConfig(), approach=Approach.RPT)
-    return transform(dataset, cfg)
+    return transform(dataset, replace(config or TransformConfig(), approach=Approach.RPT))
 
 
 def pgt(dataset: Dataset, config: Optional[TransformConfig] = None):
-    cfg = replace(config or TransformConfig(), approach=Approach.PGT)
-    return transform(dataset, cfg)
+    return transform(dataset, replace(config or TransformConfig(), approach=Approach.PGT))
 
 
 def hybrid(dataset: Dataset, config: Optional[TransformConfig] = None):
-    cfg = replace(config or TransformConfig(), approach=Approach.HYBRID)
-    return transform(dataset, cfg)
+    return transform(dataset, replace(config or TransformConfig(), approach=Approach.HYBRID))

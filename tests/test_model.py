@@ -34,7 +34,6 @@ from rdfstar2pg.model import (
     local_name,
     quote_depth,
     serialize_statement,
-    statement_sort_key,
     statement_units,
 )
 from rdfstar2pg.parser import ParseError, parse_turtle_star
@@ -177,7 +176,7 @@ class TestSerialization:
     def test_sort_key_orders_canonically(self):
         a = st(iri("a"), iri("p"), Literal("0.5"))
         b = st(iri("a"), iri("p"), Literal("1"))
-        assert statement_sort_key(a) < statement_sort_key(b)
+        assert serialize_statement(a) < serialize_statement(b)
 
     def test_quoted_serialization(self):
         inner = st(iri("a"), iri("p"), iri("b"))
@@ -189,7 +188,6 @@ class TestSerialization:
         outer = st(QuotedTriple(inner), iri("q"), Literal("1"))
         text = serialize_statement(outer)
         assert serialize_statement(outer) is text
-        assert statement_sort_key(outer) is text
         assert text == f"<< {serialize_statement(inner)} >> <{EX}q> \"1\""
 
 

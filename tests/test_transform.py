@@ -107,10 +107,28 @@ class TestLongIntegers:
         assert NOTE_LONG_INTEGER in entry.notes
 
     @pytest.mark.parametrize("fn", [pgt, hybrid])
-    @pytest.mark.parametrize("literal", ["9" * 4300, f'"{BIG}x"^^xsd:integer', f'"{BIG}"'])
+    @pytest.mark.parametrize(
+        "literal", ["9" * 4300, f'"{BIG}x"^^xsd:integer', f'"{BIG}"', f"( {'9' * 4300} )"]
+    )
     def test_read_or_not_an_integer_is_not_noted(self, fn, literal):
         _, report = fn(ds(EX + XSD + f"ex:a ex:big {literal} ."))
         assert report.notes == []
+
+    # An rdf:first statement has no unit of its own; the statement that heads
+    # the collection carries the note, whether or not the chain collapses.
+    @pytest.mark.parametrize("fn", [pgt, hybrid, rpt])
+    @pytest.mark.parametrize("policy", list(ListPolicy))
+    @pytest.mark.parametrize(
+        "items", [BIG, f"1 {BIG}", f"( {BIG} )"], ids=["alone", "beside-an-int", "nested"]
+    )
+    def test_in_a_collection_is_noted_on_the_head(self, fn, policy, items):
+        graph, report = fn(ds(EX + f"ex:a ex:tags ( {items} ) ."), TransformConfig(list_policy=policy))
+        collapses = policy is ListPolicy.COLLAPSE_LITERALS and fn is not rpt and items == self.BIG
+        assert (not graph.edges) is collapses
+        (entry,) = report.notes
+        assert entry.statement.predicate == Iri("http://example.org/tags")
+        assert entry.notes == [NOTE_LONG_INTEGER]
+        assert report.total == 1 and not report.lossy
 
 
 class TestApproachShapes:
@@ -717,7 +735,7 @@ class TestRepeatedNaN:
         graph, report = transform(ds(self.SOURCE), cfg)
         assert report.total == report.converted == 2
         literals = [n for n in graph.nodes.values() if "Literal" in n.labels]
-        if cfg.datatype_as_property():
+        if approach is Approach.PGT or (approach is Approach.HYBRID and policy is DatatypePolicy.AS_PROPERTY):
             assert not literals
             values = [node_by_iri(graph, f"http://example.org/{n}").properties["p"] for n in "ab"]
         else:
