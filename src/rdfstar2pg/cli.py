@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rdf:type handling (default: label for pgt, edge otherwise)",
     )
     convert.add_argument(
-        "--named-graph-policy", choices=[m.value for m in NamedGraphPolicy], default="edge-property",
+        "--named-graph-policy", choices=[m.value for m in NamedGraphPolicy],
+        default="edge-property",
         help="named graph handling (default: edge-property)",
     )
     convert.add_argument(

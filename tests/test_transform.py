@@ -735,7 +735,10 @@ class TestRepeatedNaN:
         graph, report = transform(ds(self.SOURCE), cfg)
         assert report.total == report.converted == 2
         literals = [n for n in graph.nodes.values() if "Literal" in n.labels]
-        if approach is Approach.PGT or (approach is Approach.HYBRID and policy is DatatypePolicy.AS_PROPERTY):
+        as_property = approach is Approach.PGT or (
+            approach is Approach.HYBRID and policy is DatatypePolicy.AS_PROPERTY
+        )
+        if as_property:
             assert not literals
             values = [node_by_iri(graph, f"http://example.org/{n}").properties["p"] for n in "ab"]
         else:
