@@ -1,7 +1,7 @@
 """Command-line interface: convert, conformance, and inspect.
 
 Exit codes: 0 clean, 1 parse/input error or an exporter's refusal, 2 bad
-flags (argparse), 3 lossy conversion (the report lists partial/ignored/error
+flags (argparse), 3 lossy conversion (the report lists the partial
 statements). Output for a given invocation and input is byte-identical
 across runs.
 """
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
-from json.encoder import encode_basestring
 
 from .conformance import run_conformance
 # to_json stays a name of this module: perfbench/spans.py wraps it here.
@@ -55,6 +53,12 @@ def _read_document(path: str):
         return None
 
 
+def _write_report(path: str, report: dict) -> None:
+    """Write a report as indented JSON, non-ASCII text as it is, to a file or stdout."""
+    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    _write_output(path, (text.encode("utf-8"),))
+
+
 def _write_output(path: str, chunks) -> None:
     """Write an iterable of bytes chunks to a file, or to stdout for "-"."""
     if path == "-":
@@ -63,52 +67,6 @@ def _write_output(path: str, chunks) -> None:
     else:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
-
-
-def _use_color() -> bool:
-    if os.environ.get("RDFSTAR2PG_NO_COLOR"):
-        return False
-    return sys.stdout.isatty()
-
-
-def _paint(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _use_color() else text
-
-
-def _report_json(report: dict) -> str:
-    """json.dumps(report, indent=2, ensure_ascii=False), with the C string encoder.
-
-    json.dumps runs its pure-Python encoder whenever it indents. The report
-    holds counts, converted_fraction (a float in [0, 1]) and four lists of
-    entries whose values are strings, None or lists of strings.
-    """
-    fields = [
-        f"  {encode_basestring(key)}: "
-        + (_entries_json(value) if isinstance(value, list) else repr(value))
-        for key, value in report.items()
-    ]
-    return "{\n" + ",\n".join(fields) + "\n}"
-
-
-def _entries_json(entries: list) -> str:
-    if not entries:
-        return "[]"
-    return "[\n" + ",\n".join(map(_entry_json, entries)) + "\n  ]"
-
-
-def _entry_json(entry: dict) -> str:
-    fields = []
-    for key, value in entry.items():
-        if value is None:
-            text = "null"
-        elif isinstance(value, str):
-            text = encode_basestring(value)
-        elif value:  # a list of notes
-            text = "[\n        " + ",\n        ".join(map(encode_basestring, value)) + "\n      ]"
-        else:
-            text = "[]"
-        fields.append(f"      {encode_basestring(key)}: {text}")
-    return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
 @_gc_paused
@@ -143,7 +101,7 @@ def cmd_convert(args) -> int:
     _write_output(args.output, chunks)
 
     if args.report:
-        _write_output(args.report, ((_report_json(report.to_dict()) + "\n").encode("utf-8"),))
+        _write_report(args.report, report.to_dict())
 
     return 3 if report.lossy else 0
 
@@ -164,15 +122,9 @@ def cmd_conformance(args) -> int:
             )
             return 2
     report = run_conformance(approaches=approaches)
-    table = report.to_table()
-    if _use_color():
-        table = table.replace(" pass", _paint(" pass", "32")).replace("FAIL", _paint("FAIL", "31"))
-    print(table)
+    print(report.to_table())
     if args.json:
-        _write_output(
-            args.json,
-            ((json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8"),),
-        )
+        _write_report(args.json, report.to_dict())
     return 0 if report.passed else 1
 
 

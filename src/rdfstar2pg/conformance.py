@@ -22,8 +22,6 @@ from .model import statement_units
 from .parser import parse_turtle_star
 from .transform import Approach, Status, TransformConfig, TransformReport, transform
 
-_SEVERITY = {Status.CONVERTED: 0, Status.PARTIAL: 1, Status.IGNORED: 2, Status.ERROR: 3}
-
 
 @dataclass(frozen=True)
 class TestCase:
@@ -159,17 +157,12 @@ def case_sort_key(case_id: str):
 
 
 def observed_shape(graph, report: TransformReport) -> Shape:
-    entries = report.partial + report.ignored + report.errors
-    status = Status.CONVERTED
-    for entry in entries:
-        if _SEVERITY[entry.status] > _SEVERITY[status]:
-            status = entry.status
     return Shape(
         nodes=len(graph.nodes),
         edges=len(graph.edges),
         node_properties=graph.semantic_node_property_count(),
         edge_properties=graph.semantic_edge_property_count(),
-        status=status,
+        status=Status.PARTIAL if report.lossy else Status.CONVERTED,
     )
 
 

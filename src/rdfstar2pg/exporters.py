@@ -146,15 +146,30 @@ def _json_value(value, indent: str) -> str:
     return "{\n" + inner + f'"{kind.tag}": ' + text + "\n" + indent + "}"
 
 
-def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: dict) -> tuple:
+# Only text with a \uD800-\uDFFF escape, or a raw surrogate, can give a
+# string that UTF-8, and so to_json, cannot write. Two patterns, as one
+# alternation scans many times slower.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_RAW_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: dict,
+                  surrogates: bool) -> tuple:
     """(labels, properties) of one JSON record; string_fields name its id, then any endpoints.
 
-    filed holds the records of its kind read so far.
+    filed holds the records of its kind read so far; surrogates says whether
+    the document's text may hold a lone surrogate, which the record is then
+    checked for.
     """
     if not isinstance(record, dict):
         raise ValueError(f"{kind} record is not an object: {record!r}")
     labels, properties = record.get("labels"), record.get("properties")
     try:
+        if surrogates:
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
         record_id, *ends = _strings([record.get(name) for name in string_fields])
         _unique(filed, record_id)
         _endpoints(nodes, *ends)
@@ -180,8 +195,9 @@ def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: d
 @_gc_paused
 def from_json(data) -> PropertyGraph:
     """The graph to_json wrote; ValueError for a document it cannot have written."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+    from_bytes = isinstance(data, (bytes, bytearray))
+    if from_bytes:
+        data = data.decode("utf-8")  # strict: no raw surrogate gets through
     try:
         form = json.loads(data)
         nodes = form["nodes"]
@@ -191,12 +207,17 @@ def from_json(data) -> PropertyGraph:
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ValueError("not a property graph JSON document: nodes and edges must be lists")
 
+    surrogates = _SURROGATE_ESCAPE.search(data) is not None or (
+        not from_bytes and _RAW_SURROGATE.search(data) is not None
+    )
     graph = PropertyGraph()
     for record in nodes:
-        labels, props = _record_parts(record, "node", ("id",), graph.nodes, graph.nodes)
+        labels, props = _record_parts(record, "node", ("id",), graph.nodes, graph.nodes, surrogates)
         graph.nodes[record["id"]] = Node(record["id"], labels, props)
     for record in edges:
-        labels, props = _record_parts(record, "edge", ("id", "source", "target"), graph.nodes, graph.edges)
+        labels, props = _record_parts(
+            record, "edge", ("id", "source", "target"), graph.nodes, graph.edges, surrogates
+        )
         graph.edges[record["id"]] = Edge(record["id"], record["source"], record["target"], labels, props)
     return graph
 

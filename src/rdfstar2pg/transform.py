@@ -113,8 +113,6 @@ class TransformConfig:
 class Status(enum.Enum):
     CONVERTED = "Converted"
     PARTIAL = "Partial"
-    IGNORED = "Ignored"
-    ERROR = "Error"
 
 
 @dataclass(slots=True)
@@ -140,8 +138,8 @@ class TransformReport:
     total: int
     converted: int
     partial: list
-    ignored: list
-    errors: list
+    ignored: list  # always empty; kept so every report has the same keys
+    errors: list  # always empty; kept so every report has the same keys
     notes: list  # converted-with-note entries
 
     @property
@@ -150,7 +148,7 @@ class TransformReport:
 
     @property
     def lossy(self) -> bool:
-        return bool(self.partial or self.ignored or self.errors)
+        return bool(self.partial)
 
     @_gc_paused
     def to_dict(self) -> dict:
@@ -300,8 +298,7 @@ class _Engine:
         if _holds_long_integer(st):
             entry.notes.append(NOTE_LONG_INTEGER)
         if self.name_discarded:
-            entry.status = Status.PARTIAL
-            entry.reason = LOSS_GRAPH_NAME_DISCARDED
+            self._mark_partial(entry, LOSS_GRAPH_NAME_DISCARDED)
         self.units.append(entry)
         return entry
 
@@ -501,7 +498,8 @@ class _Engine:
                     rests.setdefault(st.subject, []).append(st)
         heads, members = {}, set()
         for st in statements:
-            if is_chain_statement(st) or not isinstance(st.object, BlankNode):
+            # a star statement never heads a chain: its quoted subject has no node
+            if not isinstance(st.object, BlankNode) or is_star(st) or is_chain_statement(st):
                 continue
             chain = self._walk_chain(st.object, firsts, rests, mentions)
             if chain is not None:
@@ -591,17 +589,18 @@ class _Engine:
         return self.graph, self._report()
 
     def _report(self) -> TransformReport:
-        partial = [u for u in self.units if u.status is Status.PARTIAL]
-        ignored = [u for u in self.units if u.status is Status.IGNORED]
-        errors = [u for u in self.units if u.status is Status.ERROR]
-        noted = [u for u in self.units if u.status is Status.CONVERTED and u.notes]
-        converted = sum(1 for u in self.units if u.status is Status.CONVERTED)
+        partial, noted = [], []
+        for unit in self.units:
+            if unit.status is Status.PARTIAL:
+                partial.append(unit)
+            elif unit.notes:
+                noted.append(unit)
         return TransformReport(
             total=len(self.units),
-            converted=converted,
+            converted=len(self.units) - len(partial),
             partial=partial,
-            ignored=ignored,
-            errors=errors,
+            ignored=[],
+            errors=[],
             notes=noted,
         )
 

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from rdfstar2pg.cli import _report_json, build_parser, main
-from rdfstar2pg.conformance import builtin_corpus
+from rdfstar2pg.cli import build_parser, main
+from rdfstar2pg.conformance import builtin_corpus, run_conformance
 from rdfstar2pg.exporters import _json_chunks, to_json
-from rdfstar2pg.model import Iri, Literal, Statement, statement_units
+from rdfstar2pg.model import statement_units
 from rdfstar2pg.parser import parse_turtle_star
-from rdfstar2pg.transform import Approach, ReportEntry, Status, TransformConfig, TransformReport, transform
+from rdfstar2pg.transform import Approach, TransformConfig, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
 SIMPLE = EX + "ex:alice ex:meets ex:bob .\n"
@@ -260,33 +260,34 @@ class TestStreamedJson:
             chunk.decode("utf-8")  # no character is split between chunks
 
 
-def hand_report() -> TransformReport:
-    """Entries whose text holds non-ASCII and control characters, some notes empty."""
-    st = Statement(Iri("http://example.org/ä"), Iri("http://example.org/p"), Literal("\x01\u2028é\ud83d"))
-    entry = ReportEntry(Iri("http://example.org/g\u00fc"), st, Status.PARTIAL, "tab\there \x1f \"q\" \\", ["ü", "\x7f\n"])
-    bare = ReportEntry(None, st, Status.IGNORED)
-    return TransformReport(3, 1, [entry], [bare], [], [entry, bare])
+# non-ASCII text and a \u0001 escape, in a Partial entry under pgt and a noted one otherwise
+REPORT_TEXT = EX + (
+    '<http://ex.org/gü> { <<<http://ex.org/ä> ex:age "25 \\u0001 é ✓">> ex:source <http://ex.org/wö> . }\n'
+)
 
 
-class TestReportWriter:
-    """convert --report writes the bytes json.dumps(indent=2) would."""
+class TestReportBytes:
+    """convert --report writes json.dumps(report.to_dict(), indent=2, ensure_ascii=False)."""
 
-    def expect_same(self, report: TransformReport) -> None:
-        data = report.to_dict()
-        assert _report_json(data) == json.dumps(data, indent=2, ensure_ascii=False)
+    @staticmethod
+    def expect_report(source: str, approach: Approach, tmp_path) -> None:
+        path, target = tmp_path / "in.ttls", tmp_path / "report.json"
+        path.write_text(source, encoding="utf-8")
+        _, report = transform(parse_turtle_star(source), TransformConfig(approach=approach))
+        code = main(["convert", str(path), "--approach", approach.value, "--output", str(tmp_path / "out"),
+                     "--report", str(target)])
+        assert code == (3 if report.lossy else 0)
+        expected = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        assert target.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
-    def test_corpus_reports(self, approach):
+    def test_corpus_reports(self, approach, tmp_path):
         for case in builtin_corpus():
-            _, report = transform(parse_turtle_star(case.source), TransformConfig(approach=approach))
-            self.expect_same(report)
+            self.expect_report(case.source, approach, tmp_path)
 
-    def test_non_ascii_and_control_characters(self):
-        self.expect_same(hand_report())
-
-    @pytest.mark.parametrize("total, converted", [(0, 0), (3, 1), (7, 7)])
-    def test_empty_reports_and_fractions(self, total, converted):
-        self.expect_same(TransformReport(total, converted, [], [], [], []))
+    @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+    def test_non_ascii_and_control_characters(self, approach, tmp_path):
+        self.expect_report(REPORT_TEXT, approach, tmp_path)
 
 
 class TestConformanceCommand:
@@ -320,7 +321,11 @@ class TestConformanceCommand:
 
     def test_no_color_in_pipes(self):
         _, out, _ = run_cli(["conformance"])
-        assert b"\x1b[" not in out  # not a tty, so no ANSI codes
+        assert b"\x1b[" not in out  # the table carries no ANSI codes
+
+    def test_stdout_is_the_table(self, capsys):
+        assert main(["conformance"]) == 0
+        assert capsys.readouterr().out == run_conformance().to_table() + "\n"
 
 
 NOT_UTF8 = EX.encode() + b'ex:a ex:name "caf\xe9" .\n'
@@ -369,6 +374,19 @@ def test_star_statement_with_a_chain_predicate_is_one_unit(source, approach, tmp
     assert json.loads(out)["edges"]
     total = json.loads(report_path.read_text())["total"]
     assert total == len(statement_units(parse_turtle_star(source))) == 1
+
+
+@pytest.mark.parametrize("approach", ["pgt", "hybrid"])
+def test_star_statement_never_heads_a_collapsed_list(approach, tmp_path):
+    path = tmp_path / "in.ttls"
+    path.write_text(EX + "<<ex:a ex:b ex:c>> ex:p ( 1 2 ) .\n")
+    outputs = {}
+    for policy in ("expand", "collapse"):
+        out, report = tmp_path / f"{policy}.json", tmp_path / f"{policy}.report.json"
+        argv = ["convert", str(path), "--approach", approach, "--list-policy", policy]
+        assert main([*argv, "--output", str(out), "--report", str(report)]) == 0
+        outputs[policy] = (out.read_bytes(), report.read_bytes())
+    assert outputs["collapse"] == outputs["expand"]
 
 
 def convert_flags() -> dict:

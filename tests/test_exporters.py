@@ -162,11 +162,19 @@ class TestJson:
             # a second record with one id used to replace the first: one node labelled Y, k lost
             ({"nodes": [node(properties={"k": 1}), node(labels=["Y"])], "edges": []}, "node n:a: id 'n:a' is repeated"),
             (graph_doc(node(), edge(), edge()), "edge e:1: id 'e:1' is repeated"),
+            # text that UTF-8, and so to_json and to_graphml, cannot write
+            (graph_doc(node(properties={"s": "\ud800"})), r"node n:a: text holds a lone surrogate '\\ud800'"),
+            (graph_doc(node(id="n:\udc00")), r"node n:\udc00: text holds a lone surrogate '\\udc00'"),
         ],
     )
     def test_from_json_rejects_malformed_records(self, doc, message):
         with pytest.raises(ValueError, match=message):
             from_json(json.dumps(doc).encode())
+
+    def test_from_json_rejects_a_raw_surrogate_in_text(self):
+        text = json.dumps(graph_doc(node(labels=["X\udfff"])), ensure_ascii=False)
+        with pytest.raises(ValueError, match=r"node n:a: text holds a lone surrogate '\\udfff'"):
+            from_json(text)
 
     def test_from_json_rejects_datetime_text(self):
         # the bytes the parent's to_json wrote for a datetime property

@@ -4,7 +4,9 @@ Four structural guarantees, each checked against at least a thousand
 generated datasets (at most ten statements, quoting depth at most two), one
 text round trip, checked against four hundred, the report algebra on the
 same star data, checked against three hundred, and the hash contract on the
-same statements and datasets, checked against four and three hundred:
+same statements and datasets, checked against four and three hundred, and
+a crash-freedom check on documents with collections, checked against three
+hundred:
 
 1. edge bijection    - without quoted triples, the fully node-materializing
                        approach produces exactly one edge per statement
@@ -30,6 +32,10 @@ same statements and datasets, checked against four and three hundred:
 7. hash contract     - equal terms and statements have equal hashes however
                        they were built, so statements built in code and
                        statements read back from their text meet in one set
+8. no crash          - documents with empty, nested, literal and IRI
+                       collections, as objects of plain and of quoted
+                       statements, transform under every configuration with
+                       one unit per statement unit
 """
 
 from collections import Counter
@@ -56,11 +62,16 @@ from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
 from rdfstar2pg.pgraph import is_bookkeeping_key
 from rdfstar2pg.transform import (
     NOTE_NESTED,
+    Approach,
+    DatatypePolicy,
+    ListPolicy,
+    NamedGraphPolicy,
     RdfTypePolicy,
     TransformConfig,
     hybrid,
     pgt,
     rpt,
+    transform,
 )
 
 MAX_STATEMENTS = 10
@@ -346,3 +357,48 @@ def test_parsed_statements_meet_built_ones_in_one_set(dataset):
         built = dataset.default if name is None else dataset.named[name]
         read = parsed.default if name is None else parsed.named[name]
         assert len(set(built) | set(read)) == len(set(built)) == len(read)
+
+
+# --- no configuration crashes ------------------------------------------------
+
+
+def collection(items) -> str:
+    return "( " + " ".join(items) + " )"
+
+
+LIST_ATOMS = st.sampled_from(["1", "2", '"a"', '"b"@en', "2.5", "ex:o", "_:b0"])
+COLLECTIONS = st.lists(
+    st.recursive(LIST_ATOMS, lambda inner: st.lists(inner, max_size=3).map(collection), max_leaves=6),
+    max_size=3,
+).map(collection)
+COLLECTION_STATEMENTS = st.builds(
+    "{} {} {} .".format,
+    st.sampled_from(
+        ["ex:s", "_:b0", "<<ex:a ex:b ex:c>>", "<<ex:a ex:age 5>>", "<< <<ex:a ex:b ex:c>> ex:q 1 >>"]
+    ),
+    st.sampled_from(["ex:p", "ex:q", "rdf:type"]),
+    st.one_of(COLLECTIONS, LIST_ATOMS),
+)
+COLLECTION_DOCUMENTS = st.builds(
+    lambda default, named: "@prefix ex: <http://example.org/> .\n"
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+    + "\n".join(default) + "\nex:g {\n" + "\n".join(named) + "\n}\n",
+    st.lists(COLLECTION_STATEMENTS, min_size=1, max_size=4),
+    st.lists(COLLECTION_STATEMENTS, max_size=2),
+)
+CONFIGS = st.builds(
+    TransformConfig,
+    approach=st.sampled_from(Approach),
+    datatype_policy=st.sampled_from(DatatypePolicy),
+    rdf_type_policy=st.one_of(st.none(), st.sampled_from(RdfTypePolicy)),
+    named_graph_policy=st.sampled_from(NamedGraphPolicy),
+    list_policy=st.sampled_from(ListPolicy),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COLLECTION_DOCUMENTS, CONFIGS)
+def test_no_configuration_crashes_on_collections(source, config):
+    dataset = parse_turtle_star(source)
+    _, report = transform(dataset, config)
+    assert report.total == len(statement_units(dataset))

@@ -691,7 +691,7 @@ class TestKindConstants:
         assert ListPolicy.COLLAPSE_LITERALS.value == "collapse"
 
     def test_status_values(self):
-        assert [s.value for s in Status] == ["Converted", "Partial", "Ignored", "Error"]
+        assert [s.value for s in Status] == ["Converted", "Partial"]
 
 
 class TestGraphCompanionDedup:
