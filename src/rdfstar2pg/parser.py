@@ -14,15 +14,22 @@ guessed at. In particular @base/relative IRIs, annotation syntax {| ... |},
 non-empty blank-node property lists, long strings, and numeric double
 shorthand are out of scope.
 
-The scanner is one compiled pattern of named alternatives, matched once per
-token at the current offset, with space and comments as its prefix. Tokens
-carry only their source offset; line and column are worked out when an
-error is raised. When no alternative matches, _lex_error explains why at
-the offending character. The scanner is a generator that runs two tokens
-ahead of the parser, so no token list is ever built. A lexical error still
-wins over a syntax error before it: when the parser finds an error, it
-scans the rest of the document first and raises the first lexical error
-there, if any.
+The scanner is one compiled pattern, one alternative per token class, with
+space and comments as its prefix. The text is cut into chunks of about 64 KB
+(_CHUNK), each ending at a newline, which no token spans. One `findall` per
+chunk returns the chunk's lexemes as plain strings, and the parser reads
+them by index and dispatches on each lexeme itself; IRIs, prefixed names,
+blank nodes and numbers resolve through a per-document cache keyed by
+lexeme, which every @prefix clears. So only one chunk's lexemes are held at
+a time, never a token list of the document. Where no token matches, the
+pattern takes the rest of the chunk, and the parser reads a marker there
+that no rule accepts.
+
+A source offset is worked out only when an error is raised: _fault
+re-matches the document with the same pattern to find the offending
+lexeme. A lexical error still wins over a syntax error before it: _fault
+raises the first lexical error at or after the offending lexeme, if any,
+with _lex_error explaining it at the offending character.
 
 Blank nodes are relabeled b0, b1, ... in order of first appearance; the
 source label survives on BlankNode.original. Each graph is deduplicated with
@@ -82,56 +89,35 @@ class ParseError(Exception):
 
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# Token kinds
-IRIREF = "IRIREF"
-PNAME = "PNAME"
-BLANK = "BLANK"
-STRING = "STRING"
-INTEGER = "INTEGER"
-DECIMAL = "DECIMAL"
-LANGTAG = "LANGTAG"
-PREFIX_KW = "PREFIX_KW"
-A_KW = "A_KW"
-EOF = "EOF"
-# punctuation tokens use their surface text as kind: . ; , ( ) [ ] { } << >> ^^
-
-
-class Token:
-    __slots__ = ("kind", "value", "start", "extra")
-
-    def __init__(self, kind, value, start, extra=None):
-        self.kind = kind
-        self.value = value
-        self.start = start  # offset into the (BOM-stripped) source text
-        self.extra = extra
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
-
-
 # Whitespace and comments. Each iteration takes a maximal run or a whole
 # comment, so a failed token match cannot backtrack into them: it neither
 # finds a token inside a comment nor retries every split of a long run.
 _SPACE = r"(?:[ \t\r\n]+(?![ \t\r\n])|\#[^\n]*(?![^\n]))*"
 
-# One token after optional space; the named group is the token class. Each
-# alternative accepts exactly the tokens of the surface in the module
-# docstring, so a failed match always means a lexical error, which _lex_error
-# then explains. The lookaheads make a NUMBER the longest run of digits, so
-# "12.5e3" fails as an exponent instead of scanning as "12".
+# One lexeme after optional space, in the pattern's only group, so findall
+# returns plain strings. The token alternatives, in order: prefixed name,
+# punctuation, string, IRI reference, number, language tag, blank node, the
+# `a` keyword, @prefix. Each accepts exactly the tokens of the surface in the
+# module docstring, so a failed match always means a lexical error, which
+# _lex_error then explains. The lookaheads make a number the longest run of
+# digits, so "12.5e3" fails as an exponent instead of scanning as "12".
+# After the tokens, \Z gives "" at the end of a chunk, and where no token
+# matches, the last alternative takes the rest of the chunk: a newline ends
+# that rest, and no token holds one.
 _TOKEN = re.compile(
     _SPACE
-    + r"""(?:
-    (?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
-  | (?P<PUNCT><<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|))
-  | (?P<STRING>"(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*")
-  | (?P<IRIREF><[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>)
-  | (?P<NUMBER>[+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE]))
-  | (?P<LANGTAG>@(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
-  | (?P<BLANK>_:[A-Za-z0-9_][A-Za-z0-9_\-]*)
-  | (?P<A_KW>a(?![A-Za-z0-9_\-:]))
-  | (?P<PREFIX_KW>@prefix)
-  | (?P<EOF>\Z)
+    + r"""(
+    (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
+  | <<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|)
+  | "(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*"
+  | <[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>
+  | [+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE])
+  | @(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*
+  | _:[A-Za-z0-9_][A-Za-z0-9_\-]*
+  | a(?![A-Za-z0-9_\-:])
+  | @prefix
+  | \Z
+  | [\s\S]+
 )""",
     re.VERBOSE,
 )
@@ -148,10 +134,101 @@ _BARE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")
 _HEX4 = re.compile(r"[0-9A-Fa-f]{4}")
 
+# Characters per scanned chunk, give or take the rest of a line.
+_CHUNK = 1 << 16
+# What the parser reads in place of a chunk's rest that no token matched: no
+# grammar rule accepts it, so the parser fails there, and _fault explains it.
+_NO_TOKEN = "\n"
+# The lexemes the parser reads past the last chunk: "" (EOF), again and again.
+_EOF = ("", "")
+
 
 def _unescape(match) -> str:
     code, char = match.groups()
     return chr(int(code, 16)) if code else _ESCAPED[char]
+
+
+def _decode(lexeme: str) -> Optional[str]:
+    """The value of a string or IRI reference lexeme, its escapes decoded.
+
+    None when an escape stands for a character that the token excludes: a
+    surrogate in a string, an IRIREF exclusion in an IRI.
+    """
+    value = lexeme[1:-1]
+    if "\\" in value:  # in an IRI only \uXXXX escapes scan
+        value = _ESCAPE.sub(_unescape, value)
+        excluded = _SURROGATE if lexeme[0] == '"' else _IRI_EXCLUDED
+        if excluded.search(value):
+            return None
+    return value
+
+
+def _is_iri(lexeme: str) -> bool:
+    """Whether a lexeme is an IRI reference or a prefixed name."""
+    if lexeme[:1] == "<":
+        return lexeme != "<<"
+    return ":" in lexeme and lexeme[0] not in '"_'
+
+
+def _shown(lexeme: str) -> str:
+    """A lexeme as a syntax error quotes it: without its delimiters or, for
+    a prefixed name, as its prefix."""
+    if lexeme[:1] in ('"', "<") and lexeme != "<<":
+        return _ESCAPE.sub(_unescape, lexeme[1:-1])
+    if lexeme.startswith("_:"):
+        return lexeme[2:]
+    if lexeme[:1] == "@" and lexeme != "@prefix":
+        return lexeme[1:]
+    return lexeme.partition(":")[0]
+
+
+def _chunks(text: str):
+    """Cut `text` into pieces of about _CHUNK characters, each ending at a newline.
+
+    No token spans a newline, so each piece scans on its own. The last piece
+    gets a newline if it has none, so that every piece ends in one.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        yield chunk if chunk.endswith("\n") else chunk + "\n"
+        start = end
+
+
+def _lexeme_start(chunk: str, index: int) -> int:
+    """The offset in `chunk` of its lexeme number `index`."""
+    for number, match in enumerate(_TOKEN.finditer(chunk)):
+        if number == index:
+            return match.start(1)
+    raise IndexError(index)
+
+
+def _fault(text: str, at: int, message: str, kind: ErrorKind) -> ParseError:
+    """The error to raise for a fault the parser found at lexeme number `at`.
+
+    Lexemes are numbered from 0 over the whole document; at or past the last
+    one, `at` stands for the end of the text. The parser has checked every
+    lexeme before `at`, so the first lexical error at or after it is the
+    first in the document, and it wins; otherwise the error is `message` at
+    that lexeme.
+    """
+    offset = len(text)
+    start = seen = 0
+    for chunk in _chunks(text):
+        lexemes = _TOKEN.findall(chunk)
+        count = lexemes.index("")
+        for index in range(max(at - seen, 0), count):
+            if seen + index == at:
+                offset = start + _lexeme_start(chunk, index)
+            lexeme = lexemes[index]
+            # the rest of a chunk where no token matched, or an escape that stands
+            # for a character the string or IRI excludes
+            if lexeme[-1] == "\n" or (lexeme[0] in '"<' and "\\" in lexeme and _decode(lexeme) is None):
+                return _lex_error(text, start + _lexeme_start(chunk, index))
+        seen += count
+        start += len(chunk)
+    return _error_at(text, offset, message, kind)
 
 
 def _error_at(text: str, offset: int, message: str, kind: ErrorKind) -> ParseError:
@@ -160,55 +237,12 @@ def _error_at(text: str, offset: int, message: str, kind: ErrorKind) -> ParseErr
     return ParseError(message, line, offset - text.rfind("\n", 0, offset), kind)
 
 
-def _tokenize(text: str):
-    """Yield the tokens of `text` in order, ending in one EOF token.
-
-    A lexical error is raised when the scanner reaches it, not before.
-    """
-    match = _TOKEN.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        if m is None:
-            raise _lex_error(text, pos)
-        kind = m.lastgroup
-        lexeme = m.group(kind)
-        pos = m.end()
-        start = pos - len(lexeme)
-        if kind == "PNAME":
-            prefix, _, local = lexeme.partition(":")
-            yield Token(PNAME, prefix, start, local)
-        elif kind == "PUNCT":
-            yield Token(lexeme, lexeme, start)
-        elif kind == "STRING":
-            value = lexeme[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(_unescape, value)
-                if _SURROGATE.search(value):
-                    raise _string_error(text, start)
-            yield Token(STRING, value, start)
-        elif kind == "IRIREF":
-            value = lexeme[1:-1]
-            if "\\" in value:  # only \uXXXX escapes match
-                value = _ESCAPE.sub(_unescape, value)
-                if _IRI_EXCLUDED.search(value):
-                    raise _iri_error(text, start)
-            yield Token(IRIREF, value, start)
-        elif kind == "NUMBER":
-            yield Token(DECIMAL if "." in lexeme else INTEGER, lexeme, start)
-        elif kind == "LANGTAG":
-            yield Token(LANGTAG, lexeme[1:], start)
-        elif kind == "BLANK":
-            yield Token(BLANK, lexeme[2:], start)
-        elif kind == "EOF":
-            yield Token(EOF, "", start)
-            return
-        else:  # A_KW, PREFIX_KW
-            yield Token(kind, lexeme, start)
-
-
 def _lex_error(text: str, pos: int) -> ParseError:
-    """Explain why no token starts at `pos` (after any space and comments)."""
+    """Explain the lexical error at `pos` (after any space and comments).
+
+    Either no token starts there, or the string or IRI reference starting
+    there holds an escape for a character it excludes.
+    """
     pos = _SKIP_SPACE.match(text, pos).end()
     ch = text[pos]
     unsupported = ErrorKind.UNSUPPORTED
@@ -312,12 +346,17 @@ def _string_error(text: str, start: int) -> ParseError:
 class _Parser:
     def __init__(self, text: str):
         self.text = text.lstrip("\ufeff")
-        self.tokens = _tokenize(self.text)
-        # the two-token look-ahead: the current token and the one after it
-        self.tok = next(self.tokens)
-        self.ahead = next(self.tokens, self.tok)
+        self.chunks = map(_TOKEN.findall, _chunks(self.text))
+        # The lexemes of the chunk in flight, the index of the current one
+        # among them, and the number of lexemes in the chunks before it: the
+        # current lexeme is number base + i in the document.
+        self.lexemes = _EOF
+        self.i = 0
+        self.base = 0
+        self.tok = self._refill()
         self.depth = 0  # << >> and ( ) nesting of the term in flight
         self.prefixes: dict = {}
+        self.terms: dict = {}  # lexeme -> term, for IRIs, prefixed names, blank nodes, numbers
         self.bnode_map: dict = {}  # source label -> BlankNode
         self.bnode_counter = 0
         self.iris: dict = {}  # resolved IRI string -> Iri
@@ -326,26 +365,47 @@ class _Parser:
         self.default: list = []
         self.named: dict = {}
 
-    # --- token helpers ---
+    # --- lexemes ---
 
-    def next(self) -> Token:
-        # once the scanner has yielded its EOF, the EOF repeats
-        tok = self.tok
-        self.tok = self.ahead
-        self.ahead = next(self.tokens, self.ahead)
-        return tok
+    def _refill(self) -> str:
+        """Step past the end of the chunk in flight; return the next lexeme.
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            self.error(f"expected {what}, got {tok.value!r}", tok)
-        return tok
+        Chunks that hold no lexeme are skipped. Past the last chunk the
+        lexeme is "" (EOF), for as many reads as the parser makes.
+        """
+        self.base += self.i
+        self.i = 0
+        for lexemes in self.chunks:
+            if lexemes[-2]:  # the rest of the chunk, where no token matched
+                lexemes[-2] = _NO_TOKEN
+            if lexemes[0]:
+                self.lexemes = lexemes
+                return lexemes[0]
+        self.lexemes = _EOF
+        return ""
 
-    def error(self, message: str, tok: Token, kind: ErrorKind = ErrorKind.SYNTAX):
-        # a lexical error anywhere wins: scan the rest of the document first
-        for _ in self.tokens:
-            pass
-        raise _error_at(self.text, tok.start, message, kind)
+    def next(self) -> str:
+        """Consume the current lexeme and return it."""
+        lexeme = self.tok
+        self.i += 1
+        self.tok = self.lexemes[self.i] or self._refill()
+        return lexeme
+
+    def here(self) -> int:
+        """The number of the current lexeme; the one just consumed is here() - 1."""
+        return self.base + self.i
+
+    def expect(self, lexeme: str, what: str) -> None:
+        got = self.next()
+        if got != lexeme:
+            self.error(f"expected {what}, got {_shown(got)!r}")
+
+    def error(self, message: str, at: Optional[int] = None, kind: ErrorKind = ErrorKind.SYNTAX):
+        """Raise the error for a fault at lexeme number `at`, by default the
+        one just consumed; a lexical error from there on wins (see _fault)."""
+        if at is None:
+            at = self.here() - 1
+        raise _fault(self.text, at, message, kind)
 
     # --- shared terms and blank nodes ---
 
@@ -355,18 +415,23 @@ class _Parser:
             term = self.iris[value] = Iri(value)
         return term
 
-    def _iriref(self, tok: Token) -> Iri:
+    def _absolute(self, lexeme: str) -> str:
+        """The IRI that an IRI reference lexeme, just consumed, spells; it must be absolute."""
+        value = _decode(lexeme)
+        if value is None:  # _fault finds the escape and explains it
+            self.error("escape stands for a character IRIs exclude")
         # every string in self.iris is absolute: checked here, or a checked
         # @prefix namespace with a local name after it
-        if tok.value not in self.iris:
-            self._check_absolute(tok)
-        return self._iri(tok.value)
+        if value not in self.iris and not _ABSOLUTE_IRI.match(value):
+            self.error(f"relative IRI <{value}> (no @base support)", kind=ErrorKind.RELATIVE_IRI)
+        return value
 
-    def _pname(self, tok: Token) -> Iri:
-        namespace = self.prefixes.get(tok.value)
+    def _pname(self, lexeme: str) -> Iri:
+        prefix, _, local = lexeme.partition(":")
+        namespace = self.prefixes.get(prefix)
         if namespace is None:
-            self.error(f"undefined prefix '{tok.value}:'", tok, ErrorKind.UNDEFINED_PREFIX)
-        return self._iri(namespace + tok.extra)
+            self.error(f"undefined prefix '{prefix}:'", kind=ErrorKind.UNDEFINED_PREFIX)
+        return self._iri(namespace + local)
 
     def _literal(self, lexical: str, datatype: str, lang: Optional[str] = None) -> Literal:
         key = (lexical, datatype, lang)
@@ -390,153 +455,142 @@ class _Parser:
     # --- grammar ---
 
     def parse(self) -> Dataset:
-        while True:
-            tok = self.tok
-            if tok.kind == EOF:
-                break
-            if tok.kind == PREFIX_KW:
+        while self.tok:
+            if self.tok == "@prefix":
                 self._prefix_directive()
                 continue
-            # graph block vs ordinary triples: a single IRI term followed by '{'
-            if tok.kind in (IRIREF, PNAME) and self._starts_graph_block():
-                self._graph_block()
+            first, at = self.tok, self.here()
+            subject = self._term(position="subject")
+            # a graph block: a single IRI term, then '{'
+            if self.tok == "{" and _is_iri(first):
+                self._graph_block(subject)
                 continue
-            statements = self._triples()
+            self._triples(at, subject, self.default)
             self.expect(".", "'.' after statement")
-            self.default.extend(statements)
         return Dataset(self.default, self.named)
-
-    def _starts_graph_block(self) -> bool:
-        return self.ahead.kind == "{"
 
     def _prefix_directive(self) -> None:
         self.next()  # @prefix
-        tok = self.next()
-        if tok.kind != PNAME or tok.extra:
-            self.error("expected prefix name ending in ':'", tok)
-        iri_tok = self.expect(IRIREF, "namespace IRI")
-        self._check_absolute(iri_tok)
+        name = self.next()
+        if not name.endswith(":"):  # of all lexemes, only a prefixed name with no local part does
+            self.error("expected prefix name ending in ':'")
+        namespace = self.next()
+        if namespace[:1] != "<" or namespace == "<<":
+            self.error(f"expected namespace IRI, got {_shown(namespace)!r}")
+        namespace = self._absolute(namespace)
         self.expect(".", "'.' after @prefix directive")
-        self.prefixes[tok.value] = iri_tok.value
+        self.prefixes[name[:-1]] = namespace
+        self.terms.clear()  # a prefixed name may stand for another IRI from here on
 
-    def _check_absolute(self, tok: Token) -> None:
-        if not _ABSOLUTE_IRI.match(tok.value):
-            self.error(f"relative IRI <{tok.value}> (no @base support)", tok, ErrorKind.RELATIVE_IRI)
-
-    def _graph_block(self) -> None:
-        name = self._term(position="graph name")
-        if not isinstance(name, Iri):
-            self.error("graph name must be an IRI", self.tok)
-        self.expect("{", "'{'")
+    def _graph_block(self, name: Iri) -> None:
+        self.next()  # {
         statements = self.named.setdefault(name, [])
-        while True:
-            tok = self.tok
-            if tok.kind == "}":
+        while self.tok != "}":
+            if not self.tok:
+                self.error("unterminated graph block", self.here())
+            at = self.here()
+            self._triples(at, self._term(position="subject"), statements)
+            if self.tok == ".":
                 self.next()
-                break
-            if tok.kind == EOF:
-                self.error("unterminated graph block", tok)
-            statements.extend(self._triples())
-            sep = self.tok
-            if sep.kind == ".":
-                self.next()
-            elif sep.kind != "}":
-                self.error(f"expected '.' or '}}', got {sep.value!r}", sep)
+            elif self.tok != "}":
+                self.error(f"expected '.' or '}}', got {_shown(self.tok)!r}", self.here())
+        self.next()
 
-    def _triples(self) -> list:
-        self.pending = []
-        first_tok = self.tok
-        subject = self._term(position="subject")
+    def _triples(self, at: int, subject, statements: list) -> None:
+        """Append the statements of the subject, which began at lexeme `at`,
+        and its predicate-object list to `statements`, collection chains last."""
         if isinstance(subject, Literal):
-            self.error("literal cannot be the subject of a statement", first_tok)
-        statements = []
+            self.error("literal cannot be the subject of a statement", at)
         self._predicate_object_list(subject, statements)
-        return statements + self.pending
+        if self.pending:
+            statements.extend(self.pending)
+            self.pending.clear()
 
     def _predicate_object_list(self, subject, statements: list) -> None:
+        append = statements.append
         while True:
             predicate = self._verb()
-            while True:
-                obj = self._term(position="object")
-                statements.append(Statement(subject, predicate, obj))
-                if self.tok.kind == ",":
-                    self.next()
-                    continue
-                break
-            if self.tok.kind == ";":
-                # swallow repeats; a dangling ';' before the terminator is legal
-                while self.tok.kind == ";":
-                    self.next()
-                if self.tok.kind in (".", "}"):
-                    return
-                continue
-            return
+            append(Statement(subject, predicate, self._term(position="object")))
+            while self.tok == ",":
+                self.next()
+                append(Statement(subject, predicate, self._term(position="object")))
+            if self.tok != ";":
+                return
+            # swallow repeats; a dangling ';' before the terminator is legal
+            while self.tok == ";":
+                self.next()
+            if self.tok in (".", "}"):
+                return
 
     def _verb(self) -> Iri:
-        tok = self.tok
-        if tok.kind == A_KW:
+        if self.tok == "a":
             self.next()
             return self._iri(RDF_TYPE)
+        at = self.here()
         term = self._term(position="predicate")
         if not isinstance(term, Iri):
-            self.error("predicate must be an IRI", tok)
+            self.error("predicate must be an IRI", at)
         return term
 
     def _term(self, position: str):
-        tok = self.next()
-        if tok.kind == IRIREF:
-            return self._iriref(tok)
-        if tok.kind == PNAME:
-            return self._pname(tok)
-        if tok.kind == BLANK:
-            return self._labeled_bnode(tok.value)
-        if tok.kind == "[":
-            close = self.next()
-            if close.kind != "]":
+        lexeme = self.next()
+        term = self.terms.get(lexeme)
+        if term is None:
+            term = self._new_term(lexeme, position)
+        return term
+
+    def _new_term(self, lexeme: str, position: str):
+        """The term that `lexeme`, just consumed and not in self.terms, begins."""
+        first = lexeme[:1]
+        if first == '"':
+            return self._literal_tail(lexeme)
+        if lexeme == "<<":
+            return self._quoted(position)
+        if lexeme == "(":
+            return self._collection(position)
+        if lexeme == "[":
+            if self.next() != "]":
                 self.error(
                     "blank node property lists [ ... ] are not supported (only anonymous [])",
-                    close,
-                    ErrorKind.UNSUPPORTED,
+                    kind=ErrorKind.UNSUPPORTED,
                 )
             return self._fresh_bnode()
-        if tok.kind == STRING:
-            return self._literal_tail(tok)
-        if tok.kind == INTEGER:
-            return self._literal(tok.value, XSD_INTEGER)
-        if tok.kind == DECIMAL:
-            return self._literal(tok.value, XSD_DECIMAL)
-        if tok.kind == "<<":
-            if position == "collection element":
-                self.error(
-                    "quoted triples inside collections are not supported",
-                    tok,
-                    ErrorKind.UNSUPPORTED,
-                )
-            return self._quoted(tok)
-        if tok.kind == "(":
-            return self._collection(tok, position)
-        self.error(f"expected {position}, got {tok.value!r}", tok)
+        if first == "<":
+            term = self._iri(self._absolute(lexeme))
+        elif first == "_":
+            term = self._labeled_bnode(lexeme[2:])
+        elif ":" in lexeme:
+            term = self._pname(lexeme)
+        elif lexeme[-1:].isdecimal() and first != "@":  # a number; language tags end in a digit too
+            term = self._literal(lexeme, XSD_DECIMAL if "." in lexeme else XSD_INTEGER)
+        else:
+            self.error(f"expected {position}, got {_shown(lexeme)!r}")
+        self.terms[lexeme] = term
+        return term
 
-    def _literal_tail(self, tok: Token) -> Literal:
-        nxt = self.tok
-        if nxt.kind == LANGTAG:
+    def _literal_tail(self, lexeme: str) -> Literal:
+        """The literal that the string `lexeme`, just consumed, begins."""
+        value = _decode(lexeme)
+        if value is None:  # _fault finds the escape and explains it
+            self.error("escape stands for a character strings exclude")
+        tail = self.tok
+        if tail[:1] == "@" and tail != "@prefix":
             self.next()
-            return self._literal(tok.value, RDF_LANG_STRING, nxt.value)
-        if nxt.kind == "^^":
-            self.next()
-            dt_tok = self.next()
-            if dt_tok.kind == IRIREF:
-                dt = self._iriref(dt_tok).value
-            elif dt_tok.kind == PNAME:
-                dt = self._pname(dt_tok).value
-            else:
-                self.error("expected datatype IRI after '^^'", dt_tok)
-            if dt == RDF_LANG_STRING:
-                self.error("rdf:langString requires a language tag, not '^^'", dt_tok)
-            return self._literal(tok.value, dt)
-        return self._literal(tok.value, XSD_STRING)
+            return self._literal(value, RDF_LANG_STRING, tail[1:])
+        if tail != "^^":
+            return self._literal(value, XSD_STRING)
+        self.next()
+        datatype = self.next()
+        term = self.terms.get(datatype)
+        if term is None and _is_iri(datatype):
+            term = self._new_term(datatype, "datatype")
+        if not isinstance(term, Iri):
+            self.error("expected datatype IRI after '^^'")
+        if term.value == RDF_LANG_STRING:
+            self.error("rdf:langString requires a language tag, not '^^'")
+        return self._literal(value, term.value)
 
-    def _enter(self, open_tok: Token) -> None:
+    def _enter(self, at: int) -> None:
         # << >> and ( ) terms count together against model.MAX_NESTING, so
         # deep input is refused at the offending '<<' or '(' with a position,
         # before the parser's own recursion or QuotedTriple's check can fail.
@@ -544,38 +598,35 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.error(
                 f"terms nested deeper than {MAX_NESTING} levels are not supported",
-                open_tok,
+                at,
                 ErrorKind.UNSUPPORTED,
             )
 
-    def _quoted(self, open_tok: Token) -> QuotedTriple:
-        self._enter(open_tok)
+    def _quoted(self, position: str) -> QuotedTriple:
+        at = self.here() - 1  # the '<<'
+        if position == "collection element":
+            self.error("quoted triples inside collections are not supported", at, ErrorKind.UNSUPPORTED)
+        self._enter(at)
         subject = self._term(position="quoted subject")
         if isinstance(subject, Literal):
-            self.error("literal cannot be the subject of a quoted triple", open_tok)
+            self.error("literal cannot be the subject of a quoted triple", at)
         predicate = self._verb()
         obj = self._term(position="quoted object")
         self.expect(">>", "'>>'")
         self.depth -= 1
         return QuotedTriple(Statement(subject, predicate, obj))
 
-    def _collection(self, open_tok: Token, position: str):
+    def _collection(self, position: str):
+        at = self.here() - 1  # the '('
         if position.startswith("quoted"):
-            self.error(
-                "collections inside quoted triples are not supported",
-                open_tok,
-                ErrorKind.UNSUPPORTED,
-            )
-        self._enter(open_tok)
+            self.error("collections inside quoted triples are not supported", at, ErrorKind.UNSUPPORTED)
+        self._enter(at)
         elements = []
-        while True:
-            tok = self.tok
-            if tok.kind == ")":
-                self.next()
-                break
-            if tok.kind == EOF:
-                self.error("unterminated collection", tok)
+        while self.tok != ")":
+            if not self.tok:
+                self.error("unterminated collection", self.here())
             elements.append(self._term(position="collection element"))
+        self.next()
         self.depth -= 1
         if not elements:
             return self._iri(RDF_NIL)

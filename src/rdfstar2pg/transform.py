@@ -488,9 +488,14 @@ class _Engine:
         """The graph's well-formed all-literal chains: ({head statement: values}, members)."""
         firsts, rests, mentions = {}, {}, {}
         for st in statements:
-            for term in (st.subject, st.object):
+            # a mention inside a quoted triple counts too: its edge needs the cell's node
+            terms = [st.subject, st.object]
+            while terms:
+                term = terms.pop()
                 if isinstance(term, BlankNode):
                     mentions[term] = mentions.get(term, 0) + 1
+                elif isinstance(term, QuotedTriple):
+                    terms += (term.statement.subject, term.statement.object)
             if isinstance(st.subject, BlankNode):
                 if st.predicate.value == RDF_FIRST:
                     firsts.setdefault(st.subject, []).append(st)

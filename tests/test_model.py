@@ -266,15 +266,42 @@ class TestSharedTerms:
         b = [term for term in all_terms(dataset) if term == Iri(EX + "b")]
         assert len(b) == 9 and all(term is b[0] for term in b)
 
-    def test_redefined_prefix_gives_a_new_iri(self):
-        dataset = parse_turtle_star(
-            "@prefix ex: <http://a/> .\nex:x ex:p ex:o .\n"
-            "@prefix ex: <http://b/> .\nex:x ex:p ex:o .\n"
-        )
-        assert [serialize_statement(s) for s in dataset.default] == [
-            "<http://a/x> <http://a/p> <http://a/o>",
-            "<http://b/x> <http://b/p> <http://b/o>",
-        ]
+    # each source binds ex: to <http://a/>, uses it, binds it to
+    # <http://b/> and uses it again; prefixed names are cached per lexeme,
+    # so every use after the rebinding must miss the cache
+    A, B = "@prefix ex: <http://a/> .\n", "@prefix ex: <http://b/> .\n"
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            (
+                A + "ex:x ex:p ex:o .\n" + B + "ex:x ex:p ex:o .\n",
+                [(None, "<http://a/x> <http://a/p> <http://a/o>"), (None, "<http://b/x> <http://b/p> <http://b/o>")],
+            ),
+            (
+                A + "ex:g { ex:x ex:p ex:o }\n" + B + "ex:g { ex:x ex:p ex:o }\n",
+                [
+                    ("http://a/g", "<http://a/x> <http://a/p> <http://a/o>"),
+                    ("http://b/g", "<http://b/x> <http://b/p> <http://b/o>"),
+                ],
+            ),
+            (
+                A + "<< ex:x ex:p ex:o >> ex:q ex:r .\n" + B + "<< ex:x ex:p ex:o >> ex:q ex:r .\n",
+                [
+                    (None, "<< <http://a/x> <http://a/p> <http://a/o> >> <http://a/q> <http://a/r>"),
+                    (None, "<< <http://b/x> <http://b/p> <http://b/o> >> <http://b/q> <http://b/r>"),
+                ],
+            ),
+            (
+                A + "ex:x ex:p ex:o .\n" * 4000 + B + "ex:x ex:p ex:o .\n",
+                [(None, "<http://a/x> <http://a/p> <http://a/o>"), (None, "<http://b/x> <http://b/p> <http://b/o>")],
+            ),
+        ],
+        ids=["default_graph", "graph_block", "quoted_triples", "after_64_kb"],
+    )
+    def test_redefined_prefix_gives_a_new_iri(self, source, expected):
+        dataset = parse_turtle_star(source)
+        assert [(name and name.value, serialize_statement(st)) for name, st in dataset.statements()] == expected
 
     def test_relative_iri_still_refused_after_its_absolute_lookalike(self):
         with pytest.raises(ParseError, match="line 3, column 1: relative IRI <x>"):

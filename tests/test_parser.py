@@ -19,9 +19,11 @@ from rdfstar2pg.model import (
 )
 from rdfstar2pg.exporters import to_cypher, to_graphml, to_json
 from rdfstar2pg.parser import (
+    _CHUNK,
     MAX_NESTING,
     ErrorKind,
     ParseError,
+    _chunks,
     parse_turtle_star,
     to_turtle_star,
 )
@@ -347,10 +349,31 @@ LEXER_ERRORS = [
 ]
 
 
+# The scanner reads the text a chunk of about _CHUNK characters at a time.
+# Every row whose first line is an @prefix runs again with 5,000 statements
+# (about 85 KB) after that line, so that its error sits in a later chunk.
+LONG_FILLER = "ex:s ex:p ex:o .\n" * 5000
+LEXER_ERRORS_AFTER_FILLER = [
+    (f"{name}_after_filler", first + "\n" + LONG_FILLER + rest, kind, line + 5000, column, message)
+    for name, source, kind, line, column, message in LEXER_ERRORS
+    if source.lstrip("\ufeff").startswith("@prefix ex:") and line > 1
+    for first, _, rest in [source.partition("\n")]
+]
+# The lexical error of each lexical_2000_statements_after_* row, moved two
+# chunks past the first error.
+TWO_CHUNKS = "ex:s ex:p ex:o .\n" * (2 * _CHUNK // 17 + 1)
+LEXER_ERRORS_TWO_CHUNKS_ON = [
+    (f"{name}_two_chunks_on", source.replace(FILLER, TWO_CHUNKS), kind, line - 2000 + TWO_CHUNKS.count("\n"), column, message)
+    for name, source, kind, line, column, message in LEXER_ERRORS
+    if name.startswith("lexical_2000_statements_after_")
+]
+ALL_LEXER_ERRORS = LEXER_ERRORS + LEXER_ERRORS_AFTER_FILLER + LEXER_ERRORS_TWO_CHUNKS_ON
+
+
 @pytest.mark.parametrize(
     "source,kind,line,column,message",
-    [row[1:] for row in LEXER_ERRORS],
-    ids=[row[0] for row in LEXER_ERRORS],
+    [row[1:] for row in ALL_LEXER_ERRORS],
+    ids=[row[0] for row in ALL_LEXER_ERRORS],
 )
 def test_lexer_error_table(source, kind, line, column, message):
     with pytest.raises(ParseError) as exc_info:
@@ -358,6 +381,30 @@ def test_lexer_error_table(source, kind, line, column, message):
     err = exc_info.value
     assert (err.kind, err.line, err.column, err.message) == (kind, line, column, message)
     assert str(err) == f"line {line}, column {column}: {message}"
+
+
+def test_long_rows_cross_chunk_ends():
+    for row in LEXER_ERRORS_AFTER_FILLER:
+        assert len(list(_chunks(row[1]))) > 1, row[0]
+    for name, source, *_ in LEXER_ERRORS_TWO_CHUNKS_ON:
+        # the first error is on line 2, the lexical one on the last line
+        first, second, _ = _chunks(source)
+        assert source.index("\n", len(EX)) < len(first), name
+        assert len(first + second) <= source.rindex("\n") + 1, name
+
+
+def test_graph_name_and_brace_split_by_a_chunk_end():
+    # the newline after ex:g is the first one at offset _CHUNK or beyond
+    head = EX + "#" + "x" * (_CHUNK - 6 - len(EX)) + "\n"
+    source = head + "ex:g\n{ ex:a ex:b ex:c . }\n"
+    assert next(_chunks(source)) == head + "ex:g\n"
+    dataset = parse_turtle_star(source)
+    assert dataset.default == ()
+    assert dataset.named == {
+        Iri("http://example.org/g"): (
+            Statement(Iri("http://example.org/a"), Iri("http://example.org/b"), Iri("http://example.org/c")),
+        )
+    }
 
 
 class TestIriEscapes:

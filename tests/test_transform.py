@@ -585,6 +585,19 @@ class TestLists:
         graph, _ = pgt(ds(EX + 'ex:L ex:contents ("one" 2) .'), cfg)
         assert len(graph.edges) >= 1
 
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_cell_named_in_a_quoted_triple_stays_expanded(self, approach):
+        # the quoted statement's edge starts at the cell, so the cell keeps its node
+        rdf = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        dataset = ds(
+            EX + rdf + "_:l rdf:first 1 ; rdf:rest rdf:nil . ex:s ex:p _:l . <<_:l ex:q ex:r>> ex:t ex:u ."
+        )
+        outputs = []
+        for policy in (ListPolicy.EXPAND, ListPolicy.COLLAPSE_LITERALS):
+            graph, report = transform(dataset, TransformConfig(approach=approach, list_policy=policy))
+            outputs.append((to_json(graph), report.to_dict()))
+        assert outputs[0] == outputs[1]
+
 
     def test_lookalike_first_rest_nil_not_collapsed(self):
         # only rdf:first / rdf:rest / rdf:nil make a list, not any IRI ending in #first
