@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from .conformance import run_conformance
-# to_json stays a name of this module: perfbench/spans.py wraps it here.
+# to_json is here only for perfbench/spans.py to patch; convert writes through _json_chunks.
 from .exporters import UnrepresentableValue, _json_chunks, to_cypher, to_graphml, to_json  # noqa: F401
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star

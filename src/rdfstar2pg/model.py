@@ -375,21 +375,25 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def terms(statement: Statement) -> list:
+    """The subject and object of `statement` and of every statement it quotes.
+
+    One pre-order walk: each quoted triple comes first, then the terms of
+    its subject, then those of its object.
+    """
+    found = []
+    stack = [statement.object, statement.subject]
+    while stack:
+        term = stack.pop()
+        found.append(term)
+        if isinstance(term, QuotedTriple):
+            stack += (term.statement.object, term.statement.subject)
+    return found
+
+
 def embedded_star_statements(statement: Statement) -> list:
     """Embedded statements that are themselves star statements, recursively."""
-    found = []
-
-    def walk(term: Term) -> None:
-        if isinstance(term, QuotedTriple):
-            inner = term.statement
-            if is_star(inner):
-                found.append(inner)
-            walk(inner.subject)
-            walk(inner.object)
-
-    walk(statement.subject)
-    walk(statement.object)
-    return found
+    return [t.statement for t in terms(statement) if isinstance(t, QuotedTriple) and is_star(t.statement)]
 
 
 def is_chain_statement(statement: Statement) -> bool:
@@ -423,19 +427,7 @@ def statement_units(dataset: Dataset) -> list:
 
 
 def _bnode_labels(statements) -> set:
-    labels = set()
-
-    def walk(term: Term) -> None:
-        if isinstance(term, BlankNode):
-            labels.add(term.label)
-        elif isinstance(term, QuotedTriple):
-            walk(term.statement.subject)
-            walk(term.statement.object)
-
-    for st in statements:
-        walk(st.subject)
-        walk(st.object)
-    return labels
+    return {t.label for st in statements for t in terms(st) if isinstance(t, BlankNode)}
 
 
 def _rename(statement: Statement, mapping: dict) -> Statement:
@@ -464,10 +456,8 @@ def isomorphic(a: Dataset, b: Dataset) -> bool:
     if set(a.named) != set(b.named):
         return False
 
-    a_all = list(a.default) + [st for sts in a.named.values() for st in sts]
-    b_all = list(b.default) + [st for sts in b.named.values() for st in sts]
-    a_labels = sorted(_bnode_labels(a_all))
-    b_labels = sorted(_bnode_labels(b_all))
+    a_labels = sorted(_bnode_labels(st for _, st in a.statements()))
+    b_labels = sorted(_bnode_labels(st for _, st in b.statements()))
     if len(a_labels) != len(b_labels):
         return False
 

@@ -196,14 +196,6 @@ def _chunks(text: str):
         start = end
 
 
-def _lexeme_start(chunk: str, index: int) -> int:
-    """The offset in `chunk` of its lexeme number `index`."""
-    for number, match in enumerate(_TOKEN.finditer(chunk)):
-        if number == index:
-            return match.start(1)
-    raise IndexError(index)
-
-
 def _fault(text: str, at: int, message: str, kind: ErrorKind) -> ParseError:
     """The error to raise for a fault the parser found at lexeme number `at`.
 
@@ -214,19 +206,20 @@ def _fault(text: str, at: int, message: str, kind: ErrorKind) -> ParseError:
     that lexeme.
     """
     offset = len(text)
-    start = seen = 0
+    start = number = 0
     for chunk in _chunks(text):
-        lexemes = _TOKEN.findall(chunk)
-        count = lexemes.index("")
-        for index in range(max(at - seen, 0), count):
-            if seen + index == at:
-                offset = start + _lexeme_start(chunk, index)
-            lexeme = lexemes[index]
-            # the rest of a chunk where no token matched, or an escape that stands
-            # for a character the string or IRI excludes
-            if lexeme[-1] == "\n" or (lexeme[0] in '"<' and "\\" in lexeme and _decode(lexeme) is None):
-                return _lex_error(text, start + _lexeme_start(chunk, index))
-        seen += count
+        for match in _TOKEN.finditer(chunk):
+            lexeme = match.group(1)
+            if not lexeme:  # the end of the chunk
+                break
+            if number >= at:
+                if number == at:
+                    offset = start + match.start(1)
+                # the rest of a chunk where no token matched, or an escape that stands
+                # for a character the string or IRI excludes
+                if lexeme[-1] == "\n" or (lexeme[0] in '"<' and "\\" in lexeme and _decode(lexeme) is None):
+                    return _lex_error(text, start + match.start(1))
+            number += 1
         start += len(chunk)
     return _error_at(text, offset, message, kind)
 
@@ -652,11 +645,11 @@ def to_turtle_star(dataset: Dataset) -> str:
     blank-node relabeling (the parser re-canonicalizes labels).
     """
     lines = []
-    for st in dataset.default:
-        lines.append(serialize_statement(st) + " .")
-    for name in sorted(dataset.named, key=lambda iri: iri.value):
+    for name, statements in dataset.graphs():
+        if name is None:
+            lines += (serialize_statement(st) + " ." for st in statements)
+            continue
         lines.append(f"<{name.value}> {{")
-        for st in dataset.named[name]:
-            lines.append("    " + serialize_statement(st) + " .")
+        lines += ("    " + serialize_statement(st) + " ." for st in statements)
         lines.append("}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -66,6 +66,7 @@ from .model import (
     is_star,
     local_name,
     serialize_statement,
+    terms,
 )
 from .pgraph import PropertyGraph
 
@@ -208,11 +209,8 @@ _XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
 def _holds_long_integer(st: Statement) -> bool:
     """Whether st, or a statement it quotes, has a valid xsd:integer object
     that int() refuses for its length, so literal_value keeps its text."""
-    for term in (st.subject, st.object):
-        if isinstance(term, QuotedTriple):
-            if _holds_long_integer(term.statement):
-                return True
-        elif (
+    for term in terms(st):
+        if (
             isinstance(term, Literal)
             and len(term.lexical) > _ALWAYS_READ
             and term.datatype.value == XSD_INTEGER
@@ -221,6 +219,12 @@ def _holds_long_integer(st: Statement) -> bool:
         ):
             return True
     return False
+
+
+def _note(unit: Optional[ReportEntry], text: str) -> None:
+    """Give a unit, if there is one, the note `text`; a unit carries each note once."""
+    if unit is not None and text not in unit.notes:
+        unit.notes.append(text)
 
 
 def _list_merge(staged: list) -> pgraph.PropertyValue:
@@ -234,8 +238,7 @@ def _list_merge(staged: list) -> pgraph.PropertyValue:
     if len({kind.name for kind in kinds}) > 1:
         flat = [kind.text(v) for kind, v in zip(kinds, flat)]
         for _, unit in staged:
-            if unit is not None and NOTE_MIXED_TYPES not in unit.notes:
-                unit.notes.append(NOTE_MIXED_TYPES)
+            _note(unit, NOTE_MIXED_TYPES)
     return flat
 
 
@@ -245,8 +248,8 @@ def _last_wins(staged: list) -> pgraph.PropertyValue:
     if len(staged) > 1:
         winner_key = pgraph.value_key(winner)
         for value, unit in staged[:-1]:
-            if unit is not None and pgraph.value_key(value) != winner_key:
-                unit.notes.append(NOTE_OVERWRITTEN)
+            if pgraph.value_key(value) != winner_key:
+                _note(unit, NOTE_OVERWRITTEN)
     return winner
 
 
@@ -334,7 +337,7 @@ class _Engine:
             return self.graph.upsert_node(key, {"Literal"}, props)
         raise TypeError(f"cannot materialize node for {term!r}")
 
-    # --- property staging (applied after all statements, in canonical order) ---
+    # --- property staging (applied after all statements, in the order staged) ---
 
     @staticmethod
     def _stage(table: dict, owner: str, key: str, value, unit) -> None:
@@ -365,9 +368,9 @@ class _Engine:
         return node, key
 
     def _apply_staged(self) -> None:
-        for (node_id, key), staged in sorted(self.node_props.items()):
+        for (node_id, key), staged in self.node_props.items():
             self.graph.set_node_property(node_id, key, _list_merge(staged))
-        for (edge_id, key), staged in sorted(self.edge_props.items()):
+        for (edge_id, key), staged in self.edge_props.items():
             self.graph.replace_edge_property(edge_id, key, _last_wins(staged))
 
     # --- edges ---
@@ -431,8 +434,7 @@ class _Engine:
             object_edge, _ = self.embedded_edge(st.object.statement)
         if prefix:
             key = f"{prefix}.{key}"
-            if NOTE_NESTED not in unit.notes:
-                unit.notes.append(NOTE_NESTED)
+            _note(unit, NOTE_NESTED)
         if kind is StatementKind.STAR_SUBJECT:
             value = self.pair_value(st.object, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
@@ -489,13 +491,9 @@ class _Engine:
         firsts, rests, mentions = {}, {}, {}
         for st in statements:
             # a mention inside a quoted triple counts too: its edge needs the cell's node
-            terms = [st.subject, st.object]
-            while terms:
-                term = terms.pop()
+            for term in terms(st):
                 if isinstance(term, BlankNode):
                     mentions[term] = mentions.get(term, 0) + 1
-                elif isinstance(term, QuotedTriple):
-                    terms += (term.statement.subject, term.statement.object)
             if isinstance(st.subject, BlankNode):
                 if st.predicate.value == RDF_FIRST:
                     firsts.setdefault(st.subject, []).append(st)
@@ -558,8 +556,8 @@ class _Engine:
                     else:
                         heads.add(st)
         for unit in units:
-            if unit.statement in heads and NOTE_LONG_INTEGER not in unit.notes:
-                unit.notes.append(NOTE_LONG_INTEGER)
+            if unit.statement in heads:
+                _note(unit, NOTE_LONG_INTEGER)
 
     # --- driver ---
 

@@ -28,7 +28,7 @@ hundred:
                        unit per statement unit, only pgt reports Partial
                        (exactly for statements that directly quote a
                        datatype-property statement), and no unit carries
-                       the nested-key note twice
+                       a note twice
 7. hash contract     - equal terms and statements have equal hashes however
                        they were built, so statements built in code and
                        statements read back from their text meet in one set
@@ -36,17 +36,27 @@ hundred:
                        collections, as objects of plain and of quoted
                        statements, transform under every configuration with
                        one unit per statement unit
+9. surface spellings - the text round trip's datasets, written with prefixed,
+                       full and \\u-escaped IRIs, escaped string characters,
+                       number shorthand, other blank-node labels, comments and
+                       blank lines, every @prefix declared again midway and
+                       each graph block split in two, give the same JSON,
+                       GraphML, Cypher and report bytes under every approach
+                       as to_turtle_star's text, checked against two hundred
 """
 
+import json
+import re
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfstar2pg.exporters import to_json
+from rdfstar2pg.exporters import UnrepresentableValue, to_cypher, to_graphml, to_json
 from rdfstar2pg.model import (
     XSD_DATE,
     XSD_INTEGER,
+    XSD_STRING,
     Dataset,
     BlankNode,
     Iri,
@@ -55,13 +65,14 @@ from rdfstar2pg.model import (
     Statement,
     StatementKind,
     classify,
+    escape_string,
     local_name,
     statement_units,
+    terms,
 )
 from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
 from rdfstar2pg.pgraph import is_bookkeeping_key
 from rdfstar2pg.transform import (
-    NOTE_NESTED,
     Approach,
     DatatypePolicy,
     ListPolicy,
@@ -293,12 +304,12 @@ def quotes_datatype_statement(statement) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(text_datasets)
 def test_report_algebra_on_star_data(dataset):
-    """Unit count, Partial placement and nested notes hold under every approach."""
+    """Unit count, Partial placement and once-only notes hold under every approach."""
     for approach in (rpt, pgt, hybrid):
         _, report = approach(dataset)
         assert report.total == len(statement_units(dataset))
         listed = report.partial + report.ignored + report.errors + report.notes
-        assert all(entry.notes.count(NOTE_NESTED) <= 1 for entry in listed)
+        assert all(len(set(entry.notes)) == len(entry.notes) for entry in listed)
         partial = Counter((entry.graph, entry.statement) for entry in report.partial)
         if approach is pgt:
             expected = Counter(
@@ -402,3 +413,139 @@ def test_no_configuration_crashes_on_collections(source, config):
     dataset = parse_turtle_star(source)
     _, report = transform(dataset, config)
     assert report.total == len(statement_units(dataset))
+
+
+# --- surface spellings -------------------------------------------------------
+
+# a local name from the first digit or '_' after the last letters: many IRIs
+# then share a local name ("0"), so a prefix rebound to another namespace
+# gives a lexeme read before the rebinding a new meaning
+NAMESPACE_AND_LOCAL = re.compile(r"(.*[/#][A-Za-z]*)([0-9_][A-Za-z0-9_\-]*)?")
+INTEGER = re.compile(r"[+-]?[0-9]+")
+GAPS = [" ", "\t", "\n", "\n\n", " # a comment with << and .\n", "\n# a comment line\n\n"]
+
+
+def spelled_iris(dataset) -> set:
+    """Every IRI that a dataset's text spells: graph names, predicates, terms, datatypes."""
+    iris = set(dataset.named)
+    for _, statement in dataset.statements():
+        iris.add(statement.predicate)
+        for term in terms(statement):
+            if isinstance(term, QuotedTriple):
+                iris.add(term.statement.predicate)
+            elif isinstance(term, Literal):
+                iris.add(term.datatype)
+            elif isinstance(term, Iri):
+                iris.add(term)
+    return iris
+
+
+class Speller:
+    """Writes a dataset as Turtle-star in a surface spelling that `rng` picks
+    term by term. Prefix p<k> names namespace k - shift; shift changes once,
+    where every @prefix is declared again (0: each to the same namespace)."""
+
+    def __init__(self, dataset, rng):
+        self.rng = rng
+        self.namespaces = sorted(
+            {m.group(1) for iri in spelled_iris(dataset) if (m := NAMESPACE_AND_LOCAL.fullmatch(iri.value))}
+        )
+        self.shift = 0
+        self.bnode_prefix = rng.choice(["", "n", "x_"])
+        self.dataset = dataset
+
+    def gap(self) -> str:
+        return self.rng.choice(GAPS)
+
+    def escaped(self, char: str, plain: str) -> str:
+        """`char` as a \\u escape, now and then, else as `plain`."""
+        if ord(char) < 0x10000 and self.rng.randrange(3) == 0:
+            return "\\u%04X" % ord(char)
+        return plain
+
+    def iri_ref(self, value: str) -> str:
+        if self.rng.randrange(2):
+            return "<" + "".join(self.escaped(char, char) for char in value) + ">"
+        return f"<{value}>"
+
+    def iri(self, value: str) -> str:
+        match = NAMESPACE_AND_LOCAL.fullmatch(value)
+        if match and self.rng.randrange(2):
+            index = (self.namespaces.index(match.group(1)) + self.shift) % len(self.namespaces)
+            return f"p{index}:{match.group(2) or ''}"
+        return self.iri_ref(value)
+
+    def prefixes(self) -> str:
+        count = len(self.namespaces)
+        return "".join(
+            f"@prefix p{(k + self.shift) % count}: {self.iri_ref(namespace)} .\n"
+            for k, namespace in enumerate(self.namespaces)
+        )
+
+    def literal(self, lit: Literal) -> str:
+        if lit.datatype.value == XSD_INTEGER and INTEGER.fullmatch(lit.lexical) and self.rng.randrange(2):
+            return lit.lexical
+        body = '"' + "".join(self.escaped(char, escape_string(char)) for char in lit.lexical) + '"'
+        if lit.lang is not None:
+            return f"{body}@{lit.lang}"
+        if lit.datatype.value == XSD_STRING and self.rng.randrange(2):
+            return body
+        return f"{body}^^{self.iri(lit.datatype.value)}"
+
+    def term(self, term) -> str:
+        if isinstance(term, Iri):
+            return self.iri(term.value)
+        if isinstance(term, BlankNode):
+            return f"_:{self.bnode_prefix}{term.label}"
+        if isinstance(term, Literal):
+            return self.literal(term)
+        return "<<" + self.gap() + self.statement(term.statement) + self.gap() + ">>"
+
+    def statement(self, st_) -> str:
+        subject = self.term(st_.subject) + self.gap()
+        return subject + self.iri(st_.predicate.value) + self.gap() + self.term(st_.object)
+
+    def document(self) -> str:
+        # top-level items in to_turtle_star's order: (None, [statement]) for
+        # the default graph, then (name, statements), each graph in two blocks
+        items = []
+        for name, statements in self.dataset.graphs():
+            if name is None:
+                items += [(None, [statement]) for statement in statements]
+            else:
+                cut = self.rng.randrange(len(statements) + 1)
+                items += [(name, statements[:cut]), (name, statements[cut:])]
+        pieces, rebind_at = [self.prefixes()], self.rng.randrange(len(items) + 1)
+        for number, (name, statements) in enumerate(items):
+            if number == rebind_at and self.namespaces:
+                self.shift = self.rng.randrange(len(self.namespaces))
+                pieces.append(self.prefixes())
+            lines = [self.statement(statement) + self.gap() + "." for statement in statements]
+            if name is None:
+                pieces += lines
+            else:
+                block = self.gap() + self.gap().join(lines) + self.gap()
+                pieces.append(self.iri(name.value) + self.gap() + "{" + block + "}")
+        return self.gap().join(pieces) + "\n"
+
+
+def outputs(text: str) -> list:
+    """The report, JSON, GraphML and Cypher bytes (or refusal) of text under each approach."""
+    found = []
+    for approach in (rpt, pgt, hybrid):
+        graph, report = approach(parse_turtle_star(text))
+        found.append(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
+        for export in (to_json, to_graphml, to_cypher):
+            try:
+                found.append(export(graph))
+            except UnrepresentableValue as exc:
+                found.append(repr(exc))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_datasets, st.randoms(use_true_random=False))
+def test_surface_spellings_give_the_same_bytes(dataset, rng):
+    text = Speller(dataset, rng).document()
+    assert parse_turtle_star(text) == dataset
+    assert outputs(text) == outputs(to_turtle_star(dataset))

@@ -299,6 +299,12 @@ STAR_REPORT_TABLE = [
     ("<<ex:a ex:p ex:b>> ex:q <<ex:c ex:p ex:d>> .", [(CONVERTED, "", [E2E])]),
     (DEPTH2 + " ex:r <<ex:d ex:p ex:e>> .", [(CONVERTED, "", [NESTED, E2E]), (CONVERTED, "", [NESTED, IRI])]),
     ("<<ex:d ex:p ex:e>> ex:r " + DEPTH2 + " .", [(CONVERTED, "", [E2E]), (CONVERTED, "", [NESTED, IRI])]),
+    # both edge keys of the first unit lose to later values: one note all the same
+    (
+        "<<ex:a ex:p ex:b>> ex:q <<ex:c ex:r ex:d>> .\n<<ex:a ex:p ex:b>> ex:q <<ex:e ex:r ex:f>> .\n"
+        "<<ex:x ex:y ex:z>> ex:q <<ex:c ex:r ex:d>> .",
+        [(CONVERTED, "", [E2E, OVERWRITTEN]), (CONVERTED, "", [E2E]), (CONVERTED, "", [E2E])],
+    ),
     # depth-3 chain: every unit is nested or has a dotted key
     (
         "<< " + DEPTH2 + " ex:r ex:d >> ex:s ex:e .",
