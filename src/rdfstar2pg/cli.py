@@ -84,6 +84,7 @@ def cmd_convert(args) -> int:
         list_policy=ListPolicy(args.list_policy),
     )
     graph, report = transform(dataset, config)
+    del dataset  # the report holds the statements it names; nothing below reads the dataset
 
     # JSON is written as it is made: it refuses nothing beyond the walk,
     # which _json_chunks runs first. GraphML and Cypher can refuse partway
@@ -99,6 +100,8 @@ def cmd_convert(args) -> int:
         print(f"error: cannot write {args.format}: {exc}", file=sys.stderr)
         return 1
     _write_output(args.output, chunks)
+    # the graph and its kept walk go before the report's indented dump, which sets the peak
+    del graph, chunks
 
     if args.report:
         _write_report(args.report, report.to_dict())

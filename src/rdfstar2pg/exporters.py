@@ -2,9 +2,11 @@
 
 All three exporters read the same canonical walk,
 PropertyGraph.canonical_records(), so their output depends only on graph
-content, never on construction order. They read the typed property values
-directly; nothing is encoded to JSON-ready form and decoded back. JSON and
-GraphML return UTF-8 bytes; Cypher returns text. Every format is written
+content, never on construction order. The JSON, GraphML and Cypher exports
+of one transform result share one walk, which the sealed graph keeps. The
+exporters read the typed property values directly, a list value as the
+walk's tuple; nothing is encoded to JSON-ready form and decoded back. JSON
+and GraphML return UTF-8 bytes; Cypher returns text. Every format is written
 line by line with LF endings to keep output byte-reproducible.
 
 The walk refuses a graph that breaks pgraph's rules, so each exporter
@@ -80,7 +82,7 @@ def _json_chunks(graph: PropertyGraph) -> Iterator[bytes]:
     return _utf8_chunks(_json_pieces(nodes, edges))
 
 
-def _json_pieces(nodes: list, edges: list) -> Iterator[str]:
+def _json_pieces(nodes: tuple, edges: tuple) -> Iterator[str]:
     yield "{\n"
     yield from _json_array("nodes", nodes)
     yield ",\n"
@@ -88,7 +90,7 @@ def _json_pieces(nodes: list, edges: list) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _json_array(name: str, records: list) -> Iterator[str]:
+def _json_array(name: str, records: tuple) -> Iterator[str]:
     if not records:
         yield f'  "{name}": []'
         return
@@ -136,7 +138,7 @@ def _json_record(record) -> str:
 def _json_value(value, indent: str) -> str:
     """encode_value(value) as json.dumps(indent=2) prints it at this indent."""
     inner = indent + "  "
-    if type(value) is list:  # flat and non-empty: the walk checked it
+    if type(value) is tuple:  # a list, flat and non-empty: the walk checked it
         items = ",\n".join(inner + _json_value(item, inner) for item in value)
         return "[\n" + items + "\n" + indent + "]"
     kind = _KINDS[type(value)]
@@ -253,7 +255,7 @@ def _xml_attr(text: str) -> str:
 
 
 def _graphml_value(key: str, value) -> str:
-    if not isinstance(value, list):
+    if type(value) is not tuple:
         return _kind_64(key, value).text(value)
     parts = [_kind_64(key, item).text(item) for item in value]
     for part in parts:
@@ -276,7 +278,7 @@ def to_graphml(graph: PropertyGraph) -> bytes:
         seen = value_types[domain]
         for record in records:
             for key, value in record.properties:
-                if type(value) is list:
+                if type(value) is tuple:  # a list value, as the walk holds it
                     list_keys.add((domain, key))
                     value = value[0]
                 seen[key].add(type(value))
@@ -356,7 +358,7 @@ def _cypher_scalar(key: str, value) -> str:
 
 
 def _cypher_value(key: str, value) -> str:
-    if isinstance(value, list):
+    if type(value) is tuple:
         return "[" + ", ".join([_cypher_scalar(key, item) for item in value]) + "]"
     return _cypher_scalar(key, value)
 
@@ -396,10 +398,9 @@ def to_cypher(graph: PropertyGraph) -> str:
 
     def body(record) -> str:
         """Labels and properties, as every CREATE line writes them."""
-        labels = tuple(record.labels)
-        chain = chains.get(labels)
+        chain = chains.get(record.labels)
         if chain is None:
-            chain = chains[labels] = _label_chain(labels)
+            chain = chains[record.labels] = _label_chain(record.labels)
         return chain + " " + _prop_block(record, prefixes)
 
     lines = []

@@ -5,9 +5,17 @@ is created through an identity key so repeated upserts merge instead of
 duplicating; merging never silently overwrites a property (PropertyConflict).
 canonical_records() is the one canonical walk: nodes by id, then edges by
 (source, labels, target, id), each with sorted labels and sorted properties
-whose values stay Python values. Every exporter reads that walk directly.
-canonical_form() is the same walk as a plain JSON-ready structure, so two
-graphs are equal exactly when their canonical forms are equal.
+whose values stay Python values, all held in tuples. Every exporter reads
+that walk directly. canonical_form() is the same walk as a plain JSON-ready
+structure, so two graphs are equal exactly when their canonical forms are
+equal.
+
+The transform seals the graph it returns, since nothing else holds a part of
+it: a sealed graph keeps its first walk and returns it to every later call,
+so its exports walk it once. Reading nodes or edges, calling a setter or
+taking a shallow copy ends the seal for good and drops the kept walk, so an
+edit made through them always shows in the next walk. A graph built by hand
+or by from_json is never sealed and is walked again on every call.
 
 A valid graph keeps five rules, each checked where it can break: every id,
 endpoint, label and key is a str (_strings), every record has a label
@@ -157,7 +165,7 @@ def check_value(value: PropertyValue) -> None:
 
 def encode_value(value: PropertyValue):
     """JSON-ready encoding; exact for every value kind."""
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):  # a tuple is how a walk record holds a list
         return [encode_value(v) for v in value]
     kind = kind_of(value)
     return value if kind.tag is None else {kind.tag: kind.text(value)}
@@ -259,8 +267,8 @@ class NodeRecord(NamedTuple):
     """A node as the canonical walk yields it."""
 
     id: str
-    labels: list
-    properties: list  # (key, value) pairs sorted by key
+    labels: tuple
+    properties: tuple  # (key, value) pairs sorted by key
 
 
 class EdgeRecord(NamedTuple):
@@ -269,51 +277,95 @@ class EdgeRecord(NamedTuple):
     id: str
     source: str
     target: str
-    labels: list
-    properties: list  # (key, value) pairs sorted by key
+    labels: tuple
+    properties: tuple  # (key, value) pairs sorted by key
 
 
-def _sorted_labels(labels) -> list:
-    return sorted(_labelled(_strings(labels)))
+def _sorted_labels(labels) -> tuple:
+    return tuple(sorted(_labelled(_strings(labels))))
 
 
-def _sorted_properties(properties: dict) -> list:
+def _sorted_properties(properties: dict) -> tuple:
+    """The (key, value) pairs sorted by key, each list value as a tuple."""
+    lists = False
     for value in _strings(properties).values():
         if type(value) not in _KINDS:  # a list, or no property value
             check_value(value)
-    return sorted(properties.items())
+            lists = True
+    pairs = sorted(properties.items())
+    if lists:
+        pairs = [(key, tuple(value) if type(value) is list else value) for key, value in pairs]
+    return tuple(pairs)
 
 
 def _json_ready(record) -> dict:
-    """A walk record as canonical_form lays it out: its fields, values encoded."""
+    """A walk record as canonical_form lays it out: its fields, in lists, values encoded."""
     return {
         **record._asdict(),
+        "labels": list(record.labels),
         "properties": {key: encode_value(value) for key, value in record.properties},
     }
 
 
 class PropertyGraph:
     def __init__(self) -> None:
-        self.nodes: dict = {}
-        self.edges: dict = {}
+        self._nodes: dict = {}
+        self._edges: dict = {}
+        self._sealed = False
+        self._walk: Optional[tuple] = None  # a sealed graph's first canonical walk
+
+    @property
+    def nodes(self) -> dict:
+        """Node id -> Node, to read and edit; reading it ends the graph's seal."""
+        self._unseal()
+        return self._nodes
+
+    @property
+    def edges(self) -> dict:
+        """Edge id -> Edge, to read and edit; reading it ends the graph's seal."""
+        self._unseal()
+        return self._edges
+
+    def _seal(self) -> None:
+        """Keep the next canonical walk for every later one.
+
+        Only a maker that has let go of every part of the graph may seal it:
+        its dicts, its Node and Edge objects and its list values. Any later
+        reference then comes through nodes, edges or a setter, which unseal.
+        """
+        self._sealed = True
+
+    def _unseal(self) -> None:
+        """End the seal for good, and drop the kept walk."""
+        self._sealed = False
+        self._walk = None
+
+    def __copy__(self) -> "PropertyGraph":
+        """A graph sharing this one's dicts; since each can then edit both, neither is sealed."""
+        self._unseal()
+        copied = PropertyGraph()
+        copied._nodes, copied._edges = self._nodes, self._edges
+        return copied
 
     # --- nodes ---
 
     def upsert_node(self, identity_key: str, labels=(), properties=None) -> str:
         """Create or merge the node for identity_key; returns its id."""
+        self._unseal()
         labels = _labelled(set(labels))
         _strings((identity_key, *labels))
         node_id = "n:" + identity_key
-        node = self.nodes.get(node_id)
+        node = self._nodes.get(node_id)
         if node is None:
             node = Node(node_id)
-            self.nodes[node_id] = node
+            self._nodes[node_id] = node
         node.labels |= labels
         _merge_properties(node_id, node.properties, properties or {})
         return node_id
 
     def set_node_property(self, node_id: str, key: str, value: PropertyValue) -> None:
-        node = self.nodes.get(node_id)
+        self._unseal()
+        node = self._nodes.get(node_id)
         if node is None:
             raise KeyError(node_id)
         _merge_properties(node_id, node.properties, {key: value})
@@ -322,13 +374,14 @@ class PropertyGraph:
 
     def upsert_edge(self, identity_key: str, source: str, target: str, labels=(), properties=None) -> str:
         """Create or merge the edge for identity_key; returns its id."""
+        self._unseal()
         labels = _labelled(set(labels))
         _strings((identity_key, source, target, *labels))
-        _endpoints(self.nodes, source, target)
+        _endpoints(self._nodes, source, target)
         edge_id = "e:" + hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
-        edge = self.edges.get(edge_id)
+        edge = self._edges.get(edge_id)
         if edge is None:
-            edge = self.edges[edge_id] = Edge(edge_id, source, target)
+            edge = self._edges[edge_id] = Edge(edge_id, source, target)
         if (edge.source, edge.target) != (source, target):
             raise PropertyConflict(f"edge {edge_id} endpoints differ for key {identity_key!r}")
         edge.labels |= labels
@@ -337,9 +390,10 @@ class PropertyGraph:
 
     def replace_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
         """Deliberate overwrite; the transform uses this for last-wins merges."""
+        self._unseal()
         _strings((key,))
         check_value(value)
-        self.edges[edge_id].properties[key] = value
+        self._edges[edge_id].properties[key] = value
 
     # --- canonical walk ---
 
@@ -347,26 +401,39 @@ class PropertyGraph:
         """The one canonical walk: (node records, edge records), in order.
 
         Nodes come sorted by id and edges by (source, labels joined with
-        ";", target, id). Each record has sorted labels and (key, value)
-        property pairs sorted by key, with the values as Python values.
-        Every record is checked against the module's five graph rules before
-        any is returned, so a graph that breaks one raises that rule's
-        exception and message, whichever exporter asked.
+        ";", target, id). Each record has a tuple of sorted labels and a
+        tuple of (key, value) property pairs sorted by key, with the values
+        as Python values and a list as a tuple. Every record is checked
+        against the module's five graph rules before any is returned, so a
+        graph that breaks one raises that rule's exception and message,
+        whichever exporter asked.
+
+        The walk holds tuples only, so no caller can change it. A graph that
+        transform returns is sealed: its first walk is kept and every later
+        call returns it, so its JSON, GraphML and Cypher exports walk it
+        once. Reading nodes or edges, calling a setter or taking a shallow
+        copy ends the seal for good and drops the kept walk; every call after
+        that walks again.
         """
+        if self._walk is not None:
+            return self._walk
         nodes = []
-        for node_id in sorted(_strings(self.nodes)):
-            node = self.nodes[node_id]
+        for node_id in sorted(_strings(self._nodes)):
+            node = self._nodes[node_id]
             _own_key(node_id, node.id)
             nodes.append(NodeRecord(node_id, _sorted_labels(node.labels), _sorted_properties(node.properties)))
         edges = []
-        for edge_id, edge in self.edges.items():
+        for edge_id, edge in self._edges.items():
             _strings((edge.id, edge.source, edge.target))
             _own_key(edge_id, edge.id)
-            _endpoints(self.nodes, edge.source, edge.target)
+            _endpoints(self._nodes, edge.source, edge.target)
             labels, properties = _sorted_labels(edge.labels), _sorted_properties(edge.properties)
             edges.append(EdgeRecord(edge.id, edge.source, edge.target, labels, properties))
         edges.sort(key=lambda record: (record.source, ";".join(record.labels), record.target, record.id))
-        return nodes, edges
+        walk = tuple(nodes), tuple(edges)
+        if self._sealed:
+            self._walk = walk
+        return walk
 
     def canonical_form(self) -> dict:
         """The canonical walk as a JSON-ready structure (values via encode_value)."""
@@ -381,7 +448,7 @@ class PropertyGraph:
     def semantic_node_property_count(self) -> int:
         return sum(
             1
-            for node in self.nodes.values()
+            for node in self._nodes.values()
             for key in node.properties
             if not is_bookkeeping_key(key)
         )
@@ -389,7 +456,7 @@ class PropertyGraph:
     def semantic_edge_property_count(self) -> int:
         return sum(
             1
-            for edge in self.edges.values()
+            for edge in self._edges.values()
             for key in edge.properties
             if not is_bookkeeping_key(key)
         )

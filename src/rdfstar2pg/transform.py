@@ -589,6 +589,7 @@ class _Engine:
             if long_cells:
                 self._note_long_lists(statements, long_cells, self.units[first_unit:])
         self._apply_staged()
+        self.graph._seal()  # the engine is dropped on return, holding no part of the graph
         return self.graph, self._report()
 
     def _report(self) -> TransformReport:

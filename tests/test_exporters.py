@@ -1,3 +1,4 @@
+import copy
 import datetime
 import hashlib
 import json
@@ -23,7 +24,8 @@ from rdfstar2pg.exporters import (
     to_json,
 )
 from rdfstar2pg.parser import parse_turtle_star
-from rdfstar2pg.pgraph import DanglingEndpoint, Edge, Node, PropertyGraph, iri_key, kind_of
+from rdfstar2pg import pgraph
+from rdfstar2pg.pgraph import DanglingEndpoint, Edge, Node, PropertyConflict, PropertyGraph, iri_key, kind_of
 from rdfstar2pg.transform import Approach, TransformConfig, hybrid, pgt, rpt, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
@@ -792,3 +794,142 @@ class TestLiteralsAreValid:
         assert json.loads(to_json(graph))["nodes"][0]["properties"]["v"] == {"decimal": json_text}
         assert f">{graphml_text}</data>" in to_graphml(graph).decode()
         assert f"v: {cypher_text}}}" in to_cypher(graph)
+
+
+# ---------------------------------------------------------------------------
+# A transform result keeps its first walk
+# ---------------------------------------------------------------------------
+
+KEPT_SOURCE = EX + (
+    "ex:alice ex:knows ex:bob .\n"
+    "<<ex:alice ex:knows ex:bob>> ex:certainty 0.5 .\n"
+    'ex:alice ex:name "Alice", "Ally" .\n'
+)
+
+
+def transformed():
+    """A fresh transform result, with a list value (alice's names) and an edge property."""
+    return hybrid(parse_turtle_star(KEPT_SOURCE))[0]
+
+
+def ids() -> tuple:
+    """(alice's node id, the edge's id), read from a graph of their own."""
+    graph = transformed()
+    return min(graph.nodes), next(iter(graph.edges))
+
+
+def exports(graph) -> tuple:
+    return to_json(graph), to_graphml(graph), to_cypher(graph)
+
+
+def containers(value):
+    """The types of value and of everything a tuple in it holds."""
+    yield type(value)
+    if isinstance(value, tuple):
+        for item in value:
+            yield from containers(item)
+
+
+def held_before_export(graph, node, edge):
+    nodes = graph.nodes
+    to_json(graph)
+    nodes[node].labels.add("Extra")
+
+
+def refused_setter(graph, node, edge):
+    # upsert_node merges the label before it refuses the property
+    with pytest.raises(PropertyConflict):
+        graph.upsert_node(node.removeprefix("n:"), {"Extra"}, {"iri": "http://example.org/other"})
+
+
+EDITS = {
+    "node-item": lambda graph, node, edge: graph.nodes[node].labels.add("Extra"),
+    "new-node-item": lambda graph, node, edge: graph.nodes.__setitem__("n:new", Node("n:new", {"New"}, {})),
+    "edge-item": lambda graph, node, edge: graph.edges[edge].properties.__setitem__("note", "x"),
+    "upsert_node": lambda graph, node, edge: graph.upsert_node("carol", {"Person"}),
+    "set_node_property": lambda graph, node, edge: graph.set_node_property(node, "age", 30),
+    "upsert_edge": lambda graph, node, edge: graph.upsert_edge("extra", node, node, {"self"}),
+    "replace_edge_property": lambda graph, node, edge: graph.replace_edge_property(edge, "certainty", Decimal("0.9")),
+    "copy": lambda graph, node, edge: copy.copy(graph).nodes[node].labels.add("Extra"),
+    "nodes-held-before-export": held_before_export,
+    "refused-setter": refused_setter,
+}
+
+
+class TestKeptWalk:
+    @pytest.fixture
+    def walked(self, monkeypatch) -> list:
+        """Grows by one item for each record any canonical walk reads."""
+        calls = []
+        sorted_labels = pgraph._sorted_labels
+        monkeypatch.setattr(pgraph, "_sorted_labels", lambda labels: calls.append(1) or sorted_labels(labels))
+        return calls
+
+    def test_exports_of_a_transform_result_walk_it_once(self, walked):
+        unsealed = transformed()
+        assert unsealed.nodes  # reading nodes ends the seal
+        expected = exports(unsealed), unsealed.canonical_form()
+        walked.clear()
+        graph = transformed()
+        assert (exports(graph), graph.canonical_form()) == expected
+        assert len(walked) == 3  # one walk: two nodes and an edge
+
+    @pytest.mark.parametrize(
+        "build", [sample_graph, lambda: from_json(to_json(transformed()))], ids=["hand-built", "from_json"]
+    )
+    def test_hand_built_and_read_back_graphs_walk_every_time(self, walked, build):
+        graph = build()  # two nodes and an edge
+        walked.clear()
+        assert exports(graph) == exports(graph)
+        assert len(walked) == 6 * 3
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS.keys())
+    def test_an_edit_after_an_export_shows_in_the_next(self, edit):
+        node, edge = ids()
+        graph = transformed()
+        before = exports(graph)
+        edit(graph, node, edge)
+        never_exported = transformed()
+        edit(never_exported, node, edge)
+        after = exports(graph)
+        assert after != before
+        assert after == exports(never_exported)
+
+    @pytest.mark.parametrize(
+        "spoil, error, message",
+        [
+            (lambda graph, node, edge: graph.nodes[node].labels.clear(),
+             ValueError, "nodes and edges need at least one label"),
+            (lambda graph, node, edge: setattr(graph.edges[edge], "target", "n:zz"),
+             DanglingEndpoint, "edge endpoint 'n:zz' is not a node"),
+            (lambda graph, node, edge: graph.edges[edge].properties.__setitem__("w", []),
+             TypeError, "empty list is not a valid property value"),
+        ],
+        ids=["no-labels", "dangling-target", "empty-list"],
+    )
+    def test_a_rule_broken_after_an_export_is_refused(self, spoil, error, message):
+        node, edge = ids()
+        graph = transformed()
+        exports(graph)
+        spoil(graph, node, edge)
+        for export in (to_json, to_graphml, to_cypher, PropertyGraph.canonical_form):
+            with pytest.raises(Exception) as raised:
+                export(graph)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+
+    def test_what_the_graph_hands_out_cannot_change_the_walk(self):
+        graph = transformed()
+        before = exports(graph)
+        form = graph.canonical_form()
+        for record in form["nodes"] + form["edges"]:
+            record["labels"].append("Extra")
+            for value in record["properties"].values():
+                if isinstance(value, list):
+                    value.append("Extra")
+            record["properties"]["extra"] = 1
+        form["nodes"].clear()
+        walk = graph.canonical_records()
+        assert ("name", ("Alice", "Ally")) in walk[0][0].properties
+        assert set(containers(walk)).isdisjoint({list, dict, set})
+        assert exports(graph) == before
