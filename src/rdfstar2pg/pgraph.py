@@ -307,6 +307,13 @@ def _json_ready(record) -> dict:
     }
 
 
+def _semantic_property_count(records: dict) -> int:
+    """How many properties of the nodes or edges in records are not bookkeeping keys."""
+    return sum(
+        1 for record in records.values() for key in record.properties if not is_bookkeeping_key(key)
+    )
+
+
 class PropertyGraph:
     def __init__(self) -> None:
         self._nodes: dict = {}
@@ -446,17 +453,7 @@ class PropertyGraph:
     # --- small conveniences ---
 
     def semantic_node_property_count(self) -> int:
-        return sum(
-            1
-            for node in self._nodes.values()
-            for key in node.properties
-            if not is_bookkeeping_key(key)
-        )
+        return _semantic_property_count(self._nodes)
 
     def semantic_edge_property_count(self) -> int:
-        return sum(
-            1
-            for edge in self._edges.values()
-            for key in edge.properties
-            if not is_bookkeeping_key(key)
-        )
+        return _semantic_property_count(self._edges)

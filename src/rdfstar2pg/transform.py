@@ -22,7 +22,13 @@ properties or edges, rdf:type as a label or an edge (None resolved per
 approach), and whether all-literal collections collapse. Each graph of the
 dataset is then entered once: the graph in flight fixes the node and edge
 key suffixes, the edge "graph" property value and whether the graph name is
-discarded, so no statement re-decides the named-graph policy.
+discarded, so no statement re-decides the named-graph policy. Entering also
+finds, in one pass, the graph's list cells that reach an integer too long
+for int().
+
+Each accounting unit's report entry is made in _Engine._unit, the one place
+that decides NOTE_LONG_INTEGER. Every other note goes through _note, so a
+unit carries each note once, in the order of README's note table.
 
 Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
@@ -206,19 +212,33 @@ _ALWAYS_READ = sys.int_info.str_digits_check_threshold
 _XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _holds_long_integer(st: Statement) -> bool:
-    """Whether st, or a statement it quotes, has a valid xsd:integer object
-    that int() refuses for its length, so literal_value keeps its text."""
-    for term in terms(st):
-        if (
-            isinstance(term, Literal)
-            and len(term.lexical) > _ALWAYS_READ
-            and term.datatype.value == XSD_INTEGER
-            and _XSD_INTEGER.fullmatch(term.lexical)
-            and type(literal_value(term)) is str
-        ):
-            return True
-    return False
+def _is_long_integer(term) -> bool:
+    """Whether term is a valid xsd:integer too long for int(); literal_value keeps its text."""
+    return (
+        isinstance(term, Literal)
+        and len(term.lexical) > _ALWAYS_READ
+        and term.datatype.value == XSD_INTEGER
+        and _XSD_INTEGER.fullmatch(term.lexical) is not None
+        and type(literal_value(term)) is str
+    )
+
+
+def _long_cells(statements) -> set:
+    """The graph's list cells whose rdf:first/rdf:rest links reach a long integer."""
+    cells = [st.subject for st in statements if _is_long_integer(st.object) and is_chain_statement(st)]
+    if not cells:
+        return set()
+    links: dict = {}  # cell -> the cells whose rdf:first or rdf:rest is it
+    for st in statements:
+        if is_chain_statement(st):
+            links.setdefault(st.object, []).append(st.subject)
+    found = set()
+    while cells:
+        cell = cells.pop()
+        if cell not in found:
+            found.add(cell)
+            cells += links.get(cell, ())
+    return found
 
 
 def _note(unit: Optional[ReportEntry], text: str) -> None:
@@ -285,7 +305,7 @@ class _Engine:
         self.edge_props: dict = {}
         self.node_ids: dict = {}  # (term, node key suffix) -> node id
 
-    def _enter(self, graph_name: Optional[Iri]) -> None:
+    def _enter(self, graph_name: Optional[Iri], statements) -> None:
         """Set the graph in flight; every statement until the next call is in it."""
         name = None if graph_name is None else graph_name.value
         policy = self.graph_policy
@@ -295,15 +315,26 @@ class _Engine:
         self.edge_suffix = None if policy is NamedGraphPolicy.MERGE else name
         self.graph_value = name if policy is NamedGraphPolicy.EDGE_PROPERTY else None
         self.facts: set = set()  # pgt: datatype statements already staged in this graph
+        self.long_cells = _long_cells(statements)
 
     def _unit(self, st: Statement) -> ReportEntry:
         entry = ReportEntry(self.graph_name, st, Status.CONVERTED)
-        if _holds_long_integer(st):
+        if self._reaches_long_integer(st):
             entry.notes.append(NOTE_LONG_INTEGER)
         if self.name_discarded:
             self._mark_partial(entry, LOSS_GRAPH_NAME_DISCARDED)
         self.units.append(entry)
         return entry
+
+    def _reaches_long_integer(self, st: Statement) -> bool:
+        """Whether st's subject or object is, or quotes at any depth, a long integer or long cell."""
+        for term in (st.subject, st.object):
+            if isinstance(term, QuotedTriple):
+                if self._reaches_long_integer(term.statement):
+                    return True
+            elif _is_long_integer(term) or term in self.long_cells:
+                return True
+        return False
 
     @staticmethod
     def _mark_partial(entry: ReportEntry, reason: str) -> None:
@@ -368,10 +399,11 @@ class _Engine:
         return node, key
 
     def _apply_staged(self) -> None:
-        for (node_id, key), staged in self.node_props.items():
-            self.graph.set_node_property(node_id, key, _list_merge(staged))
+        # edges first, so a unit's NOTE_OVERWRITTEN comes before its NOTE_MIXED_TYPES
         for (edge_id, key), staged in self.edge_props.items():
             self.graph.replace_edge_property(edge_id, key, _last_wins(staged))
+        for (node_id, key), staged in self.node_props.items():
+            self.graph.set_node_property(node_id, key, _list_merge(staged))
 
     # --- edges ---
 
@@ -393,10 +425,10 @@ class _Engine:
         if isinstance(term, Literal):
             return literal_value(term)
         if isinstance(term, Iri):
-            unit.notes.append(NOTE_IRI_AS_STRING)
+            _note(unit, NOTE_IRI_AS_STRING)
             return term.value
         if isinstance(term, BlankNode):
-            unit.notes.append(NOTE_BNODE_AS_STRING)
+            _note(unit, NOTE_BNODE_AS_STRING)
             return "_:" + term.label
         raise TypeError(f"no property value for {term!r}")
 
@@ -411,7 +443,7 @@ class _Engine:
         if not is_star(st):
             return self.edge_for(st), ""
         unit = self._unit(st)
-        unit.notes.append(NOTE_NESTED)
+        _note(unit, NOTE_NESTED)
         return self.attach_pair(st, unit)
 
     def attach_pair(self, st: Statement, unit: ReportEntry) -> Tuple[str, str]:
@@ -439,13 +471,13 @@ class _Engine:
             value = self.pair_value(st.object, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
         elif kind is StatementKind.STAR_OBJECT:
-            unit.notes.append(NOTE_INVERSE)
+            _note(unit, NOTE_INVERSE)
             value = self.pair_value(st.subject, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
             subject_node = self.node_id(st.subject)
             self._stage(self.node_props, subject_node, _safe_key(predicate), edge_id, unit)
         else:  # STAR_BOTH: the two edges reference each other
-            unit.notes.append(NOTE_EDGE_TO_EDGE)
+            _note(unit, NOTE_EDGE_TO_EDGE)
             self._stage(self.edge_props, edge_id, _safe_key(key), object_edge, unit)
             self._stage(self.edge_props, object_edge, _safe_key("inv:" + predicate), edge_id, unit)
         return edge_id, key
@@ -535,42 +567,15 @@ class _Engine:
                 return None
             cell = tail
 
-    @staticmethod
-    def _note_long_lists(statements, cells: list, units: list) -> None:
-        """Note NOTE_LONG_INTEGER on the units whose collections reach cells.
-
-        A chain statement has no unit of its own: it folds into each
-        statement that reaches its cell through rdf:first/rdf:rest links.
-        """
-        by_object: dict = {}
-        for st in statements:
-            by_object.setdefault(st.object, []).append(st)
-        heads, seen = set(), set()
-        while cells:
-            cell = cells.pop()
-            if cell not in seen:
-                seen.add(cell)
-                for st in by_object.get(cell, ()):
-                    if is_chain_statement(st):
-                        cells.append(st.subject)
-                    else:
-                        heads.add(st)
-        for unit in units:
-            if unit.statement in heads:
-                _note(unit, NOTE_LONG_INTEGER)
-
     # --- driver ---
 
     def run(self) -> Tuple[PropertyGraph, TransformReport]:
         for graph_name, statements in self.dataset.graphs():
-            self._enter(graph_name)
+            self._enter(graph_name, statements)
             heads, members = self._chains(statements) if self.collapse_lists else ({}, set())
-            first_unit, long_cells = len(self.units), []
             for st in sorted(statements, key=serialize_statement):
                 if is_chain_statement(st):
-                    # no unit: it folds into its head, which _note_long_lists finds
-                    if _holds_long_integer(st):
-                        long_cells.append(st.subject)
+                    # no unit: it folds into its head
                     if st in members:
                         continue
                     unit = None
@@ -586,8 +591,6 @@ class _Engine:
                     self.datatype_statement(st, unit)
                 else:
                     self.star_statement(st, unit)
-            if long_cells:
-                self._note_long_lists(statements, long_cells, self.units[first_unit:])
         self._apply_staged()
         self.graph._seal()  # the engine is dropped on return, holding no part of the graph
         return self.graph, self._report()
@@ -599,14 +602,8 @@ class _Engine:
                 partial.append(unit)
             elif unit.notes:
                 noted.append(unit)
-        return TransformReport(
-            total=len(self.units),
-            converted=len(self.units) - len(partial),
-            partial=partial,
-            ignored=[],
-            errors=[],
-            notes=noted,
-        )
+        total = len(self.units)
+        return TransformReport(total, total - len(partial), partial, ignored=[], errors=[], notes=noted)
 
 
 @_gc_paused

@@ -79,6 +79,14 @@ from rdfstar2pg.model import (
 from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
 from rdfstar2pg.pgraph import is_bookkeeping_key
 from rdfstar2pg.transform import (
+    NOTE_BNODE_AS_STRING,
+    NOTE_EDGE_TO_EDGE,
+    NOTE_INVERSE,
+    NOTE_IRI_AS_STRING,
+    NOTE_LONG_INTEGER,
+    NOTE_MIXED_TYPES,
+    NOTE_NESTED,
+    NOTE_OVERWRITTEN,
     Approach,
     DatatypePolicy,
     ListPolicy,
@@ -307,15 +315,29 @@ def quotes_datatype_statement(statement) -> bool:
     )
 
 
+# the order of README's note table, which is the order a unit's notes come in
+NOTE_ORDER = [
+    NOTE_LONG_INTEGER,
+    NOTE_NESTED,
+    NOTE_INVERSE,
+    NOTE_EDGE_TO_EDGE,
+    NOTE_IRI_AS_STRING,
+    NOTE_BNODE_AS_STRING,
+    NOTE_OVERWRITTEN,
+    NOTE_MIXED_TYPES,
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(text_datasets)
 def test_report_algebra_on_star_data(dataset):
-    """Unit count, Partial placement and once-only notes hold under every approach."""
+    """Unit count, Partial placement and once-only, table-ordered notes hold under every approach."""
     for approach in (rpt, pgt, hybrid):
         _, report = approach(dataset)
         assert report.total == len(statement_units(dataset))
         listed = report.partial + report.ignored + report.errors + report.notes
         assert all(len(set(entry.notes)) == len(entry.notes) for entry in listed)
+        assert all(entry.notes == sorted(entry.notes, key=NOTE_ORDER.index) for entry in listed)
         partial = Counter((entry.graph, entry.statement) for entry in report.partial)
         if approach is pgt:
             expected = Counter(

@@ -37,6 +37,7 @@ from rdfstar2pg.transform import (
 
 EX = "@prefix ex: <http://example.org/> .\n"
 XSD = "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+RDF = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
 
 
 def ds(source: str) -> Dataset:
@@ -114,12 +115,15 @@ class TestLongIntegers:
         _, report = fn(ds(EX + XSD + f"ex:a ex:big {literal} ."))
         assert report.notes == []
 
-    # An rdf:first statement has no unit of its own; the statement that heads
-    # the collection carries the note, whether or not the chain collapses.
+    # An rdf:first statement has no unit of its own; a unit that names a
+    # cell of the collection carries the note, whether or not the chain
+    # collapses, and however long the walk back from the integer to the head.
     @pytest.mark.parametrize("fn", [pgt, hybrid, rpt])
     @pytest.mark.parametrize("policy", list(ListPolicy))
     @pytest.mark.parametrize(
-        "items", [BIG, f"1 {BIG}", f"( {BIG} )"], ids=["alone", "beside-an-int", "nested"]
+        "items",
+        [BIG, f"1 {BIG}", f"( {BIG} )", "1 " * 19_999 + BIG],
+        ids=["alone", "beside-an-int", "nested", "last-of-20000"],
     )
     def test_in_a_collection_is_noted_on_the_head(self, fn, policy, items):
         graph, report = fn(ds(EX + f"ex:a ex:tags ( {items} ) ."), TransformConfig(list_policy=policy))
@@ -129,6 +133,30 @@ class TestLongIntegers:
         assert entry.statement.predicate == Iri("http://example.org/tags")
         assert entry.notes == [NOTE_LONG_INTEGER]
         assert report.total == 1 and not report.lossy
+
+    LIST = f" _:l rdf:first {BIG} ; rdf:rest rdf:nil ."
+    LONG = NOTE_LONG_INTEGER
+
+    # (source, notes of each noted unit in report order): the note comes first
+    @pytest.mark.parametrize("fn", [rpt, pgt, hybrid], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("policy", list(ListPolicy))
+    @pytest.mark.parametrize(
+        "source, notes",
+        [
+            (f"<<ex:a ex:b ex:c>> ex:p ( {BIG} ) .", [[LONG, NOTE_BNODE_AS_STRING]]),
+            (f"( {BIG} ) ex:p ex:o .", [[LONG]]),
+            ("<<ex:a ex:p _:l>> ex:q ex:r ." + LIST, [[LONG, NOTE_IRI_AS_STRING]]),
+            (
+                "<< <<ex:a ex:b ex:c>> ex:p _:l >> ex:q ex:r ." + LIST,
+                [[LONG, NOTE_NESTED, NOTE_IRI_AS_STRING], [LONG, NOTE_NESTED, NOTE_BNODE_AS_STRING]],
+            ),
+        ],
+        ids=["star-subject-list-object", "cell-as-subject", "list-only-quoted", "nested-unit-heads-list"],
+    )
+    def test_a_unit_naming_a_long_cell_is_noted(self, fn, policy, source, notes):
+        _, report = fn(ds(EX + RDF + source), TransformConfig(list_policy=policy))
+        assert [entry.notes for entry in report.notes] == notes
+        assert report.total == len(notes) and not report.lossy
 
 
 class TestApproachShapes:
@@ -352,6 +380,18 @@ STAR_REPORT_TABLE = [
     ),
     (LAST_WINS + '"NaN"^^xsd:decimal .\n' + LAST_WINS + '"sNaN"^^xsd:decimal .', [(CONVERTED, "", [])] * 2),
     (LAST_WINS + '"1"^^xsd:integer .\n' + LAST_WINS + '"01"^^xsd:integer .', [(CONVERTED, "", [])] * 2),
+    # one unit overwritten on an edge and merged on a node: last-wins is noted first
+    (
+        "ex:s1 ex:p <<ex:a ex:b ex:c>> .\nex:s2 ex:p <<ex:a ex:b ex:c>> .\nex:s1 ex:p 5 .",
+        {
+            "rpt": [(CONVERTED, "", [INV, IRI, OVERWRITTEN]), (CONVERTED, "", [INV, IRI]), (CONVERTED, "", [])],
+            "*": [
+                (CONVERTED, "", [INV, IRI, OVERWRITTEN, NOTE_MIXED_TYPES]),
+                (CONVERTED, "", [INV, IRI]),
+                (CONVERTED, "", [NOTE_MIXED_TYPES]),
+            ],
+        },
+    ),
 ]
 
 
