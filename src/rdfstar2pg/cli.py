@@ -86,9 +86,10 @@ def cmd_convert(args) -> int:
     graph, report = transform(dataset, config)
     del dataset  # the report holds the statements it names; nothing below reads the dataset
 
-    # JSON is written as it is made: it refuses nothing beyond the walk,
-    # which _json_chunks runs first. GraphML and Cypher can refuse partway
-    # through a graph, so each is made whole before a byte is written.
+    # JSON is written as it is made: it refuses nothing of a transformed
+    # graph beyond the walk, which _json_chunks runs first. GraphML and
+    # Cypher can refuse partway through a graph, so each is made whole
+    # before a byte is written.
     try:
         if args.format == "json":
             chunks = _json_chunks(graph)

@@ -75,8 +75,12 @@ def to_json(graph: PropertyGraph) -> bytes:
 def _json_chunks(graph: PropertyGraph) -> Iterator[bytes]:
     """to_json's bytes, in UTF-8 chunks of _CHUNK characters or a record more.
 
-    The walk runs, and refuses an invalid graph, before this returns; the
-    chunks cannot fail after that, since JSON holds every valid graph.
+    The walk runs, and refuses an invalid graph, before this returns. A
+    chunk can still refuse a string holding a lone surrogate, which UTF-8
+    cannot encode, or an integer too long for str(). A graph made by
+    transform holds neither, since the parser refuses surrogates and
+    literal_value keeps such an integer as its text: so its chunks cannot
+    fail, and convert can write each as it comes.
     """
     nodes, edges = graph.canonical_records()
     return _utf8_chunks(_json_pieces(nodes, edges))
@@ -109,10 +113,18 @@ def _utf8_chunks(pieces) -> Iterator[bytes]:
         buffer.append(piece)
         size += len(piece)
         if size >= _CHUNK:
-            yield "".join(buffer).encode("utf-8")
+            yield _utf8("".join(buffer))
             buffer.clear()
             size = 0
-    yield "".join(buffer).encode("utf-8")
+    yield _utf8("".join(buffer))
+
+
+def _utf8(text: str) -> bytes:
+    """text in UTF-8, which refuses only a lone surrogate, worded as from_json words it."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnrepresentableValue(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
 
 
 def _json_record(record) -> str:
@@ -130,20 +142,23 @@ def _json_record(record) -> str:
         return text + ',\n      "properties": {}\n    }'
     return text + ',\n      "properties": {\n        ' + ",\n        ".join(
         encode_basestring(key) + ": "
-        + (encode_basestring(value) if type(value) is str else _json_value(value, "        "))
+        + (encode_basestring(value) if type(value) is str else _json_value(key, value, "        "))
         for key, value in record.properties
     ) + "\n      }\n    }"
 
 
-def _json_value(value, indent: str) -> str:
-    """encode_value(value) as json.dumps(indent=2) prints it at this indent."""
+def _json_value(key: str, value, indent: str) -> str:
+    """encode_value(value) of property key as json.dumps(indent=2) prints it at this indent."""
     inner = indent + "  "
     if type(value) is tuple:  # a list, flat and non-empty: the walk checked it
-        items = ",\n".join(inner + _json_value(item, inner) for item in value)
+        items = ",\n".join(inner + _json_value(key, item, inner) for item in value)
         return "[\n" + items + "\n" + indent + "]"
     kind = _KINDS[type(value)]
     if kind.tag is None:
-        return kind.json(value)
+        try:
+            return kind.json(value)
+        except ValueError:  # int's alone: more digits than sys.get_int_max_str_digits()
+            raise UnrepresentableValue(f"property {key!r} holds an integer too long for str()") from None
     text = encode_basestring(kind.text(value))
     return "{\n" + inner + f'"{kind.tag}": ' + text + "\n" + indent + "}"
 
@@ -204,7 +219,7 @@ def from_json(data) -> PropertyGraph:
         form = json.loads(data)
         nodes = form["nodes"]
         edges = form["edges"]
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (json.JSONDecodeError, TypeError, KeyError, RecursionError) as exc:
         raise ValueError(f"not a property graph JSON document: {exc}") from exc
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ValueError("not a property graph JSON document: nodes and edges must be lists")
@@ -326,7 +341,7 @@ def to_graphml(graph: PropertyGraph) -> bytes:
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _utf8("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

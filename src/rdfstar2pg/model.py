@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import gc
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -317,16 +318,6 @@ def serialize_statement(statement: Statement) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _dedup(statements) -> tuple:
-    seen = set()
-    out = []
-    for st in statements:
-        if st not in seen:
-            seen.add(st)
-            out.append(st)
-    return tuple(out)
-
-
 class Dataset:
     """A default graph plus named graphs; each graph is a set of statements.
 
@@ -335,12 +326,12 @@ class Dataset:
     """
 
     def __init__(self, default=(), named=None):
-        self.default: tuple = _dedup(default)
+        self.default: tuple = tuple(dict.fromkeys(default))
         self.named: dict = {}
         for name, statements in (named or {}).items():
             if not isinstance(name, Iri):
                 raise TypeError("graph name must be an IRI")
-            self.named[name] = _dedup(statements)
+            self.named[name] = tuple(dict.fromkeys(statements))
 
     def graphs(self) -> Iterator[tuple]:
         """Yield (name, statements) pairs; None names the default graph."""
@@ -451,7 +442,9 @@ def isomorphic(a: Dataset, b: Dataset) -> bool:
     """True when the datasets are equal up to blank-node relabeling.
 
     Blank-node labels are document-scoped, so the bijection is searched per
-    dataset (one mapping shared across the default and named graphs).
+    dataset (one mapping shared across the default and named graphs). Every
+    bijection is tried in turn, so the cost grows factorially with the
+    number of blank nodes.
     """
     if set(a.named) != set(b.named):
         return False
@@ -461,31 +454,13 @@ def isomorphic(a: Dataset, b: Dataset) -> bool:
     if len(a_labels) != len(b_labels):
         return False
 
-    pairs = [(a.default, b.default)]
-    pairs += [(a.named[name], b.named[name]) for name in a.named]
-    if any(len(set(l)) != len(set(r)) for l, r in pairs):
+    pairs = [(a.default, set(b.default))]
+    pairs += [(a.named[name], set(b.named[name])) for name in a.named]
+    if any(len(set(l)) != len(r) for l, r in pairs):
         return False
 
-    def check(mapping: dict) -> bool:
-        for l, r in pairs:
-            if {_rename(st, mapping) for st in l} != set(r):
-                return False
-        return True
-
-    def extend(mapping: dict, remaining: list) -> bool:
-        if not remaining:
-            return check(mapping)
-        label = remaining[0]
-        used = set(mapping.values())
-        for candidate in b_labels:
-            if candidate in used:
-                continue
-            mapping[label] = candidate
-            if extend(mapping, remaining[1:]):
-                return True
-            del mapping[label]
-        return False
-
-    if not a_labels:
-        return check({})
-    return extend({}, a_labels)
+    for image in itertools.permutations(b_labels):
+        mapping = dict(zip(a_labels, image))
+        if all({_rename(st, mapping) for st in l} == r for l, r in pairs):
+            return True
+    return False

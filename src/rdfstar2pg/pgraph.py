@@ -176,8 +176,11 @@ def decode_value(encoded) -> PropertyValue:
 
     A tag's text must be the kind's canonical text, so " 1_0 " is no decimal
     and "2020-W01-1" no date, though Decimal and date.fromisoformat read them.
+    A list's items are decoded as scalars: a list is flat.
     """
     if isinstance(encoded, list):
+        if any(isinstance(v, list) for v in encoded):
+            raise ValueError("list property values must be flat")
         return [decode_value(v) for v in encoded]
     if isinstance(encoded, dict):
         kind = _TAGGED.get(next(iter(encoded))) if len(encoded) == 1 else None

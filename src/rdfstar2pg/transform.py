@@ -23,12 +23,13 @@ approach), and whether all-literal collections collapse. Each graph of the
 dataset is then entered once: the graph in flight fixes the node and edge
 key suffixes, the edge "graph" property value and whether the graph name is
 discarded, so no statement re-decides the named-graph policy. Entering also
-finds, in one pass, the graph's list cells that reach an integer too long
-for int().
+finds the graph's integers too long for int(), by model.terms over its
+statements, and the list cells whose rdf:first/rdf:rest links reach one.
 
 Each accounting unit's report entry is made in _Engine._unit, the one place
-that decides NOTE_LONG_INTEGER. Every other note goes through _note, so a
-unit carries each note once, in the order of README's note table.
+that decides NOTE_LONG_INTEGER: a unit gets it when one of its terms is in
+that set. Every other note goes through _note, so a unit carries each note
+once, in the order of README's note table.
 
 Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
@@ -223,21 +224,21 @@ def _is_long_integer(term) -> bool:
     )
 
 
-def _long_cells(statements) -> set:
-    """The graph's list cells whose rdf:first/rdf:rest links reach a long integer."""
-    cells = [st.subject for st in statements if _is_long_integer(st.object) and is_chain_statement(st)]
-    if not cells:
-        return set()
-    links: dict = {}  # cell -> the cells whose rdf:first or rdf:rest is it
+def _long_terms(statements) -> set:
+    """The graph's integers too long for int(), and the list cells whose first/rest links reach one."""
+    found = {term for st in statements for term in terms(st) if _is_long_integer(term)}
+    if not found:
+        return found
+    links: dict = {}  # term -> the cells whose rdf:first or rdf:rest is it
     for st in statements:
         if is_chain_statement(st):
             links.setdefault(st.object, []).append(st.subject)
-    found = set()
-    while cells:
-        cell = cells.pop()
-        if cell not in found:
-            found.add(cell)
-            cells += links.get(cell, ())
+    stack = list(found)
+    while stack:
+        for cell in links.get(stack.pop(), ()):
+            if cell not in found:
+                found.add(cell)
+                stack.append(cell)
     return found
 
 
@@ -315,26 +316,16 @@ class _Engine:
         self.edge_suffix = None if policy is NamedGraphPolicy.MERGE else name
         self.graph_value = name if policy is NamedGraphPolicy.EDGE_PROPERTY else None
         self.facts: set = set()  # pgt: datatype statements already staged in this graph
-        self.long_cells = _long_cells(statements)
+        self.long_terms = _long_terms(statements)
 
     def _unit(self, st: Statement) -> ReportEntry:
         entry = ReportEntry(self.graph_name, st, Status.CONVERTED)
-        if self._reaches_long_integer(st):
+        if self.long_terms and not self.long_terms.isdisjoint(terms(st)):
             entry.notes.append(NOTE_LONG_INTEGER)
         if self.name_discarded:
             self._mark_partial(entry, LOSS_GRAPH_NAME_DISCARDED)
         self.units.append(entry)
         return entry
-
-    def _reaches_long_integer(self, st: Statement) -> bool:
-        """Whether st's subject or object is, or quotes at any depth, a long integer or long cell."""
-        for term in (st.subject, st.object):
-            if isinstance(term, QuotedTriple):
-                if self._reaches_long_integer(term.statement):
-                    return True
-            elif _is_long_integer(term) or term in self.long_cells:
-                return True
-        return False
 
     @staticmethod
     def _mark_partial(entry: ReportEntry, reason: str) -> None:

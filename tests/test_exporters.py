@@ -167,6 +167,7 @@ class TestJson:
             # text that UTF-8, and so to_json and to_graphml, cannot write
             (graph_doc(node(properties={"s": "\ud800"})), r"node n:a: text holds a lone surrogate '\\ud800'"),
             (graph_doc(node(id="n:\udc00")), r"node n:\udc00: text holds a lone surrogate '\\udc00'"),
+            (graph_doc(node(properties={"k": [1, [2]]})), "node n:a: list property values must be flat"),
         ],
     )
     def test_from_json_rejects_malformed_records(self, doc, message):
@@ -187,6 +188,14 @@ class TestJson:
     def test_from_json_rejects_bad_bytes(self):
         with pytest.raises(ValueError):
             from_json(b"not json")
+
+    # json.loads reads 500 levels, and decode_value meets them; it refuses 100,000
+    @pytest.mark.parametrize("depth", [500, 100_000])
+    def test_from_json_refuses_deeply_nested_arrays(self, depth):
+        text = json.dumps(graph_doc(node(properties={"k": "@"})))
+        with pytest.raises(ValueError) as raised:
+            from_json(text.replace('"@"', "[" * depth + "]" * depth))
+        assert len(str(raised.value)) < 200
 
 
 def scalar_graph():
@@ -728,6 +737,26 @@ class TestIntegerRange:
             with pytest.raises(UnrepresentableValue, match="'big'"):
                 export(graph)
         assert b'"big": 1267650600228229401496703205376' in to_json(graph)
+
+
+class TestUtf8AndDigitLimits:
+    """A hand-built graph can hold what no transformed graph does: a lone
+    surrogate, which UTF-8 cannot encode, or an integer too long for str()."""
+
+    @pytest.mark.parametrize("export", [to_json, to_graphml], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", ["a\udc80b", ["x", "\udc80"]], ids=["string", "list"])
+    def test_a_lone_surrogate_is_refused(self, export, value):
+        with pytest.raises(UnrepresentableValue, match=r"^text holds a lone surrogate '\\udc80'$"):
+            export(one_value_graph(value))
+
+    @pytest.mark.parametrize("value", [10**5000, [1, -(10**5000)]], ids=["integer", "list"])
+    def test_an_integer_too_long_for_str_is_refused_naming_the_key(self, value):
+        graph = one_value_graph(value)
+        with pytest.raises(UnrepresentableValue, match="^property 'v' holds an integer too long for str"):
+            to_json(graph)
+        for export in (to_graphml, to_cypher):
+            with pytest.raises(UnrepresentableValue, match="^property 'v' holds an integer outside"):
+                export(graph)
 
 
 # Text that every escape path must treat alike: the characters each escapes,

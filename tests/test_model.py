@@ -483,3 +483,54 @@ class TestIsomorphic:
         a = Dataset([], {Iri(EX + "g1"): [s]})
         b = Dataset([], {Iri(EX + "g2"): [s]})
         assert not isomorphic(a, b)
+
+    def test_a_long_blank_node_chain_is_isomorphic_to_itself(self):
+        # a search taking a stack frame per blank node would pass the recursion limit
+        nodes = [BlankNode(f"b{i}") for i in range(1100)]
+        ds = Dataset([st(a, iri("next"), b) for a, b in zip(nodes, nodes[1:])])
+        assert isomorphic(ds, ds)
+
+
+# Statements over at most six blank nodes, with a quoted subject now and then
+FEW_BNODES = [BlankNode(f"b{i}") for i in range(6)]
+few_terms = hst.sampled_from(FEW_BNODES + [iri("a"), iri("b")])
+few_predicates = hst.sampled_from([iri("p"), iri("q")])
+plain_few = hst.builds(st, few_terms, few_predicates, hst.one_of(few_terms, hst.just(Literal("1"))))
+few_statements = hst.one_of(
+    plain_few, hst.builds(lambda q, p, o: st(QuotedTriple(q), p, o), plain_few, few_predicates, few_terms)
+)
+few_bnode_datasets = hst.builds(
+    lambda default, named: Dataset(default, {iri("g"): named}),
+    hst.lists(few_statements, min_size=1, max_size=6),
+    hst.lists(few_statements, max_size=3),
+)
+
+
+def relabelled(dataset: Dataset, names: dict) -> Dataset:
+    """dataset with each blank node b renamed names[b.label]; quoting is one level deep."""
+
+    def term(t):
+        return BlankNode(names[t.label]) if isinstance(t, BlankNode) else t
+
+    def statement(s):
+        subject = s.subject
+        if isinstance(subject, QuotedTriple):
+            q = subject.statement
+            subject = QuotedTriple(st(term(q.subject), q.predicate, term(q.object)))
+        return st(term(subject), s.predicate, term(s.object))
+
+    return Dataset(
+        [statement(s) for s in dataset.default],
+        {name: [statement(s) for s in graph] for name, graph in dataset.named.items()},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(few_bnode_datasets, hst.permutations(range(6)), hst.integers(min_value=0))
+def test_isomorphic_is_true_after_relabelling_and_false_after_one_change(dataset, order, index):
+    names = {f"b{i}": f"c{j}" for i, j in enumerate(order)}
+    assert isomorphic(dataset, relabelled(dataset, names))
+    default = list(dataset.default)
+    i = index % len(default)
+    default[i] = st(default[i].subject, default[i].predicate, iri("changed"))
+    assert not isomorphic(dataset, Dataset(default, dataset.named))

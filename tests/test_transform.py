@@ -137,7 +137,9 @@ class TestLongIntegers:
     LIST = f" _:l rdf:first {BIG} ; rdf:rest rdf:nil ."
     LONG = NOTE_LONG_INTEGER
 
-    # (source, notes of each noted unit in report order): the note comes first
+    # (source, notes of each noted unit in report order): the note comes
+    # first, on a unit that names a long cell or quotes the integer at any
+    # depth; each star statement quoted inside another is a unit too
     @pytest.mark.parametrize("fn", [rpt, pgt, hybrid], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("policy", list(ListPolicy))
     @pytest.mark.parametrize(
@@ -150,13 +152,37 @@ class TestLongIntegers:
                 "<< <<ex:a ex:b ex:c>> ex:p _:l >> ex:q ex:r ." + LIST,
                 [[LONG, NOTE_NESTED, NOTE_IRI_AS_STRING], [LONG, NOTE_NESTED, NOTE_BNODE_AS_STRING]],
             ),
+            (
+                f"<< <<ex:a ex:big {BIG}>> ex:p ex:b >> ex:q ex:c .",
+                [[LONG, NOTE_NESTED, NOTE_IRI_AS_STRING]] * 2,
+            ),
+            (
+                f"ex:c ex:q << ex:d ex:p << <<ex:a ex:big {BIG}>> ex:r ex:b >> >> .",
+                [[LONG, NOTE_NESTED, NOTE_INVERSE, NOTE_IRI_AS_STRING]] * 2
+                + [[LONG, NOTE_NESTED, NOTE_IRI_AS_STRING]],
+            ),
         ],
-        ids=["star-subject-list-object", "cell-as-subject", "list-only-quoted", "nested-unit-heads-list"],
+        ids=[
+            "star-subject-list-object", "cell-as-subject", "list-only-quoted", "nested-unit-heads-list",
+            "quoted-two-deep", "quoted-three-deep",
+        ],
     )
     def test_a_unit_naming_a_long_cell_is_noted(self, fn, policy, source, notes):
         _, report = fn(ds(EX + RDF + source), TransformConfig(list_policy=policy))
         assert [entry.notes for entry in report.notes] == notes
         assert report.total == len(notes) and not report.lossy
+
+    @pytest.mark.parametrize("fn", [rpt, pgt, hybrid], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("policy", list(NamedGraphPolicy))
+    def test_only_the_graph_holding_it_is_noted(self, fn, policy):
+        # _:l is one node in every graph, but only ex:g1 links it to the integer
+        source = (
+            f"ex:a ex:p _:l . ex:g1 {{ ex:a ex:p _:l . {self.LIST} }}"
+            " ex:g2 { ex:a ex:p _:l . ex:a ex:q 5 . }"
+        )
+        _, report = fn(ds(EX + RDF + source), TransformConfig(named_graph_policy=policy))
+        noted = [entry.graph for entry in report.notes + report.partial if self.LONG in entry.notes]
+        assert noted == [Iri("http://example.org/g1")] and report.total == 4
 
 
 class TestApproachShapes:
