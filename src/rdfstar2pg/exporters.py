@@ -12,11 +12,10 @@ line by line with LF endings to keep output byte-reproducible.
 The walk refuses a graph that breaks pgraph's rules, so each exporter
 refuses only what its own format cannot hold (UnrepresentableValue).
 
-to_json writes, record by record, exactly the bytes of
-json.dumps(graph.canonical_form(), indent=2, ensure_ascii=False) plus a
-newline, using json's own C string encoder. It joins the chunks of
-_json_chunks, which the CLI writes out one by one instead, so that it never
-holds the whole output.
+to_json writes the walk record by record as JSON indented by two spaces,
+with non-ASCII text kept as it is and each string written by json's own C
+string encoder. It joins the chunks of _json_chunks, which the CLI writes
+out one by one instead, so that it never holds the whole output.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .pgraph import (
     PropertyGraph,
     _endpoints,
     _labelled,
+    _shown,
     _strings,
     _unique,
     check_value,
@@ -172,14 +172,15 @@ _RAW_SURROGATE = re.compile("[\ud800-\udfff]")
 
 def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: dict,
                   surrogates: bool) -> tuple:
-    """(labels, properties) of one JSON record; string_fields name its id, then any endpoints.
+    """(names, labels, properties) of one JSON record; string_fields name its id, then any endpoints.
 
     filed holds the records of its kind read so far; surrogates says whether
     the document's text may hold a lone surrogate, which the record is then
-    checked for.
+    checked for. Each rule's cheap test runs here, and the rule's own helper
+    only when that test fails, for its exception and message.
     """
     if not isinstance(record, dict):
-        raise ValueError(f"{kind} record is not an object: {record!r}")
+        raise ValueError(f"{kind} record is not an object: {_shown(repr(record))}")
     labels, properties = record.get("labels"), record.get("properties")
     try:
         if surrogates:
@@ -187,26 +188,43 @@ def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: d
                 json.dumps(record, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ValueError(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
-        record_id, *ends = _strings([record.get(name) for name in string_fields])
-        _unique(filed, record_id)
-        _endpoints(nodes, *ends)
+        names = tuple(map(record.get, string_fields))
+        for name in names:
+            if type(name) is not str:
+                _strings(names)
+        if names[0] in filed:
+            _unique(filed, names[0])
+        for end in names[1:]:
+            if end not in nodes:
+                _endpoints(nodes, *names[1:])
         if not isinstance(labels, list):
             raise ValueError("labels must be a list")
-        _labelled(_strings(labels))
+        for label in labels:
+            if type(label) is not str:
+                _strings(labels)
+        if not labels:
+            _labelled(labels)
         if not isinstance(properties, dict):
             raise ValueError("properties must be an object")
-        props = {}
         # a JSON key and a JSON string are strings, and decode_value returns
         # only valid scalars: just a list still needs its kinds checked
-        for key, value in properties.items():
+        for value in properties.values():
             if type(value) is not str:
-                value = decode_value(value)
-                if type(value) is list:
-                    check_value(value)
-            props[key] = value
+                properties = {key: _read_value(value) for key, value in properties.items()}
+                break
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{kind} {record.get('id')}: {exc}") from exc
-    return set(labels), props
+        raise ValueError(f"{kind} {_shown(str(record.get('id')))}: {exc}") from exc
+    return names, set(labels), properties
+
+
+def _read_value(encoded):
+    """The property value a JSON value stands for."""
+    if type(encoded) is str:
+        return encoded
+    value = decode_value(encoded)
+    if type(value) is list:
+        check_value(value)
+    return value
 
 
 @_gc_paused
@@ -227,15 +245,19 @@ def from_json(data) -> PropertyGraph:
     surrogates = _SURROGATE_ESCAPE.search(data) is not None or (
         not from_bytes and _RAW_SURROGATE.search(data) is not None
     )
+    # records are filed straight into the new graph's dicts, once checked
     graph = PropertyGraph()
+    graph_nodes, graph_edges = graph._nodes, graph._edges
     for record in nodes:
-        labels, props = _record_parts(record, "node", ("id",), graph.nodes, graph.nodes, surrogates)
-        graph.nodes[record["id"]] = Node(record["id"], labels, props)
-    for record in edges:
-        labels, props = _record_parts(
-            record, "edge", ("id", "source", "target"), graph.nodes, graph.edges, surrogates
+        (record_id,), labels, props = _record_parts(
+            record, "node", ("id",), graph_nodes, graph_nodes, surrogates
         )
-        graph.edges[record["id"]] = Edge(record["id"], record["source"], record["target"], labels, props)
+        graph_nodes[record_id] = Node(record_id, labels, props)
+    for record in edges:
+        names, labels, props = _record_parts(
+            record, "edge", ("id", "source", "target"), graph_nodes, graph_edges, surrogates
+        )
+        graph_edges[names[0]] = Edge(*names, labels, props)
     return graph
 
 
@@ -404,7 +426,11 @@ def _prop_block(record, prefixes: dict) -> str:
 
 @_gc_paused
 def to_cypher(graph: PropertyGraph) -> str:
-    """The graph as openCypher CREATE statements, one per line."""
+    """The graph as openCypher CREATE statements, one per line.
+
+    The script is text, but a caller writes it in UTF-8, as convert does: so
+    a string holding a lone surrogate is refused as to_json refuses it.
+    """
     nodes, edges = graph.canonical_records()
     if not nodes:
         return ""
@@ -428,4 +454,7 @@ def to_cypher(graph: PropertyGraph) -> str:
         source = variables[record.source]
         target = variables[record.target]
         lines.append(f"CREATE ({source})-[{body(record)}]->({target})")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if not text.isascii():  # only text beyond ASCII can hold a lone surrogate
+        _utf8(text)
+    return text

@@ -178,6 +178,46 @@ class QuotedTriple:
         return f"QuotedTriple({self.statement!r})"
 
 
+class StatementKind(enum.Enum):
+    OBJECT_PROPERTY = "ObjectProperty"
+    DATATYPE_PROPERTY = "DatatypeProperty"
+    STAR_SUBJECT = "StarSubject"
+    STAR_OBJECT = "StarObject"
+    STAR_BOTH = "StarBoth"
+
+
+_STAR_KINDS = (StatementKind.STAR_SUBJECT, StatementKind.STAR_OBJECT, StatementKind.STAR_BOTH)
+
+
+def _kind_of(subject_type: type, object_type: type) -> StatementKind:
+    """The kind of a statement whose subject and object are of these types."""
+    quoted_object = issubclass(object_type, QuotedTriple)
+    if issubclass(subject_type, QuotedTriple):
+        return StatementKind.STAR_BOTH if quoted_object else StatementKind.STAR_SUBJECT
+    if quoted_object:
+        return StatementKind.STAR_OBJECT
+    if issubclass(object_type, Literal):
+        return StatementKind.DATATYPE_PROPERTY
+    return StatementKind.OBJECT_PROPERTY
+
+
+_SUBJECT_TYPES, _OBJECT_TYPES = (Iri, BlankNode, QuotedTriple), (Iri, BlankNode, Literal, QuotedTriple)
+# _kind_of for the exact term types, looked up as each statement is built
+_KIND_BY_TYPES = {(s, o): _kind_of(s, o) for s in _SUBJECT_TYPES for o in _OBJECT_TYPES}
+
+
+def _check_terms(subject, predicate, obj) -> None:
+    """Refuse a statement whose subject, predicate or object is not of its position's terms."""
+    if isinstance(subject, Literal):
+        raise ValueError("statement subject cannot be a literal")
+    if not isinstance(subject, _SUBJECT_TYPES):
+        raise TypeError(f"bad subject term: {subject!r}")
+    if not isinstance(predicate, Iri):
+        raise TypeError("statement predicate must be an IRI")
+    if not isinstance(obj, _OBJECT_TYPES):
+        raise TypeError(f"bad object term: {obj!r}")
+
+
 Term = Union[Iri, BlankNode, Literal, QuotedTriple]
 SubjectTerm = Union[Iri, BlankNode, QuotedTriple]
 
@@ -186,28 +226,27 @@ SubjectTerm = Union[Iri, BlankNode, QuotedTriple]
 class Statement:
     """One (subject, predicate, object) statement, possibly with quoted terms.
 
-    _text is the canonical text, made on first use by serialize_statement
-    and kept in its slot; None until then.
+    _kind is the statement's kind, worked out once from its terms, as a
+    QuotedTriple works out its depth; classify and is_star read it. _text
+    is the canonical text, made on first use by serialize_statement and
+    kept in its slot; None until then.
     """
 
     subject: SubjectTerm
     predicate: Iri
     object: Term
     _hash: int = field(init=False, compare=False, repr=False)
+    _kind: StatementKind = field(init=False, compare=False, repr=False)
     _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
-            raise ValueError("statement subject cannot be a literal")
-        if not isinstance(self.subject, (Iri, BlankNode, QuotedTriple)):
-            raise TypeError(f"bad subject term: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TypeError("statement predicate must be an IRI")
-        if not isinstance(self.object, (Iri, BlankNode, Literal, QuotedTriple)):
-            raise TypeError(f"bad object term: {self.object!r}")
-        object.__setattr__(
-            self, "_hash", hash((self.subject._hash, self.predicate._hash, self.object._hash))
-        )
+        subject, predicate, obj = self.subject, self.predicate, self.object
+        kind = _KIND_BY_TYPES.get((type(subject), type(obj)))
+        if kind is None or not isinstance(predicate, Iri):
+            _check_terms(subject, predicate, obj)
+            kind = _kind_of(type(subject), type(obj))  # terms of subclasses
+        object.__setattr__(self, "_hash", hash((subject._hash, predicate._hash, obj._hash)))
+        object.__setattr__(self, "_kind", kind)
 
     __hash__ = _stored_hash
 
@@ -218,35 +257,13 @@ class Statement:
         return f"Statement({serialize_statement(self)})"
 
 
-class StatementKind(enum.Enum):
-    OBJECT_PROPERTY = "ObjectProperty"
-    DATATYPE_PROPERTY = "DatatypeProperty"
-    STAR_SUBJECT = "StarSubject"
-    STAR_OBJECT = "StarObject"
-    STAR_BOTH = "StarBoth"
-
-
 def classify(statement: Statement) -> StatementKind:
     """Classify a statement; total over every constructible statement."""
-    s_quoted = isinstance(statement.subject, QuotedTriple)
-    o_quoted = isinstance(statement.object, QuotedTriple)
-    if s_quoted and o_quoted:
-        return StatementKind.STAR_BOTH
-    if s_quoted:
-        return StatementKind.STAR_SUBJECT
-    if o_quoted:
-        return StatementKind.STAR_OBJECT
-    if isinstance(statement.object, Literal):
-        return StatementKind.DATATYPE_PROPERTY
-    return StatementKind.OBJECT_PROPERTY
+    return statement._kind
 
 
 def is_star(statement: Statement) -> bool:
-    return classify(statement) in (
-        StatementKind.STAR_SUBJECT,
-        StatementKind.STAR_OBJECT,
-        StatementKind.STAR_BOTH,
-    )
+    return statement._kind in _STAR_KINDS
 
 
 def local_name(iri: Union[Iri, str]) -> str:

@@ -17,12 +17,18 @@ taking a shallow copy ends the seal for good and drops the kept walk, so an
 edit made through them always shows in the next walk. A graph built by hand
 or by from_json is never sealed and is walked again on every call.
 
-A valid graph keeps five rules, each checked where it can break: every id,
-endpoint, label and key is a str (_strings), every record has a label
-(_labelled), every value passes check_value, every endpoint is a node
-(_endpoints), and every record is filed under its own id, so no two share
-one (_own_key in the walk, _unique as from_json files records; the setters
-file each record under its id). The exporters trust the walk.
+A valid graph keeps five rules, one helper each: every id, endpoint, label
+and key is a str (_strings), every record has a label (_labelled), every
+value passes check_value, every endpoint is a node (_endpoints), and every
+record is filed under its own id, so no two share one (_own_key once filed,
+_unique as records are filed). The rules are checked in three places. The
+setters check them for callers who build a graph record by record. The
+canonical walk checks every graph before it returns a record; it is the
+one check of a graph the transform fills, since the transform files its
+records straight into the dicts. from_json checks each record as it files
+it. The walk and from_json run each rule's cheap test inline and call its
+helper only when that test fails, so a broken rule raises the helper's
+exception and message. The exporters trust the walk.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
 (not a datetime.datetime), or a flat homogeneous list of one of those. The
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 PropertyValue = Union[str, bool, int, Decimal, date, list]
@@ -75,6 +82,16 @@ def literal_key(datatype: str, lang: Optional[str], lexical: str) -> str:
 
 def with_graph(key: str, graph_iri: Optional[str]) -> str:
     return key if graph_iri is None else f"{key}|g:{_quote(graph_iri)}"
+
+
+def node_id(identity_key: str) -> str:
+    """The id of the node for identity_key."""
+    return "n:" + identity_key
+
+
+def edge_id(identity_key: str) -> str:
+    """The id of the edge for identity_key: a short hash, so ids stay small."""
+    return "e:" + hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
 
 
 class _ValueKind(NamedTuple):
@@ -129,6 +146,12 @@ _KINDS = {
     date: _ValueKind("date", date.isoformat, "string", _cypher_date, tag="date", decode=date.fromisoformat),
 }
 _TAGGED = {kind.tag: kind for kind in _KINDS.values() if kind.tag}
+_SHOWN = 80  # the most characters of a value that a refusal message shows
+
+
+def _shown(text: str) -> str:
+    """text as a refusal message shows it: cut to _SHOWN characters."""
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
 
 
 def kind_of(value) -> _ValueKind:
@@ -185,7 +208,7 @@ def decode_value(encoded) -> PropertyValue:
     if isinstance(encoded, dict):
         kind = _TAGGED.get(next(iter(encoded))) if len(encoded) == 1 else None
         if kind is None:
-            raise ValueError(f"unknown tagged value: {encoded!r}")
+            raise ValueError(f"unknown tagged value: {_shown(repr(encoded))}")
         text = encoded[kind.tag]
         if type(text) is str:  # a JSON number would read as a binary float
             try:
@@ -195,10 +218,10 @@ def decode_value(encoded) -> PropertyValue:
             else:
                 if kind.text(value) == text:
                     return value
-        raise ValueError(f"invalid {kind.name} text: {text!r}")
+        raise ValueError(f"invalid {kind.name} text: {_shown(repr(text))}")
     kind = _KINDS.get(type(encoded))
     if kind is None or kind.tag is not None:
-        raise ValueError(f"cannot decode property value: {encoded!r}")
+        raise ValueError(f"cannot decode property value: {_shown(repr(encoded))}")
     return encoded
 
 
@@ -226,7 +249,9 @@ def _strings(names):
     """The name rule: names, each checked to be a str."""
     for name in names:
         if type(name) is not str:
-            raise TypeError(f"node and edge ids, labels and property keys must be strings, got {name!r}")
+            raise TypeError(
+                f"node and edge ids, labels and property keys must be strings, got {_shown(repr(name))}"
+            )
     return names
 
 
@@ -284,21 +309,41 @@ class EdgeRecord(NamedTuple):
     properties: tuple  # (key, value) pairs sorted by key
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+_new_tuple = tuple.__new__  # a walk record, built without its class's keyword-taking __new__
+
+
+# The walk runs each rule's cheap test inline and calls the rule's own
+# helper only when that test fails, so a broken rule raises the helper's
+# exception and message.
+
+
 def _sorted_labels(labels) -> tuple:
-    return tuple(sorted(_labelled(_strings(labels))))
+    """labels sorted, once the name and label rules hold."""
+    for label in labels:
+        if type(label) is not str:
+            _strings(labels)
+    if not labels:
+        _labelled(labels)
+    return tuple(sorted(labels))
 
 
 def _sorted_properties(properties: dict) -> tuple:
-    """The (key, value) pairs sorted by key, each list value as a tuple."""
-    lists = False
-    for value in _strings(properties).values():
-        if type(value) not in _KINDS:  # a list, or no property value
+    """(key, value) pairs sorted by key, each list value as a tuple, once the name and value rules hold."""
+    for key, value in properties.items():
+        if type(key) is not str or type(value) not in _KINDS:  # a list, or a broken rule
+            return _checked_pairs(properties)
+    return tuple(sorted(properties.items()))
+
+
+def _checked_pairs(properties: dict) -> tuple:
+    """_sorted_properties where a key is no str or a value no scalar: the rules' helpers decide."""
+    _strings(properties)
+    for value in properties.values():
+        if type(value) not in _KINDS:
             check_value(value)
-            lists = True
-    pairs = sorted(properties.items())
-    if lists:
-        pairs = [(key, tuple(value) if type(value) is list else value) for key, value in pairs]
-    return tuple(pairs)
+    pairs = [(key, tuple(value) if type(value) is list else value) for key, value in properties.items()]
+    return tuple(sorted(pairs))
 
 
 def _json_ready(record) -> dict:
@@ -364,14 +409,13 @@ class PropertyGraph:
         self._unseal()
         labels = _labelled(set(labels))
         _strings((identity_key, *labels))
-        node_id = "n:" + identity_key
-        node = self._nodes.get(node_id)
+        the_id = node_id(identity_key)
+        node = self._nodes.get(the_id)
         if node is None:
-            node = Node(node_id)
-            self._nodes[node_id] = node
+            node = self._nodes[the_id] = Node(the_id)
         node.labels |= labels
-        _merge_properties(node_id, node.properties, properties or {})
-        return node_id
+        _merge_properties(the_id, node.properties, properties or {})
+        return the_id
 
     def set_node_property(self, node_id: str, key: str, value: PropertyValue) -> None:
         self._unseal()
@@ -388,15 +432,15 @@ class PropertyGraph:
         labels = _labelled(set(labels))
         _strings((identity_key, source, target, *labels))
         _endpoints(self._nodes, source, target)
-        edge_id = "e:" + hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
-        edge = self._edges.get(edge_id)
+        the_id = edge_id(identity_key)
+        edge = self._edges.get(the_id)
         if edge is None:
-            edge = self._edges[edge_id] = Edge(edge_id, source, target)
+            edge = self._edges[the_id] = Edge(the_id, source, target)
         if (edge.source, edge.target) != (source, target):
-            raise PropertyConflict(f"edge {edge_id} endpoints differ for key {identity_key!r}")
+            raise PropertyConflict(f"edge {the_id} endpoints differ for key {identity_key!r}")
         edge.labels |= labels
-        _merge_properties(edge_id, edge.properties, properties or {})
-        return edge_id
+        _merge_properties(the_id, edge.properties, properties or {})
+        return the_id
 
     def replace_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
         """Deliberate overwrite; the transform uses this for last-wins merges."""
@@ -427,20 +471,28 @@ class PropertyGraph:
         """
         if self._walk is not None:
             return self._walk
+        by_id = self._nodes
         nodes = []
-        for node_id in sorted(_strings(self._nodes)):
-            node = self._nodes[node_id]
-            _own_key(node_id, node.id)
-            nodes.append(NodeRecord(node_id, _sorted_labels(node.labels), _sorted_properties(node.properties)))
-        edges = []
-        for edge_id, edge in self._edges.items():
-            _strings((edge.id, edge.source, edge.target))
-            _own_key(edge_id, edge.id)
-            _endpoints(self._nodes, edge.source, edge.target)
+        for key in sorted(_strings(by_id)):
+            node = by_id[key]
+            if node.id != key:
+                _own_key(key, node.id)
+            labels, properties = _sorted_labels(node.labels), _sorted_properties(node.properties)
+            nodes.append(_new_tuple(NodeRecord, (key, labels, properties)))
+        keyed = []  # (sort key, record) for each edge
+        for key, edge in self._edges.items():
+            record_id, source, target = edge.id, edge.source, edge.target
+            if type(record_id) is not str or type(source) is not str or type(target) is not str:
+                _strings((record_id, source, target))
+            if record_id != key:
+                _own_key(key, record_id)
+            if source not in by_id or target not in by_id:
+                _endpoints(by_id, source, target)
             labels, properties = _sorted_labels(edge.labels), _sorted_properties(edge.properties)
-            edges.append(EdgeRecord(edge.id, edge.source, edge.target, labels, properties))
-        edges.sort(key=lambda record: (record.source, ";".join(record.labels), record.target, record.id))
-        walk = tuple(nodes), tuple(edges)
+            record = _new_tuple(EdgeRecord, (record_id, source, target, labels, properties))
+            keyed.append(((source, ";".join(labels), target, record_id), record))
+        keyed.sort(key=_first)
+        walk = tuple(nodes), tuple(map(_second, keyed))
         if self._sealed:
             self._walk = walk
         return walk

@@ -23,8 +23,16 @@ approach), and whether all-literal collections collapse. Each graph of the
 dataset is then entered once: the graph in flight fixes the node and edge
 key suffixes, the edge "graph" property value and whether the graph name is
 discarded, so no statement re-decides the named-graph policy. Entering also
-finds the graph's integers too long for int(), by model.terms over its
-statements, and the list cells whose rdf:first/rdf:rest links reach one.
+finds the graph's integers too long for int(), by model.terms over the
+statements whose canonical text is long enough to hold one, and the list
+cells whose rdf:first/rdf:rest links reach one.
+
+The engine fills and seals its own graph. It files each Node and Edge, and
+at the end each staged property, straight into the graph's dicts, with no
+setter call: nothing it files can conflict (see _Engine.__init__), and the
+canonical walk checks the result as it checks every graph. Each
+statement's kind is read from the statement, and each predicate's local
+name is worked out once per transform.
 
 Each accounting unit's report entry is made in _Engine._unit, the one place
 that decides NOTE_LONG_INTEGER: a unit gets it when one of its terms is in
@@ -35,7 +43,7 @@ Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
 The sort key and every edge identity key are the statement's canonical text,
 made once per statement (model.serialize_statement), and each term's node is
-upserted once per graph scope.
+made once per graph scope.
 """
 
 from __future__ import annotations
@@ -78,6 +86,14 @@ from .model import (
 from .pgraph import PropertyGraph
 
 _DOC = "d0"  # blank-node scope tag; one dataset is one document
+# StatementKind's members under plain names, since the engine compares a
+# statement's kind with them every time: on CPython 3.11 a member looked up
+# on its Enum class takes about ten times as long as a module global
+_OBJECT_PROPERTY = StatementKind.OBJECT_PROPERTY
+_DATATYPE_PROPERTY = StatementKind.DATATYPE_PROPERTY
+_STAR_SUBJECT = StatementKind.STAR_SUBJECT
+_STAR_OBJECT = StatementKind.STAR_OBJECT
+_STAR_BOTH = StatementKind.STAR_BOTH
 
 
 class Approach(enum.Enum):
@@ -225,8 +241,19 @@ def _is_long_integer(term) -> bool:
 
 
 def _long_terms(statements) -> set:
-    """The graph's integers too long for int(), and the list cells whose first/rest links reach one."""
-    found = {term for st in statements for term in terms(st) if _is_long_integer(term)}
+    """The graph's integers too long for int(), and the list cells whose first/rest links reach one.
+
+    Only a statement whose canonical text is longer than _ALWAYS_READ can
+    hold such an integer, since the text holds its lexical form; the sort
+    makes the text anyway.
+    """
+    found = {
+        term
+        for st in statements
+        if len(serialize_statement(st)) > _ALWAYS_READ
+        for term in terms(st)
+        if _is_long_integer(term)
+    }
     if not found:
         return found
     links: dict = {}  # term -> the cells whose rdf:first or rdf:rest is it
@@ -300,11 +327,18 @@ class _Engine:
         )
         self.graph_policy = cfg.named_graph_policy
         self.graph = PropertyGraph()
+        # the engine files its records straight into the graph's dicts: each
+        # term's node is made once, an edge's key fixes its endpoints and
+        # properties, and each staged (owner, key) is set once, on a key
+        # that _safe_key or the ".graph" suffix keeps off the bookkeeping
+        # keys, so nothing it files can conflict. The walk checks the result.
+        self.nodes, self.edges = self.graph._nodes, self.graph._edges
         self.units: list = []
         # staged properties: identity -> list of (value, unit or None)
         self.node_props: dict = {}
         self.edge_props: dict = {}
         self.node_ids: dict = {}  # (term, node key suffix) -> node id
+        self.local_names: dict = {}  # predicate or class Iri -> its local name
 
     def _enter(self, graph_name: Optional[Iri], statements) -> None:
         """Set the graph in flight; every statement until the next call is in it."""
@@ -335,20 +369,23 @@ class _Engine:
     # --- node materialization ---
 
     def node_id(self, term) -> str:
-        """The node of a term in the graph in flight, upserted the first time only."""
+        """The node of a term in the graph in flight, made the first time only."""
         suffix = self.node_suffix
         node_id = self.node_ids.get((term, suffix))
         if node_id is None:
-            node_id = self.node_ids[term, suffix] = self._upsert_node(term, suffix)
+            node = self._node(term, suffix)
+            self.nodes[node.id] = node
+            node_id = self.node_ids[term, suffix] = node.id
         return node_id
 
-    def _upsert_node(self, term, suffix: Optional[str]) -> str:
+    @staticmethod
+    def _node(term, suffix: Optional[str]) -> pgraph.Node:
         if isinstance(term, Iri):
             key = pgraph.with_graph(pgraph.iri_key(term.value), suffix)
-            return self.graph.upsert_node(key, {"Resource"}, {"iri": term.value})
+            return pgraph.Node(pgraph.node_id(key), {"Resource"}, {"iri": term.value})
         if isinstance(term, BlankNode):
             key = pgraph.with_graph(pgraph.bnode_key(_DOC, term.label), suffix)
-            return self.graph.upsert_node(key, {"Resource"}, {"bnode": term.label})
+            return pgraph.Node(pgraph.node_id(key), {"Resource"}, {"bnode": term.label})
         if isinstance(term, Literal):
             key = pgraph.with_graph(
                 pgraph.literal_key(term.datatype.value, term.lang, term.lexical), suffix
@@ -356,8 +393,15 @@ class _Engine:
             props = {"value": literal_value(term), "datatype": term.datatype.value}
             if term.lang is not None:
                 props["lang"] = term.lang
-            return self.graph.upsert_node(key, {"Literal"}, props)
+            return pgraph.Node(pgraph.node_id(key), {"Literal"}, props)
         raise TypeError(f"cannot materialize node for {term!r}")
+
+    def local(self, iri: Iri) -> str:
+        """local_name(iri), worked out once per transform; a term's identity is its memo key."""
+        name = self.local_names.get(iri)
+        if name is None:
+            name = self.local_names[iri] = local_name(iri)
+        return name
 
     # --- property staging (applied after all statements, in the order staged) ---
 
@@ -381,7 +425,7 @@ class _Engine:
         quoted statements, so only pgt keeps track.
         """
         node = self.node_id(st.subject)
-        key = _safe_key(local_name(st.predicate))
+        key = _safe_key(self.local(st.predicate))
         if self.drop_fact_pairs:
             if st in self.facts:
                 return node, key
@@ -392,22 +436,23 @@ class _Engine:
     def _apply_staged(self) -> None:
         # edges first, so a unit's NOTE_OVERWRITTEN comes before its NOTE_MIXED_TYPES
         for (edge_id, key), staged in self.edge_props.items():
-            self.graph.replace_edge_property(edge_id, key, _last_wins(staged))
+            self.edges[edge_id].properties[key] = _last_wins(staged)
         for (node_id, key), staged in self.node_props.items():
-            self.graph.set_node_property(node_id, key, _list_merge(staged))
+            self.nodes[node_id].properties[key] = _list_merge(staged)
 
     # --- edges ---
 
     def edge_for(self, st: Statement) -> str:
-        """Materialize a plain statement as an edge between term nodes."""
-        source = self.node_id(st.subject)
-        target = self.node_id(st.object)
-        labels = {local_name(st.predicate)}
-        if self.kind_labels:
-            labels.add(classify(st).value)  # ObjectProperty / DatatypeProperty
-        key = pgraph.with_graph("stmt:" + serialize_statement(st), self.edge_suffix)
-        props = {} if self.graph_value is None else {"graph": self.graph_value}
-        return self.graph.upsert_edge(key, source, target, labels, props)
+        """Materialize a plain statement as an edge between term nodes, the first time only."""
+        edge_id = pgraph.edge_id(pgraph.with_graph("stmt:" + serialize_statement(st), self.edge_suffix))
+        if edge_id not in self.edges:
+            labels = {self.local(st.predicate)}
+            if self.kind_labels:
+                labels.add(classify(st).value)  # ObjectProperty / DatatypeProperty
+            props = {} if self.graph_value is None else {"graph": self.graph_value}
+            source, target = self.node_id(st.subject), self.node_id(st.object)
+            self.edges[edge_id] = pgraph.Edge(edge_id, source, target, labels, props)
+        return edge_id
 
     # --- star statements ---
 
@@ -446,22 +491,22 @@ class _Engine:
         whose key is dotted carries NOTE_NESTED, as every nested unit does.
         """
         kind = classify(st)
-        predicate = local_name(st.predicate)
-        if kind is StatementKind.STAR_OBJECT:
+        predicate = self.local(st.predicate)
+        if kind is _STAR_OBJECT:
             edge_id, prefix = self.embedded_edge(st.object.statement)
             key = "inv:" + predicate
         else:
             edge_id, prefix = self.embedded_edge(st.subject.statement)
             key = predicate
-        if kind is StatementKind.STAR_BOTH:
+        if kind is _STAR_BOTH:
             object_edge, _ = self.embedded_edge(st.object.statement)
         if prefix:
             key = f"{prefix}.{key}"
             _note(unit, NOTE_NESTED)
-        if kind is StatementKind.STAR_SUBJECT:
+        if kind is _STAR_SUBJECT:
             value = self.pair_value(st.object, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
-        elif kind is StatementKind.STAR_OBJECT:
+        elif kind is _STAR_OBJECT:
             _note(unit, NOTE_INVERSE)
             value = self.pair_value(st.subject, unit)
             self._stage(self.edge_props, edge_id, _safe_key(key), value, unit)
@@ -476,7 +521,7 @@ class _Engine:
     def star_statement(self, st: Statement, unit: ReportEntry) -> None:
         if self.drop_fact_pairs:
             quoted = [t.statement for t in (st.subject, st.object) if isinstance(t, QuotedTriple)]
-            drops = [q for q in quoted if classify(q) is StatementKind.DATATYPE_PROPERTY]
+            drops = [q for q in quoted if classify(q) is _DATATYPE_PROPERTY]
             if drops:
                 # a directly quoted datatype statement becomes a node
                 # property; the asserted pair has nowhere to live
@@ -500,9 +545,9 @@ class _Engine:
 
     def object_statement(self, st: Statement, unit) -> None:
         if self.type_as_label and st.predicate.value == RDF_TYPE and isinstance(st.object, Iri):
-            label = local_name(st.object)
+            label = self.local(st.object)
             node = self.node_id(st.subject)
-            self.graph.nodes[node].labels.add(label)
+            self.nodes[node].labels.add(label)
             self.stage_graph_companion(node, label + ".graph")
             return
         self.edge_for(st)
@@ -576,9 +621,9 @@ class _Engine:
                         self.stage_fact(st, heads[st], unit)
                         continue
                 kind = classify(st)
-                if kind is StatementKind.OBJECT_PROPERTY:
+                if kind is _OBJECT_PROPERTY:
                     self.object_statement(st, unit)
-                elif kind is StatementKind.DATATYPE_PROPERTY:
+                elif kind is _DATATYPE_PROPERTY:
                     self.datatype_statement(st, unit)
                 else:
                     self.star_statement(st, unit)

@@ -189,6 +189,23 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json(b"not json")
 
+    # a value's repr is cut to 80 characters: 77 of it and "..."
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (graph_doc("@"), "node record is not an object: {cut}"),
+            (graph_doc(node(id="@")), "node {cut}: node and edge ids, labels and property keys must be strings, got {cut}"),
+            (graph_doc(node(labels=["@"])), "node n:a: node and edge ids, labels and property keys must be strings, got {cut}"),
+            (graph_doc(node(properties={"k": {"decimal": "@"}})), "node n:a: invalid decimal text: {cut}"),
+            (graph_doc(node(properties={"k": {"time": "@"}})), "node n:a: unknown tagged value: {{'time': " + "[" * 68 + "..."),
+        ],
+        ids=["record", "id", "label", "tag-text", "unknown-tag"],
+    )
+    def test_from_json_shows_at_most_80_characters_of_a_value(self, doc, message):
+        with pytest.raises(ValueError) as raised:
+            from_json(json.dumps(doc).replace('"@"', "[" * 200 + "]" * 200))
+        assert str(raised.value) == message.format(cut="[" * 77 + "...")
+
     # json.loads reads 500 levels, and decode_value meets them; it refuses 100,000
     @pytest.mark.parametrize("depth", [500, 100_000])
     def test_from_json_refuses_deeply_nested_arrays(self, depth):
@@ -743,7 +760,8 @@ class TestUtf8AndDigitLimits:
     """A hand-built graph can hold what no transformed graph does: a lone
     surrogate, which UTF-8 cannot encode, or an integer too long for str()."""
 
-    @pytest.mark.parametrize("export", [to_json, to_graphml], ids=lambda f: f.__name__)
+    # to_cypher returns text, but its callers write it in UTF-8
+    @pytest.mark.parametrize("export", [to_json, to_graphml, to_cypher], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("value", ["a\udc80b", ["x", "\udc80"]], ids=["string", "list"])
     def test_a_lone_surrogate_is_refused(self, export, value):
         with pytest.raises(UnrepresentableValue, match=r"^text holds a lone surrogate '\\udc80'$"):

@@ -48,15 +48,25 @@ hundred:
                        another order give the same bytes under every
                        approach and any configuration, checked against two
                        hundred
+11. checked build    - the graph the transform fills without the setters
+                       equals the same records replayed through the
+                       checked setters, on the built-in corpus under every
+                       configuration and on the datasets of 10, checked
+                       against two hundred
 """
 
+import itertools
 import json
 import re
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from rdfstar2pg import pgraph
+from rdfstar2pg.conformance import builtin_corpus
 
 from rdfstar2pg.exporters import UnrepresentableValue, to_cypher, to_graphml, to_json
 from rdfstar2pg.model import (
@@ -73,11 +83,12 @@ from rdfstar2pg.model import (
     classify,
     escape_string,
     local_name,
+    serialize_statement,
     statement_units,
     terms,
 )
 from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
-from rdfstar2pg.pgraph import is_bookkeeping_key
+from rdfstar2pg.pgraph import DanglingEndpoint, PropertyGraph, is_bookkeeping_key
 from rdfstar2pg.transform import (
     NOTE_BNODE_AS_STRING,
     NOTE_EDGE_TO_EDGE,
@@ -605,3 +616,74 @@ def shuffled(dataset, rng):
 )
 def test_statement_order_gives_the_same_bytes(dataset, config, rng):
     assert outputs(shuffled(dataset, rng), config) == outputs(dataset, config)
+
+
+# --- the one-pass build equals the checked build ------------------------------
+
+
+def edge_keys(dataset) -> dict:
+    """Edge id -> identity key, for every statement dataset holds or quotes, in every graph."""
+    suffixes = [None, *(name.value for name in dataset.named)]
+    keys = {}
+    for _, statement in dataset.statements():
+        quoted = [term.statement for term in terms(statement) if isinstance(term, QuotedTriple)]
+        for each in (statement, *quoted):
+            for suffix in suffixes:
+                key = pgraph.with_graph("stmt:" + serialize_statement(each), suffix)
+                keys[pgraph.edge_id(key)] = key
+    return keys
+
+
+def replayed(graph, dataset) -> PropertyGraph:
+    """graph's records made again through the checked setters, which refuse any conflict."""
+    keys = edge_keys(dataset)
+    copy = PropertyGraph()
+    for node in graph.nodes.values():
+        assert copy.upsert_node(node.id.removeprefix("n:"), node.labels) == node.id
+        for key, value in node.properties.items():
+            copy.set_node_property(node.id, key, value)
+    for edge in graph.edges.values():
+        assert copy.upsert_edge(keys[edge.id], edge.source, edge.target, edge.labels) == edge.id
+        for key, value in edge.properties.items():
+            copy.replace_edge_property(edge.id, key, value)
+    return copy
+
+
+ALL_CONFIGS = [
+    TransformConfig(*fields)
+    for fields in itertools.product(
+        Approach, DatatypePolicy, [None, *RdfTypePolicy], NamedGraphPolicy, ListPolicy
+    )
+]
+
+
+@pytest.mark.parametrize("case", builtin_corpus(), ids=lambda case: case.id)
+def test_the_corpus_builds_as_the_setters_build_it(case):
+    dataset = parse_turtle_star(case.source)
+    for config in ALL_CONFIGS:
+        graph, _ = transform(dataset, config)
+        assert to_json(replayed(graph, dataset)) == to_json(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(text_datasets, COLLECTION_DOCUMENTS.map(parse_turtle_star)), CONFIGS)
+def test_generated_datasets_build_as_the_setters_build_them(dataset, config):
+    graph, _ = transform(dataset, config)
+    assert to_json(replayed(graph, dataset)) == to_json(graph)
+
+
+@pytest.mark.parametrize("case", builtin_corpus(), ids=lambda case: case.id)
+def test_a_hand_edit_of_a_corpus_graph_is_refused_by_its_next_export(case):
+    def exported():
+        graph, _ = transform(parse_turtle_star(case.source), TransformConfig(Approach.RPT))
+        to_json(graph)  # the graph now keeps its walk
+        return graph
+
+    graph = exported()
+    next(iter(graph.nodes.values())).labels.clear()
+    with pytest.raises(ValueError, match="^nodes and edges need at least one label$"):
+        to_json(graph)
+    graph = exported()
+    next(iter(graph.edges.values())).target = "n:gone"
+    with pytest.raises(DanglingEndpoint, match="^edge endpoint 'n:gone' is not a node$"):
+        to_json(graph)
