@@ -40,7 +40,6 @@ from .pgraph import (
     DanglingEndpoint,
     Edge,
     Node,
-    PropertyConflict,
     PropertyGraph,
 )
 from .transform import (
@@ -75,7 +74,6 @@ __all__ = [
     "NamedGraphPolicy",
     "Node",
     "ParseError",
-    "PropertyConflict",
     "PropertyGraph",
     "QuotedTriple",
     "RdfTypePolicy",

@@ -1,9 +1,9 @@
 """Command-line interface: convert, conformance, and inspect.
 
-Exit codes: 0 clean, 1 parse/input error or an exporter's refusal, 2 bad
-flags (argparse), 3 lossy conversion (the report lists the partial
-statements). Output for a given invocation and input is byte-identical
-across runs.
+Exit codes: 0 clean, 1 parse/input error, an output file that cannot be
+written or an exporter's refusal, 2 bad flags (argparse or --approaches),
+3 lossy conversion (the report lists the partial statements). Output for
+a given invocation and input is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -53,20 +53,25 @@ def _read_document(path: str):
         return None
 
 
-def _write_report(path: str, report: dict) -> None:
-    """Write a report as indented JSON, non-ASCII text as it is, to a file or stdout."""
+def _write_report(path: str, report: dict) -> bool:
+    """Write a report as indented JSON, non-ASCII text as it is, as _write_output writes."""
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    _write_output(path, (text.encode("utf-8"),))
+    return _write_output(path, (text.encode("utf-8"),))
 
 
-def _write_output(path: str, chunks) -> None:
-    """Write an iterable of bytes chunks to a file, or to stdout for "-"."""
+def _write_output(path: str, chunks) -> bool:
+    """Write bytes chunks to a file, or to stdout for "-"; False once it printed why not."""
     if path == "-":
         sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
-    else:
+        return True
+    try:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 @_gc_paused
@@ -100,24 +105,27 @@ def cmd_convert(args) -> int:
     except UnrepresentableValue as exc:
         print(f"error: cannot write {args.format}: {exc}", file=sys.stderr)
         return 1
-    _write_output(args.output, chunks)
+    if not _write_output(args.output, chunks):
+        return 1
     # the graph and its kept walk go before the report's indented dump, which sets the peak
     del graph, chunks
 
-    if args.report:
-        _write_report(args.report, report.to_dict())
+    if args.report and not _write_report(args.report, report.to_dict()):
+        return 1
 
     return 3 if report.lossy else 0
 
 
 def cmd_conformance(args) -> int:
     approaches = None
-    if args.approaches:
+    if args.approaches is not None:
         try:
             approaches = [
                 Approach(name.strip()) for name in args.approaches.split(",") if name.strip()
             ]
         except ValueError:
+            approaches = []
+        if not approaches:
             valid = ", ".join(a.value for a in Approach)
             print(
                 f"rdfstar2pg conformance: error: --approaches must be a comma-separated "
@@ -127,8 +135,8 @@ def cmd_conformance(args) -> int:
             return 2
     report = run_conformance(approaches=approaches)
     print(report.to_table())
-    if args.json:
-        _write_report(args.json, report.to_dict())
+    if args.json and not _write_report(args.json, report.to_dict()):
+        return 1
     return 0 if report.passed else 1
 
 

@@ -167,8 +167,12 @@ def observed_shape(graph, report: TransformReport) -> Shape:
 
 
 def run_conformance(approaches: Optional[list] = None) -> ConformanceReport:
-    """Replay the corpus under each approach's defaults and check expected shapes."""
-    approaches = list(approaches or (Approach.RPT, Approach.PGT, Approach.HYBRID))
+    """Replay the corpus under each approach's defaults and check expected shapes.
+
+    Each requested approach runs once, in the order given; None or an
+    empty list runs all three.
+    """
+    approaches = list(dict.fromkeys(approaches or Approach))
     table = expected_shape_table()
     cases = sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id))
 

@@ -1,34 +1,32 @@
-"""Labeled property graph with identity-keyed upserts and a canonical walk.
+"""Labeled property graph: two dicts of records and one canonical walk.
 
-Nodes and edges live in disjoint id spaces ("n:..." vs "e:..."). Every node
-is created through an identity key so repeated upserts merge instead of
-duplicating; merging never silently overwrites a property (PropertyConflict).
-canonical_records() is the one canonical walk: nodes by id, then edges by
-(source, labels, target, id), each with sorted labels and sorted properties
-whose values stay Python values, all held in tuples. Every exporter reads
-that walk directly. canonical_form() is the same walk as a plain JSON-ready
-structure, so two graphs are equal exactly when their canonical forms are
-equal.
+Nodes and edges live in disjoint id spaces ("n:..." vs "e:..."), each filed
+in its own dict under its id: graph.nodes[i] = Node(i, labels, properties).
+node_id and edge_id make the id of an identity key, so a record made twice
+for one key is filed once. canonical_records() is the one canonical walk:
+nodes by id, then edges by (source, labels, target, id), each with sorted
+labels and sorted properties whose values stay Python values, all held in
+tuples. Every exporter reads that walk directly. canonical_form() is the
+same walk as a plain JSON-ready structure, so two graphs are equal exactly
+when their canonical forms are equal.
 
 The transform seals the graph it returns, since nothing else holds a part of
 it: a sealed graph keeps its first walk and returns it to every later call,
-so its exports walk it once. Reading nodes or edges, calling a setter or
-taking a shallow copy ends the seal for good and drops the kept walk, so an
-edit made through them always shows in the next walk. A graph built by hand
-or by from_json is never sealed and is walked again on every call.
+so its exports walk it once. Reading nodes or edges, or taking a shallow
+copy, ends the seal for good and drops the kept walk, so an edit made
+through them always shows in the next walk. A graph built by hand or by
+from_json is never sealed and is walked again on every call.
 
 A valid graph keeps five rules, one helper each: every id, endpoint, label
 and key is a str (_strings), every record has a label (_labelled), every
 value passes check_value, every endpoint is a node (_endpoints), and every
 record is filed under its own id, so no two share one (_own_key once filed,
-_unique as records are filed). The rules are checked in three places. The
-setters check them for callers who build a graph record by record. The
-canonical walk checks every graph before it returns a record; it is the
-one check of a graph the transform fills, since the transform files its
-records straight into the dicts. from_json checks each record as it files
-it. The walk and from_json run each rule's cheap test inline and call its
-helper only when that test fails, so a broken rule raises the helper's
-exception and message. The exporters trust the walk.
+_unique as records are filed). The rules are checked in two places. The
+canonical walk checks every graph, however it was filed, before it returns
+a record. from_json checks each record as it files it. Both run each
+rule's cheap test inline and call its helper only when that test fails, so
+a broken rule raises the helper's exception and message. The exporters
+trust the walk.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
 (not a datetime.datetime), or a flat homogeneous list of one of those. The
@@ -53,10 +51,6 @@ PropertyValue = Union[str, bool, int, Decimal, date, list]
 # and GraphML's label key) rather than RDF payload; predicate-derived keys
 # must stay out of this set.
 RESERVED_KEYS = frozenset({"id", "iri", "bnode", "value", "datatype", "lang", "graph", "labels"})
-
-
-class PropertyConflict(Exception):
-    """Raised when an upsert would change an already-set property value."""
 
 
 class DanglingEndpoint(ValueError):
@@ -281,16 +275,6 @@ def _own_key(key: str, record_id: str) -> None:
         raise ValueError(f"id {record_id!r} is filed under the key {key!r}")
 
 
-def _merge_properties(owner: str, existing: dict, incoming: dict) -> None:
-    for key, value in _strings(incoming).items():
-        check_value(value)
-        if key in existing and value_key(existing[key]) != value_key(value):
-            raise PropertyConflict(
-                f"{owner}: property {key!r} already {existing[key]!r}, refusing {value!r}"
-            )
-        existing[key] = value
-
-
 class NodeRecord(NamedTuple):
     """A node as the canonical walk yields it."""
 
@@ -386,7 +370,7 @@ class PropertyGraph:
 
         Only a maker that has let go of every part of the graph may seal it:
         its dicts, its Node and Edge objects and its list values. Any later
-        reference then comes through nodes, edges or a setter, which unseal.
+        reference then comes through nodes, edges or copy.copy, which unseal.
         """
         self._sealed = True
 
@@ -402,53 +386,6 @@ class PropertyGraph:
         copied._nodes, copied._edges = self._nodes, self._edges
         return copied
 
-    # --- nodes ---
-
-    def upsert_node(self, identity_key: str, labels=(), properties=None) -> str:
-        """Create or merge the node for identity_key; returns its id."""
-        self._unseal()
-        labels = _labelled(set(labels))
-        _strings((identity_key, *labels))
-        the_id = node_id(identity_key)
-        node = self._nodes.get(the_id)
-        if node is None:
-            node = self._nodes[the_id] = Node(the_id)
-        node.labels |= labels
-        _merge_properties(the_id, node.properties, properties or {})
-        return the_id
-
-    def set_node_property(self, node_id: str, key: str, value: PropertyValue) -> None:
-        self._unseal()
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise KeyError(node_id)
-        _merge_properties(node_id, node.properties, {key: value})
-
-    # --- edges ---
-
-    def upsert_edge(self, identity_key: str, source: str, target: str, labels=(), properties=None) -> str:
-        """Create or merge the edge for identity_key; returns its id."""
-        self._unseal()
-        labels = _labelled(set(labels))
-        _strings((identity_key, source, target, *labels))
-        _endpoints(self._nodes, source, target)
-        the_id = edge_id(identity_key)
-        edge = self._edges.get(the_id)
-        if edge is None:
-            edge = self._edges[the_id] = Edge(the_id, source, target)
-        if (edge.source, edge.target) != (source, target):
-            raise PropertyConflict(f"edge {the_id} endpoints differ for key {identity_key!r}")
-        edge.labels |= labels
-        _merge_properties(the_id, edge.properties, properties or {})
-        return the_id
-
-    def replace_edge_property(self, edge_id: str, key: str, value: PropertyValue) -> None:
-        """Deliberate overwrite; the transform uses this for last-wins merges."""
-        self._unseal()
-        _strings((key,))
-        check_value(value)
-        self._edges[edge_id].properties[key] = value
-
     # --- canonical walk ---
 
     def canonical_records(self) -> tuple:
@@ -460,14 +397,14 @@ class PropertyGraph:
         as Python values and a list as a tuple. Every record is checked
         against the module's five graph rules before any is returned, so a
         graph that breaks one raises that rule's exception and message,
-        whichever exporter asked.
+        whichever exporter asked. It is the one check of a graph whose
+        records were filed straight into its dicts, by transform or by hand.
 
         The walk holds tuples only, so no caller can change it. A graph that
         transform returns is sealed: its first walk is kept and every later
         call returns it, so its JSON, GraphML and Cypher exports walk it
-        once. Reading nodes or edges, calling a setter or taking a shallow
-        copy ends the seal for good and drops the kept walk; every call after
-        that walks again.
+        once. Reading nodes or edges, or taking a shallow copy, ends the seal
+        for good and drops the kept walk; every call after that walks again.
         """
         if self._walk is not None:
             return self._walk

@@ -28,9 +28,9 @@ statements whose canonical text is long enough to hold one, and the list
 cells whose rdf:first/rdf:rest links reach one.
 
 The engine fills and seals its own graph. It files each Node and Edge, and
-at the end each staged property, straight into the graph's dicts, with no
-setter call: nothing it files can conflict (see _Engine.__init__), and the
-canonical walk checks the result as it checks every graph. Each
+at the end each staged property, straight into the graph's dicts: nothing
+it files can conflict (see _Engine.__init__), and the canonical walk checks
+the result as it checks every graph. Each
 statement's kind is read from the statement, and each predicate's local
 name is worked out once per transform.
 

@@ -319,6 +319,27 @@ class TestConformanceCommand:
         code, _, _ = run_cli(["conformance", "--approaches", "quantum"])
         assert code == 2
 
+    @pytest.mark.parametrize("approaches", [",", " , ", ""])
+    def test_empty_selection_exits_2(self, approaches, capsys):
+        assert main(["conformance", "--approaches", approaches]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "rdfstar2pg conformance: error: --approaches must be a comma-separated "
+            f"subset of rpt, pgt, hybrid, got {approaches!r}\n"
+        )
+
+    def test_a_repeated_approach_runs_once(self, capsys):
+        assert main(["conformance", "--approaches", "hybrid,hybrid"]) == 0
+        assert capsys.readouterr().out == run_conformance([Approach.HYBRID]).to_table() + "\n"
+
+    def test_approaches_run_once_each_in_the_given_order(self):
+        report = run_conformance([Approach.HYBRID, Approach.RPT, Approach.HYBRID])
+        assert len(report.rows) == 2 * len(builtin_corpus())
+        assert [row.approach for row in report.rows[:2]] == [Approach.HYBRID, Approach.RPT]
+        assert list(report.aggregates) == [Approach.HYBRID, Approach.RPT]
+        assert report.aggregates[Approach.HYBRID]["total"] == 44
+
     def test_no_color_in_pipes(self):
         _, out, _ = run_cli(["conformance"])
         assert b"\x1b[" not in out  # the table carries no ANSI codes
@@ -326,6 +347,25 @@ class TestConformanceCommand:
     def test_stdout_is_the_table(self, capsys):
         assert main(["conformance"]) == 0
         assert capsys.readouterr().out == run_conformance().to_table() + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["convert", "IN", "--output"], ["convert", "IN", "--report"], ["conformance", "--json"]],
+    ids=["output", "report", "conformance-json"],
+)
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/out", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_output_that_cannot_be_written_exits_1(command, where, reason, simple_file, tmp_path, capsys):
+    path = tmp_path / where
+    assert main([simple_file if arg == "IN" else arg for arg in command] + [str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: cannot write {path}: [Errno ")
+    assert err[0].endswith(f"] {reason}: {str(path)!r}")
 
 
 NOT_UTF8 = EX.encode() + b'ex:a ex:name "caf\xe9" .\n'

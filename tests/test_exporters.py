@@ -25,17 +25,32 @@ from rdfstar2pg.exporters import (
 )
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg import pgraph
-from rdfstar2pg.pgraph import DanglingEndpoint, Edge, Node, PropertyConflict, PropertyGraph, iri_key, kind_of
+from rdfstar2pg.pgraph import DanglingEndpoint, Edge, Node, PropertyGraph, iri_key, kind_of
 from rdfstar2pg.transform import Approach, TransformConfig, hybrid, pgt, rpt, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
 
 
+def add_node(graph, key, labels, properties=None) -> str:
+    """File the node for identity key by hand; returns its id."""
+    node = Node(pgraph.node_id(key), set(labels), dict(properties or {}))
+    graph.nodes[node.id] = node
+    return node.id
+
+
+def add_edge(graph, key, source, target, labels, properties=None) -> str:
+    """File the edge for identity key by hand; returns its id."""
+    edge = Edge(pgraph.edge_id(key), source, target, set(labels), dict(properties or {}))
+    graph.edges[edge.id] = edge
+    return edge.id
+
+
 def sample_graph():
     g = PropertyGraph()
-    a = g.upsert_node(iri_key("http://x/a"), {"Resource"}, {"iri": "http://x/a"})
-    b = g.upsert_node(iri_key("http://x/b"), {"Resource"}, {"iri": "http://x/b"})
-    g.upsert_edge(
+    a = add_node(g, iri_key("http://x/a"), {"Resource"}, {"iri": "http://x/a"})
+    b = add_node(g, iri_key("http://x/b"), {"Resource"}, {"iri": "http://x/b"})
+    add_edge(
+        g,
         "stmt:x",
         a,
         b,
@@ -217,9 +232,10 @@ class TestJson:
 
 def scalar_graph():
     g = PropertyGraph()
-    a = g.upsert_node(iri_key("http://x/a"), {"Resource"}, {"iri": "http://x/a"})
-    b = g.upsert_node(iri_key("http://x/b"), {"Resource"}, {"iri": "http://x/b"})
-    g.upsert_edge(
+    a = add_node(g, iri_key("http://x/a"), {"Resource"}, {"iri": "http://x/a"})
+    b = add_node(g, iri_key("http://x/b"), {"Resource"}, {"iri": "http://x/b"})
+    add_edge(
+        g,
         "stmt:x",
         a,
         b,
@@ -283,7 +299,7 @@ class TestGraphml:
 
     def test_separator_inside_element_rejected(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"bad": [f"has{LIST_SEPARATOR}sep", "ok"]})
+        add_node(g, "a", {"X"}, {"bad": [f"has{LIST_SEPARATOR}sep", "ok"]})
         with pytest.raises(UnrepresentableValue):
             to_graphml(g)
 
@@ -296,20 +312,20 @@ class TestGraphml:
     @pytest.mark.parametrize("domain", ["node", "edge"])
     def test_labels_property_built_by_hand_rejected(self, domain):
         g = PropertyGraph()
-        a = g.upsert_node("a", {"X"}, {"labels": "x"} if domain == "node" else {})
-        g.upsert_edge("e", a, a, {"r"}, {"labels": "x"} if domain == "edge" else {})
+        a = add_node(g, "a", {"X"}, {"labels": "x"} if domain == "node" else {})
+        add_edge(g, "e", a, a, {"r"}, {"labels": "x"} if domain == "edge" else {})
         with pytest.raises(UnrepresentableValue, match=f"{domain} property key 'labels'"):
             to_graphml(g)
 
     def test_scalar_with_separator_is_fine(self):
         # only list elements are ambiguous; scalars never get split
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"odd": f"has{LIST_SEPARATOR}sep"})
+        add_node(g, "a", {"X"}, {"odd": f"has{LIST_SEPARATOR}sep"})
         to_graphml(g)
 
     def test_xml_escaping(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"text": '<tag> & "quoted"'})
+        add_node(g, "a", {"X"}, {"text": '<tag> & "quoted"'})
         root = ET.fromstring(to_graphml(g))
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
         data = [d.text for d in root.findall(".//g:node/g:data", ns)]
@@ -317,7 +333,7 @@ class TestGraphml:
 
     def test_labels_semicolon_joined(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"Zeta", "Alpha"})
+        add_node(g, "a", {"Zeta", "Alpha"})
         text = to_graphml(g).decode()
         assert ">Alpha;Zeta<" in text
 
@@ -326,8 +342,8 @@ class TestGraphml:
 
     def test_mixed_type_key_degrades_to_string(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"v": 1})
-        g.upsert_node("b", {"X"}, {"v": "s"})
+        add_node(g, "a", {"X"}, {"v": 1})
+        add_node(g, "b", {"X"}, {"v": "s"})
         text = to_graphml(g).decode()
         assert 'attr.name="v" attr.type="string"' in text
 
@@ -359,13 +375,14 @@ class TestCypher:
 
     def test_string_escaping(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"text": 'say "hi"\n\tdone\\'})
+        add_node(g, "a", {"X"}, {"text": 'say "hi"\n\tdone\\'})
         script = to_cypher(g)
         assert '\\"hi\\"' in script and "\\n" in script and "\\t" in script and "\\\\" in script
 
     def test_value_rendering(self):
         g = PropertyGraph()
-        g.upsert_node(
+        add_node(
+            g,
             "a",
             {"X"},
             {
@@ -385,17 +402,17 @@ class TestCypher:
 
     def test_digit_prefix_label_quoted(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"22-rdf-syntax-nstype"})
+        add_node(g, "a", {"22-rdf-syntax-nstype"})
         assert ":`22-rdf-syntax-nstype`" in to_cypher(g)
 
     def test_near_names_stay_distinct(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"X"}, {"a-b": 1, "a_b": 2, "a:b": 3, "a.b": 4})
+        add_node(g, "a", {"X"}, {"a-b": 1, "a_b": 2, "a:b": 3, "a.b": 4})
         assert "{`a-b`: 1, `a.b`: 4, `a:b`: 3, a_b: 2, id: " in to_cypher(g)
 
     def test_backticks_doubled(self):
         g = PropertyGraph()
-        g.upsert_node("a", {"--", "x`y"}, {"`": 1})
+        add_node(g, "a", {"--", "x`y"}, {"`": 1})
         script = to_cypher(g)
         assert ":`--`:`x``y` {````: 1, id: " in script
 
@@ -883,23 +900,13 @@ def held_before_export(graph, node, edge):
     nodes[node].labels.add("Extra")
 
 
-def refused_setter(graph, node, edge):
-    # upsert_node merges the label before it refuses the property
-    with pytest.raises(PropertyConflict):
-        graph.upsert_node(node.removeprefix("n:"), {"Extra"}, {"iri": "http://example.org/other"})
-
-
 EDITS = {
     "node-item": lambda graph, node, edge: graph.nodes[node].labels.add("Extra"),
     "new-node-item": lambda graph, node, edge: graph.nodes.__setitem__("n:new", Node("n:new", {"New"}, {})),
     "edge-item": lambda graph, node, edge: graph.edges[edge].properties.__setitem__("note", "x"),
-    "upsert_node": lambda graph, node, edge: graph.upsert_node("carol", {"Person"}),
-    "set_node_property": lambda graph, node, edge: graph.set_node_property(node, "age", 30),
-    "upsert_edge": lambda graph, node, edge: graph.upsert_edge("extra", node, node, {"self"}),
-    "replace_edge_property": lambda graph, node, edge: graph.replace_edge_property(edge, "certainty", Decimal("0.9")),
+    "new-edge-item": lambda graph, node, edge: graph.edges.__setitem__("e:new", Edge("e:new", node, node, {"self"}, {})),
     "copy": lambda graph, node, edge: copy.copy(graph).nodes[node].labels.add("Extra"),
     "nodes-held-before-export": held_before_export,
-    "refused-setter": refused_setter,
 }
 
 
@@ -951,15 +958,27 @@ class TestKeptWalk:
              DanglingEndpoint, "edge endpoint 'n:zz' is not a node"),
             (lambda graph, node, edge: graph.edges[edge].properties.__setitem__("w", []),
              TypeError, "empty list is not a valid property value"),
+            (lambda graph, node, edge: graph.edges[edge].properties.__setitem__(7, "x"),
+             TypeError, "node and edge ids, labels and property keys must be strings, got 7"),
+            (lambda graph, node, edge: graph.nodes.__setitem__("n:new", Node("n:new", {7}, {})),
+             TypeError, "node and edge ids, labels and property keys must be strings, got 7"),
+            (lambda graph, node, edge: graph.nodes.__setitem__("n:new", Node("n:new", set(), {})),
+             ValueError, "nodes and edges need at least one label"),
+            (lambda graph, node, edge: graph.edges.__setitem__("e:new", Edge("e:new", node, "n:zz", {"r"}, {})),
+             DanglingEndpoint, "edge endpoint 'n:zz' is not a node"),
+            (lambda graph, node, edge: graph.nodes.__setitem__("n:new", Node("n:new", {"X"}, {"v": 1.5})),
+             TypeError, "unsupported property value: 1.5"),
         ],
-        ids=["no-labels", "dangling-target", "empty-list"],
+        ids=["no-labels", "dangling-target", "empty-list", "non-string-key", "filed-non-string-label",
+             "filed-no-labels", "filed-dangling-edge", "filed-invalid-value"],
     )
     def test_a_rule_broken_after_an_export_is_refused(self, spoil, error, message):
         node, edge = ids()
         graph = transformed()
         exports(graph)
         spoil(graph, node, edge)
-        for export in (to_json, to_graphml, to_cypher, PropertyGraph.canonical_form):
+        walks = PropertyGraph.canonical_records, PropertyGraph.canonical_form
+        for export in (*walks, to_json, to_graphml, to_cypher):
             with pytest.raises(Exception) as raised:
                 export(graph)
             assert type(raised.value) is error

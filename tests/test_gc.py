@@ -14,7 +14,7 @@ from rdfstar2pg.cli import build_parser, cmd_convert
 from rdfstar2pg.conformance import builtin_corpus
 from rdfstar2pg.exporters import from_json, to_cypher, to_graphml, to_json
 from rdfstar2pg.parser import ParseError, parse_turtle_star
-from rdfstar2pg.pgraph import PropertyGraph
+from rdfstar2pg.pgraph import Node, PropertyGraph
 from rdfstar2pg.transform import Approach, TransformConfig, TransformReport, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
@@ -75,8 +75,7 @@ def test_a_large_parse_runs_no_collection():
 
 def _bad_graph() -> PropertyGraph:
     graph = PropertyGraph()
-    graph.upsert_node("a", {"X"})
-    graph.nodes["n:a"].properties["v"] = 1.5  # no property value: every exporter raises
+    graph.nodes["n:a"] = Node("n:a", {"X"}, {"v": 1.5})  # no property value: every exporter raises
     return graph
 
 

@@ -6,24 +6,38 @@ import pytest
 from rdfstar2pg.pgraph import (
     RESERVED_KEYS,
     DanglingEndpoint,
-    PropertyConflict,
+    Edge,
+    Node,
     PropertyGraph,
     bnode_key,
     check_value,
     decode_value,
+    edge_id,
     encode_value,
     iri_key,
     is_bookkeeping_key,
     literal_key,
+    node_id,
+    value_key,
     with_graph,
 )
+
+NAMES_MESSAGE = "node and edge ids, labels and property keys must be strings, got 7"
 
 
 def small_graph():
     g = PropertyGraph()
-    a = g.upsert_node(iri_key("http://x/a"), labels={"Resource"}, properties={"iri": "http://x/a"})
-    b = g.upsert_node(iri_key("http://x/b"), labels={"Resource"}, properties={"iri": "http://x/b"})
-    return g, a, b
+    for iri in ("http://x/a", "http://x/b"):
+        node = Node(node_id(iri_key(iri)), {"Resource"}, {"iri": iri})
+        g.nodes[node.id] = node
+    return g, *g.nodes
+
+
+def filed_edge(g, source, target, labels, properties=None, key="stmt:x"):
+    """g with an edge for identity key filed by hand."""
+    edge = Edge(edge_id(key), source, target, labels, properties or {})
+    g.edges[edge.id] = edge
+    return g
 
 
 class TestIdentityKeys:
@@ -117,63 +131,17 @@ class TestValues:
             with pytest.raises(TypeError, match="unsupported property value"):
                 check_value(value)
         g, a, _ = small_graph()
+        g.nodes[a].properties["when"] = moment
         with pytest.raises(TypeError, match="unsupported property value"):
-            g.set_node_property(a, "when", moment)
-        assert "when" not in g.nodes[a].properties
+            g.canonical_records()
 
     def test_bool_is_not_confused_with_int(self):
         assert decode_value(encode_value(True)) is True
         assert decode_value(encode_value(1)) == 1
         assert decode_value(encode_value(1)) is not True
 
-
-class TestNodes:
-    def test_upsert_merges_labels_and_properties(self):
-        g = PropertyGraph()
-        nid = g.upsert_node("k", labels={"A"}, properties={"p": 1})
-        same = g.upsert_node("k", labels={"B"}, properties={"q": 2})
-        assert nid == same == "n:k"
-        node = g.nodes[nid]
-        assert node.labels == {"A", "B"}
-        assert node.properties == {"p": 1, "q": 2}
-
-    def test_node_requires_label(self):
-        g = PropertyGraph()
-        with pytest.raises(ValueError, match="nodes and edges need at least one label"):
-            g.upsert_node("k")
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda g, a: g.upsert_node(7, labels={"A"}),
-            lambda g, a: g.upsert_node("k", labels={7}),
-            lambda g, a: g.upsert_node("k", labels={"A"}, properties={7: "x"}),
-            lambda g, a: g.set_node_property(a, 7, "x"),
-            lambda g, a: g.upsert_edge(7, a, a, labels={"r"}),
-            lambda g, a: g.upsert_edge("e", a, a, labels={7}),
-            lambda g, a: g.upsert_edge("e", a, a, labels={"r"}, properties={7: "x"}),
-            lambda g, a: g.replace_edge_property(g.upsert_edge("e", a, a, labels={"r"}), 7, "x"),
-        ],
-    )
-    def test_setters_refuse_names_that_are_not_strings(self, build):
-        g = PropertyGraph()
-        a = g.upsert_node("a", labels={"A"})
-        with pytest.raises(TypeError) as raised:
-            build(g, a)
-        assert str(raised.value) == "node and edge ids, labels and property keys must be strings, got 7"
-
-    def test_same_value_reassignment_is_fine(self):
-        g = PropertyGraph()
-        nid = g.upsert_node("k", labels={"A"}, properties={"p": 1})
-        g.set_node_property(nid, "p", 1)
-        assert g.nodes[nid].properties["p"] == 1
-
-    def test_conflicting_value_raises(self):
-        g = PropertyGraph()
-        nid = g.upsert_node("k", labels={"A"}, properties={"p": 1})
-        with pytest.raises(PropertyConflict):
-            g.set_node_property(nid, "p", 2)
-
+    # _last_wins notes NOTE_OVERWRITTEN on a unit whose value's key differs
+    # from the winner's
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -186,77 +154,64 @@ class TestNodes:
         ],
     )
     def test_values_of_another_kind_or_text_conflict(self, old, new):
-        g = PropertyGraph()
-        nid = g.upsert_node("k", labels={"A"}, properties={"p": old})
-        with pytest.raises(PropertyConflict):
-            g.set_node_property(nid, "p", new)
-        assert g.nodes[nid].properties["p"] is old
+        assert value_key(old) != value_key(new)
 
     @pytest.mark.parametrize(
         "old, new",
         [(Decimal("NaN"), Decimal("NaN")), (Decimal("NaN"), Decimal("sNaN")), ([1, 2], [1, 2])],
     )
     def test_values_of_one_kind_and_text_agree(self, old, new):
-        g = PropertyGraph()
-        nid = g.upsert_node("k", labels={"A"}, properties={"p": old})
-        g.set_node_property(nid, "p", new)
+        assert value_key(old) == value_key(new)
 
-    def test_set_property_on_missing_node(self):
+
+class TestNodes:
+    def test_node_requires_label(self):
         g = PropertyGraph()
-        with pytest.raises(KeyError):
-            g.set_node_property("n:nope", "p", 1)
+        g.nodes["n:k"] = Node("n:k", set(), {})
+        with pytest.raises(ValueError, match="^nodes and edges need at least one label$"):
+            g.canonical_records()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, a: g.nodes.__setitem__(7, Node(7, {"A"})),
+            lambda g, a: g.nodes[a].labels.add(7),
+            lambda g, a: g.nodes[a].properties.__setitem__(7, "x"),
+            lambda g, a: filed_edge(g, 7, a, {"r"}),
+            lambda g, a: filed_edge(g, a, a, {7}),
+            lambda g, a: filed_edge(g, a, a, {"r"}, {7: "x"}),
+        ],
+    )
+    def test_the_walk_refuses_names_that_are_not_strings(self, build):
+        g, a, _ = small_graph()
+        build(g, a)
+        with pytest.raises(TypeError) as raised:
+            g.canonical_records()
+        assert str(raised.value) == NAMES_MESSAGE
 
 
 class TestEdges:
-    def test_upsert_edge_identity(self):
-        g, a, b = small_graph()
-        e1 = g.upsert_edge("stmt:x", a, b, labels={"likes"})
-        e2 = g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 1})
-        assert e1 == e2
-        assert len(g.edges) == 1
-        assert g.edges[e1].properties == {"w": 1}
-
     def test_distinct_keys_make_distinct_edges(self):
-        g, a, b = small_graph()
-        e1 = g.upsert_edge("stmt:x", a, b, labels={"likes"})
-        e2 = g.upsert_edge("stmt:y", a, b, labels={"likes"})
-        assert e1 != e2 and len(g.edges) == 2
+        assert edge_id("stmt:x") != edge_id("stmt:y")
 
     def test_dangling_endpoints_rejected(self):
         g, a, _ = small_graph()
-        with pytest.raises(DanglingEndpoint, match="edge endpoint 'n:ghost' is not a node"):
-            g.upsert_edge("stmt:x", a, "n:ghost", labels={"likes"})
-        with pytest.raises(DanglingEndpoint, match="edge endpoint 'n:ghost' is not a node"):
-            g.upsert_edge("stmt:x", "n:ghost", a, labels={"likes"})
-
-    def test_same_key_different_endpoints_rejected(self):
-        g, a, b = small_graph()
-        g.upsert_edge("stmt:x", a, b, labels={"likes"})
-        with pytest.raises(PropertyConflict):
-            g.upsert_edge("stmt:x", b, a, labels={"likes"})
+        for source, target in (a, "n:ghost"), ("n:ghost", a):
+            filed_edge(g, source, target, {"likes"})
+            with pytest.raises(DanglingEndpoint, match="^edge endpoint 'n:ghost' is not a node$"):
+                g.canonical_records()
 
     def test_edge_requires_label(self):
         g, a, b = small_graph()
-        with pytest.raises(ValueError, match="nodes and edges need at least one label"):
-            g.upsert_edge("stmt:x", a, b)
-
-    def test_edge_property_conflict(self):
-        g, a, b = small_graph()
-        g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 1})
-        with pytest.raises(PropertyConflict):
-            g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 2})
-
-    def test_replace_edge_property_overwrites(self):
-        g, a, b = small_graph()
-        e = g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"w": 1})
-        g.replace_edge_property(e, "w", 2)
-        assert g.edges[e].properties["w"] == 2
+        filed_edge(g, a, b, set())
+        with pytest.raises(ValueError, match="^nodes and edges need at least one label$"):
+            g.canonical_records()
 
 
 class TestCanonicalForm:
     def test_shape(self):
         g, a, b = small_graph()
-        g.upsert_edge("stmt:x", a, b, labels={"likes"}, properties={"certainty": Decimal("0.5")})
+        filed_edge(g, a, b, {"likes"}, {"certainty": Decimal("0.5")})
         form = g.canonical_form()
         assert set(form) == {"nodes", "edges"}
         assert [n["id"] for n in form["nodes"]] == sorted(n["id"] for n in form["nodes"])
@@ -266,19 +221,19 @@ class TestCanonicalForm:
 
     def test_insertion_order_does_not_matter(self):
         g1 = PropertyGraph()
-        g1.upsert_node("a", labels={"X"})
-        g1.upsert_node("b", labels={"Y"})
+        g1.nodes["n:a"] = Node("n:a", {"X"})
+        g1.nodes["n:b"] = Node("n:b", {"Y"})
         g2 = PropertyGraph()
-        g2.upsert_node("b", labels={"Y"})
-        g2.upsert_node("a", labels={"X"})
+        g2.nodes["n:b"] = Node("n:b", {"Y"})
+        g2.nodes["n:a"] = Node("n:a", {"X"})
         assert g1.canonical_form() == g2.canonical_form()
 
     def test_labels_sorted(self):
         g = PropertyGraph()
-        nid = g.upsert_node("a", labels={"Zeta", "Alpha"})
+        g.nodes["n:a"] = Node("n:a", {"Zeta", "Alpha"})
         form = g.canonical_form()
         assert form["nodes"][0]["labels"] == ["Alpha", "Zeta"]
-        assert nid in {n["id"] for n in form["nodes"]}
+        assert form["nodes"][0]["id"] == "n:a"
 
 
 class TestSemanticCounts:
@@ -294,17 +249,10 @@ class TestSemanticCounts:
 
     def test_node_count_counts_keys_not_list_elements(self):
         g = PropertyGraph()
-        nid = g.upsert_node(
-            "a",
-            labels={"X"},
-            properties={"iri": "http://x/a", "subject": ["s1", "s2"], "name": "n"},
-        )
-        assert nid
+        g.nodes["n:a"] = Node("n:a", {"X"}, {"iri": "http://x/a", "subject": ["s1", "s2"], "name": "n"})
         assert g.semantic_node_property_count() == 2  # subject + name; iri is bookkeeping
 
     def test_edge_count_skips_graph_property(self):
         g, a, b = small_graph()
-        g.upsert_edge(
-            "stmt:x", a, b, labels={"likes"}, properties={"graph": "http://x/g", "certainty": 1}
-        )
+        filed_edge(g, a, b, {"likes"}, {"graph": "http://x/g", "certainty": 1})
         assert g.semantic_edge_property_count() == 1

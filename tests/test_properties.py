@@ -48,11 +48,12 @@ hundred:
                        another order give the same bytes under every
                        approach and any configuration, checked against two
                        hundred
-11. checked build    - the graph the transform fills without the setters
-                       equals the same records replayed through the
-                       checked setters, on the built-in corpus under every
-                       configuration and on the datasets of 10, checked
-                       against two hundred
+11. identity ids    - every node the transform files has a node id, and
+                       every edge the edge_id of a statement the dataset
+                       holds or quotes, in one of its graphs, and the graph
+                       keeps every graph rule, on the built-in corpus under
+                       every configuration and on the datasets of 10,
+                       checked against two hundred
 """
 
 import itertools
@@ -88,7 +89,7 @@ from rdfstar2pg.model import (
     terms,
 )
 from rdfstar2pg.parser import parse_turtle_star, to_turtle_star
-from rdfstar2pg.pgraph import DanglingEndpoint, PropertyGraph, is_bookkeeping_key
+from rdfstar2pg.pgraph import DanglingEndpoint, is_bookkeeping_key
 from rdfstar2pg.transform import (
     NOTE_BNODE_AS_STRING,
     NOTE_EDGE_TO_EDGE,
@@ -618,35 +619,26 @@ def test_statement_order_gives_the_same_bytes(dataset, config, rng):
     assert outputs(shuffled(dataset, rng), config) == outputs(dataset, config)
 
 
-# --- the one-pass build equals the checked build ------------------------------
+# --- every record is filed under its identity key's id -------------------------
 
 
-def edge_keys(dataset) -> dict:
-    """Edge id -> identity key, for every statement dataset holds or quotes, in every graph."""
+def edge_ids(dataset) -> set:
+    """The id of the edge for every statement dataset holds or quotes, in every graph."""
     suffixes = [None, *(name.value for name in dataset.named)]
-    keys = {}
+    ids = set()
     for _, statement in dataset.statements():
         quoted = [term.statement for term in terms(statement) if isinstance(term, QuotedTriple)]
         for each in (statement, *quoted):
             for suffix in suffixes:
-                key = pgraph.with_graph("stmt:" + serialize_statement(each), suffix)
-                keys[pgraph.edge_id(key)] = key
-    return keys
+                ids.add(pgraph.edge_id(pgraph.with_graph("stmt:" + serialize_statement(each), suffix)))
+    return ids
 
 
-def replayed(graph, dataset) -> PropertyGraph:
-    """graph's records made again through the checked setters, which refuse any conflict."""
-    keys = edge_keys(dataset)
-    copy = PropertyGraph()
-    for node in graph.nodes.values():
-        assert copy.upsert_node(node.id.removeprefix("n:"), node.labels) == node.id
-        for key, value in node.properties.items():
-            copy.set_node_property(node.id, key, value)
-    for edge in graph.edges.values():
-        assert copy.upsert_edge(keys[edge.id], edge.source, edge.target, edge.labels) == edge.id
-        for key, value in edge.properties.items():
-            copy.replace_edge_property(edge.id, key, value)
-    return copy
+def assert_filed_by_identity(graph, dataset) -> None:
+    """graph's records are filed under their identity keys' ids, and the walk refuses none."""
+    assert all(node_id.startswith("n:") for node_id in graph.nodes)
+    assert graph.edges.keys() <= edge_ids(dataset)
+    graph.canonical_records()
 
 
 ALL_CONFIGS = [
@@ -658,18 +650,16 @@ ALL_CONFIGS = [
 
 
 @pytest.mark.parametrize("case", builtin_corpus(), ids=lambda case: case.id)
-def test_the_corpus_builds_as_the_setters_build_it(case):
+def test_the_corpus_files_each_record_under_its_identity(case):
     dataset = parse_turtle_star(case.source)
     for config in ALL_CONFIGS:
-        graph, _ = transform(dataset, config)
-        assert to_json(replayed(graph, dataset)) == to_json(graph)
+        assert_filed_by_identity(transform(dataset, config)[0], dataset)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(text_datasets, COLLECTION_DOCUMENTS.map(parse_turtle_star)), CONFIGS)
-def test_generated_datasets_build_as_the_setters_build_them(dataset, config):
-    graph, _ = transform(dataset, config)
-    assert to_json(replayed(graph, dataset)) == to_json(graph)
+def test_generated_datasets_file_each_record_under_its_identity(dataset, config):
+    assert_filed_by_identity(transform(dataset, config)[0], dataset)
 
 
 @pytest.mark.parametrize("case", builtin_corpus(), ids=lambda case: case.id)
