@@ -6,14 +6,6 @@ report, and export to JSON, GraphML, or Cypher. A built-in corpus of 23
 cases with expected output shapes doubles as a conformance suite.
 """
 
-from .conformance import (
-    ConformanceReport,
-    ExpectedShape,
-    TestCase,
-    builtin_corpus,
-    expected_shape_table,
-    run_conformance,
-)
 from .exporters import (
     UnrepresentableValue,
     from_json,
@@ -58,6 +50,20 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+# The conformance names load on first use (PEP 562), so a launch that only
+# converts never imports the corpus harness.
+_CONFORMANCE = ("ConformanceReport", "ExpectedShape", "TestCase", "builtin_corpus",
+                "expected_shape_table", "run_conformance")
+
+
+def __getattr__(name: str):
+    if name in _CONFORMANCE:
+        from . import conformance
+
+        return getattr(conformance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Approach",

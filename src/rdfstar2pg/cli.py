@@ -9,13 +9,14 @@ a given invocation and input is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from collections import Counter
+from itertools import chain
+from json import JSONEncoder
 
-from .conformance import run_conformance
 # to_json is here only for perfbench/spans.py to patch; convert writes through _json_chunks.
-from .exporters import UnrepresentableValue, _json_chunks, to_cypher, to_graphml, to_json  # noqa: F401
+from .exporters import UnrepresentableValue, _json_chunks, _utf8_chunks, to_cypher, to_graphml, to_json  # noqa: F401
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
 from .transform import (
@@ -54,22 +55,30 @@ def _read_document(path: str):
 
 
 def _write_report(path: str, report: dict) -> bool:
-    """Write a report as indented JSON, non-ASCII text as it is, as _write_output writes."""
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    return _write_output(path, (text.encode("utf-8"),))
+    """Write a report as indented JSON, non-ASCII text as it is, as _write_output writes.
+
+    The text is encoded and written as it is made, so neither it nor its
+    bytes is ever held whole. With indent set, json.dumps joins this same
+    pure-Python iterencode, so the bytes are json.dumps's.
+    """
+    pieces = JSONEncoder(indent=2, ensure_ascii=False).iterencode(report)
+    return _write_output(path, _utf8_chunks(chain(pieces, ("\n",))))
 
 
 def _write_output(path: str, chunks) -> bool:
     """Write bytes chunks to a file, or to stdout for "-"; False once it printed why not."""
-    if path == "-":
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
-        return True
     try:
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
+        if path == "-":
+            sys.stdout.buffer.writelines(chunks)
+            sys.stdout.buffer.flush()
+        else:
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if path == "-":  # a closed pipe: the flush at exit must not raise again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return False
     return True
 
@@ -107,7 +116,7 @@ def cmd_convert(args) -> int:
         return 1
     if not _write_output(args.output, chunks):
         return 1
-    # the graph and its kept walk go before the report's indented dump, which sets the peak
+    # the graph and its kept walk go before the report is made and written
     del graph, chunks
 
     if args.report and not _write_report(args.report, report.to_dict()):
@@ -133,6 +142,8 @@ def cmd_conformance(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    from .conformance import run_conformance  # loaded only when asked, so convert never imports it
+
     report = run_conformance(approaches=approaches)
     print(report.to_table())
     if args.json and not _write_report(args.json, report.to_dict()):

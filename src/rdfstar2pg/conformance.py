@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Optional
 
-from .model import statement_units
 from .parser import parse_turtle_star
 from .transform import Approach, Status, TransformConfig, TransformReport, transform
 
@@ -208,18 +207,3 @@ def run_conformance(approaches: Optional[list] = None) -> ConformanceReport:
             "fraction": converted / total if total else 1.0,
         }
     return ConformanceReport(rows=rows, aggregates=aggregates)
-
-
-def corpus_integrity() -> list:
-    """Parse every case and compare unit counts with the declared counts.
-
-    Returns a list of (case id, declared, parsed) mismatches; empty means
-    the corpus is intact.
-    """
-    problems = []
-    for case in builtin_corpus():
-        dataset = parse_turtle_star(case.source)
-        parsed = len(statement_units(dataset))
-        if parsed != case.statement_count:
-            problems.append((case.id, case.statement_count, parsed))
-    return problems

@@ -89,10 +89,11 @@ class ParseError(Exception):
 
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# Whitespace and comments. Each iteration takes a maximal run or a whole
-# comment, so a failed token match cannot backtrack into them: it neither
-# finds a token inside a comment nor retries every split of a long run.
-_SPACE = r"(?:[ \t\r\n]+(?![ \t\r\n])|\#[^\n]*(?![^\n]))*"
+# Whitespace and comments: one run of space, then whole comments, each with
+# its newline and the run after it. The lookahead forbids stopping inside a
+# run or a comment, so a failed token match cannot backtrack into them: it
+# neither finds a token inside a comment nor retries every split of a long run.
+_SPACE = r"[ \t\r\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\r\n]*)*(?![ \t\r\n\#])"
 
 # One lexeme after optional space, in the pattern's only group, so findall
 # returns plain strings. The token alternatives, in order: prefixed name,

@@ -37,13 +37,18 @@ Cypher literal. Values compare by value_key, (kind name, canonical text).
 
 from __future__ import annotations
 
-import hashlib
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
+
+try:  # edge_id's SHA-256, without the OpenSSL that hashlib loads
+    _sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
 
 PropertyValue = Union[str, bool, int, Decimal, date, list]
 
@@ -84,8 +89,14 @@ def node_id(identity_key: str) -> str:
 
 
 def edge_id(identity_key: str) -> str:
-    """The id of the edge for identity_key: a short hash, so ids stay small."""
-    return "e:" + hashlib.sha256(identity_key.encode("utf-8")).hexdigest()[:16]
+    """The id of the edge for identity_key: a short hash, so ids stay small.
+
+    The hash is the first 16 hex digits of the key's UTF-8 SHA-256, taken
+    from CPython's built-in _sha2 (3.12 on) or _sha256 (3.10, 3.11), and from
+    hashlib only where neither imports. The digest is the same either way;
+    the built-in one spares every launch OpenSSL's libcrypto (about 3 MB).
+    """
+    return "e:" + _sha256(identity_key.encode("utf-8")).hexdigest()[:16]
 
 
 class _ValueKind(NamedTuple):

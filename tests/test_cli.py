@@ -12,7 +12,7 @@ import pytest
 
 from rdfstar2pg.cli import build_parser, main
 from rdfstar2pg.conformance import builtin_corpus, run_conformance
-from rdfstar2pg.exporters import _json_chunks, to_json
+from rdfstar2pg.exporters import _CHUNK, _json_chunks, to_json
 from rdfstar2pg.model import statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import Approach, TransformConfig, transform
@@ -267,7 +267,7 @@ REPORT_TEXT = EX + (
 
 
 class TestReportBytes:
-    """convert --report writes json.dumps(report.to_dict(), indent=2, ensure_ascii=False)."""
+    """convert --report and conformance --json write json.dumps(report, indent=2, ensure_ascii=False)."""
 
     @staticmethod
     def expect_report(source: str, approach: Approach, tmp_path) -> None:
@@ -288,6 +288,18 @@ class TestReportBytes:
     @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
     def test_non_ascii_and_control_characters(self, approach, tmp_path):
         self.expect_report(REPORT_TEXT, approach, tmp_path)
+
+    def test_a_report_longer_than_a_chunk(self, tmp_path):
+        # streamed in chunks of _CHUNK characters, the report's bytes are still json.dumps's
+        source = EX + "".join(f'<<ex:s{i} ex:age "{i} é">> ex:source ex:w{i} .\n' for i in range(600))
+        self.expect_report(source, Approach.PGT, tmp_path)
+        assert (tmp_path / "report.json").stat().st_size > 2 * _CHUNK
+
+    def test_conformance_json(self, tmp_path):
+        target = tmp_path / "conformance.json"
+        assert main(["conformance", "--json", str(target)]) == 0
+        expected = json.dumps(run_conformance().to_dict(), indent=2, ensure_ascii=False) + "\n"
+        assert target.read_bytes() == expected.encode("utf-8")
 
 
 class TestConformanceCommand:
@@ -367,6 +379,20 @@ def test_an_output_that_cannot_be_written_exits_1(command, where, reason, simple
     assert err[0].startswith(f"error: cannot write {path}: [Errno ")
     assert err[0].endswith(f"] {reason}: {str(path)!r}")
 
+
+
+def test_a_closed_stdout_exits_1(tmp_path):
+    # the document's JSON outgrows the pipe buffer, so a write meets the closed pipe
+    path = tmp_path / "big.ttls"
+    path.write_text(EX + "".join(f'ex:s{i} ex:name "{i}" .\n' for i in range(3000)))
+    with subprocess.Popen([sys.executable, "-m", "rdfstar2pg", "convert", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write -: [Errno "), lines
 
 NOT_UTF8 = EX.encode() + b'ex:a ex:name "caf\xe9" .\n'
 
@@ -494,6 +520,29 @@ class TestEntryPoints:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == b"False"
+
+    def test_import_leaves_conformance_and_openssl_unloaded(self):
+        # convert needs neither the corpus harness nor hashlib's OpenSSL, whose
+        # libcrypto costs a launch about 3 MB; edge_id uses CPython's own SHA-256
+        code = (
+            "import importlib.util, sys, rdfstar2pg.cli\n"
+            "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
+            "print('rdfstar2pg.conformance' in sys.modules, builtin and '_hashlib' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [b"False", b"False"]
+
+    def test_package_names_resolve(self):
+        import rdfstar2pg
+        import rdfstar2pg.conformance
+
+        assert rdfstar2pg.run_conformance is rdfstar2pg.conformance.run_conformance
+        namespace: dict = {}
+        exec("from rdfstar2pg import *", namespace)
+        assert [name for name in rdfstar2pg.__all__ if name not in namespace] == []
+        with pytest.raises(AttributeError, match="has no attribute 'corpus_integrity'"):
+            rdfstar2pg.corpus_integrity
 
     def test_console_script_installed(self):
         proc = subprocess.run(["rdfstar2pg", "--help"], capture_output=True)

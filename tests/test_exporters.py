@@ -455,7 +455,9 @@ CYPHER_NAME = re.compile(r"`((?:[^`]|``)+)`|([A-Za-z_][A-Za-z0-9_]*)")
 SMALL_VALUE = re.compile(r': (?:-?[0-9]+|"[^"]*")')
 cypher_names = st.one_of(
     st.sampled_from(["22-rdf-syntax-nstype", "inv:source", "name.graph", "`", "a``b", "caf\u00e9", "a b"]),
-    st.text(st.one_of(st.sampled_from("` :.09_-aZ"), st.characters()), min_size=1, max_size=8),
+    # a lone surrogate is refused (TestUtf8AndDigitLimits), so none is drawn
+    st.text(st.one_of(st.sampled_from("` :.09_-aZ"), st.characters(blacklist_categories=("Cs",))),
+            min_size=1, max_size=8),
 ).filter(lambda name: "\n" not in name and "\r" not in name)  # refused: see below
 
 
@@ -783,6 +785,15 @@ class TestUtf8AndDigitLimits:
     def test_a_lone_surrogate_is_refused(self, export, value):
         with pytest.raises(UnrepresentableValue, match=r"^text holds a lone surrogate '\\udc80'$"):
             export(one_value_graph(value))
+
+    @pytest.mark.parametrize("export", [to_json, to_graphml, to_cypher], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("place", ["label", "key"])
+    def test_a_lone_surrogate_in_a_name_is_refused(self, export, place):
+        graph = PropertyGraph()
+        graph.nodes["n"] = Node("n", {"a\udc80b" if place == "label" else "X"},
+                                {"a\udc80b": 1} if place == "key" else {})
+        with pytest.raises(UnrepresentableValue, match=r"^text holds a lone surrogate '\\udc80'$"):
+            export(graph)
 
     @pytest.mark.parametrize("value", [10**5000, [1, -(10**5000)]], ids=["integer", "list"])
     def test_an_integer_too_long_for_str_is_refused_naming_the_key(self, value):

@@ -56,6 +56,7 @@ hundred:
                        checked against two hundred
 """
 
+import hashlib
 import itertools
 import json
 import re
@@ -620,6 +621,13 @@ def test_statement_order_gives_the_same_bytes(dataset, config, rng):
 
 
 # --- every record is filed under its identity key's id -------------------------
+
+
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+def test_edge_id_is_the_first_16_hex_digits_of_hashlib_sha256(key):
+    # edge_id takes CPython's built-in SHA-256 where it can; the ids are hashlib's
+    assert pgraph.edge_id(key) == "e:" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
 
 
 def edge_ids(dataset) -> set:
