@@ -35,12 +35,10 @@ from .pgraph import (
     EdgeRecord,
     Node,
     PropertyGraph,
+    _checked,
     _endpoints,
-    _labelled,
     _shown,
-    _strings,
     _unique,
-    check_value,
     decode_value,
 )
 
@@ -176,11 +174,15 @@ def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: d
 
     filed holds the records of its kind read so far; surrogates says whether
     the document's text may hold a lone surrogate, which the record is then
-    checked for. Each rule's cheap test runs here, and the rule's own helper
-    only when that test fails, for its exception and message.
+    checked for. Here are refused only what a JSON document alone can get
+    wrong: a record that is no object, labels that are no list, properties
+    that are no object, a value decode_value refuses, a lone surrogate and
+    a repeated id (_unique). Rules 1-3 are pgraph's _checked, the one check
+    the canonical walk makes too, and rule 4 is _endpoints.
     """
     if not isinstance(record, dict):
         raise ValueError(f"{kind} record is not an object: {_shown(repr(record))}")
+    names = tuple(map(record.get, string_fields))
     labels, properties = record.get("labels"), record.get("properties")
     try:
         if surrogates:
@@ -188,48 +190,37 @@ def _record_parts(record, kind: str, string_fields: tuple, nodes: dict, filed: d
                 json.dumps(record, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ValueError(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
-        names = tuple(map(record.get, string_fields))
-        for name in names:
-            if type(name) is not str:
-                _strings(names)
+        if not isinstance(labels, list):
+            raise ValueError("labels must be a list")
+        if not isinstance(properties, dict):
+            raise ValueError("properties must be an object")
+        for value in properties.values():
+            if type(value) is not str:  # a JSON string is a str value as it stands
+                properties = {key: decode_value(value) for key, value in properties.items()}
+                break
+        _checked(names, labels, properties)
         if names[0] in filed:
             _unique(filed, names[0])
         for end in names[1:]:
             if end not in nodes:
                 _endpoints(nodes, *names[1:])
-        if not isinstance(labels, list):
-            raise ValueError("labels must be a list")
-        for label in labels:
-            if type(label) is not str:
-                _strings(labels)
-        if not labels:
-            _labelled(labels)
-        if not isinstance(properties, dict):
-            raise ValueError("properties must be an object")
-        # a JSON key and a JSON string are strings, and decode_value returns
-        # only valid scalars: just a list still needs its kinds checked
-        for value in properties.values():
-            if type(value) is not str:
-                properties = {key: _read_value(value) for key, value in properties.items()}
-                break
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{kind} {_shown(str(record.get('id')))}: {exc}") from exc
     return names, set(labels), properties
 
 
-def _read_value(encoded):
-    """The property value a JSON value stands for."""
-    if type(encoded) is str:
-        return encoded
-    value = decode_value(encoded)
-    if type(value) is list:
-        check_value(value)
-    return value
-
-
 @_gc_paused
 def from_json(data) -> PropertyGraph:
-    """The graph to_json wrote; ValueError for a document it cannot have written."""
+    """The graph of a JSON graph document such as to_json writes.
+
+    ValueError for text that is not JSON (arrays nested too deep for
+    json.loads among it) or has no "nodes" and "edges" lists, and for a
+    record that is not an object, whose labels are not a list or whose
+    properties are not an object, that holds a value decode_value refuses
+    or a lone surrogate, or that breaks a graph rule (a repeated id among
+    them). It accepts what to_json never writes: a repeated label, records,
+    labels and keys in any order, and keys it does not read.
+    """
     from_bytes = isinstance(data, (bytes, bytearray))
     if from_bytes:
         data = data.decode("utf-8")  # strict: no raw surrogate gets through

@@ -18,15 +18,16 @@ through them always shows in the next walk. A graph built by hand or by
 from_json is never sealed and is walked again on every call.
 
 A valid graph keeps five rules, one helper each: every id, endpoint, label
-and key is a str (_strings), every record has a label (_labelled), every
-value passes check_value, every endpoint is a node (_endpoints), and every
-record is filed under its own id, so no two share one (_own_key once filed,
-_unique as records are filed). The rules are checked in two places. The
-canonical walk checks every graph, however it was filed, before it returns
-a record. from_json checks each record as it files it. Both run each
-rule's cheap test inline and call its helper only when that test fails, so
-a broken rule raises the helper's exception and message. The exporters
-trust the walk.
+and key is a str (1, _strings), every record has a label (2, _labelled),
+every value passes check_value (3), every endpoint is a node (4,
+_endpoints), and every record is filed under its own id, so no two share
+one (5). Rules 1-3 have one check, _checked, which the canonical walk and
+from_json both call for each record; it runs each rule's cheap test inline
+and calls the rule's helper only when that test fails, so a broken rule
+raises the helper's exception and message. Both then check rule 5, the
+walk by _own_key once records are filed and from_json by _unique as it
+files them, and rule 4 by _endpoints. The walk checks every graph, however
+it was filed, before it returns a record. The exporters trust the walk.
 
 Property values: str, bool, int, decimal.Decimal (exact lexical), datetime.date
 (not a datetime.datetime), or a flat homogeneous list of one of those. The
@@ -308,37 +309,39 @@ _first, _second = itemgetter(0), itemgetter(1)
 _new_tuple = tuple.__new__  # a walk record, built without its class's keyword-taking __new__
 
 
-# The walk runs each rule's cheap test inline and calls the rule's own
-# helper only when that test fails, so a broken rule raises the helper's
-# exception and message.
+def _checked(names: tuple, labels, properties: dict) -> bool:
+    """Whether properties hold a list value, once rules 1-3 hold for one record.
 
-
-def _sorted_labels(labels) -> tuple:
-    """labels sorted, once the name and label rules hold."""
+    names are the record's id and, for an edge, its endpoints. Each rule's
+    cheap test runs inline, and the rule's own helper only when that test
+    fails, so a broken rule raises the helper's exception and message. It
+    neither sorts nor builds anything: from_json, which calls it too, would
+    throw that work away.
+    """
+    for name in names:
+        if type(name) is not str:
+            _strings(names)
     for label in labels:
         if type(label) is not str:
             _strings(labels)
     if not labels:
         _labelled(labels)
-    return tuple(sorted(labels))
-
-
-def _sorted_properties(properties: dict) -> tuple:
-    """(key, value) pairs sorted by key, each list value as a tuple, once the name and value rules hold."""
+    lists = False
     for key, value in properties.items():
         if type(key) is not str or type(value) not in _KINDS:  # a list, or a broken rule
-            return _checked_pairs(properties)
-    return tuple(sorted(properties.items()))
-
-
-def _checked_pairs(properties: dict) -> tuple:
-    """_sorted_properties where a key is no str or a value no scalar: the rules' helpers decide."""
-    _strings(properties)
-    for value in properties.values():
-        if type(value) not in _KINDS:
+            _strings(properties)
             check_value(value)
-    pairs = [(key, tuple(value) if type(value) is list else value) for key, value in properties.items()]
-    return tuple(sorted(pairs))
+            lists = True
+    return lists
+
+
+def _walked(names: tuple, labels, properties: dict) -> tuple:
+    """One record's labels and its (key, value) pairs, checked and sorted, a list value as a tuple."""
+    if _checked(names, labels, properties):
+        properties = {
+            key: tuple(value) if type(value) is list else value for key, value in properties.items()
+        }
+    return tuple(sorted(labels)), tuple(sorted(properties.items()))
 
 
 def _json_ready(record) -> dict:
@@ -423,20 +426,18 @@ class PropertyGraph:
         nodes = []
         for key in sorted(_strings(by_id)):
             node = by_id[key]
+            labels, properties = _walked((key,), node.labels, node.properties)
             if node.id != key:
                 _own_key(key, node.id)
-            labels, properties = _sorted_labels(node.labels), _sorted_properties(node.properties)
             nodes.append(_new_tuple(NodeRecord, (key, labels, properties)))
         keyed = []  # (sort key, record) for each edge
         for key, edge in self._edges.items():
             record_id, source, target = edge.id, edge.source, edge.target
-            if type(record_id) is not str or type(source) is not str or type(target) is not str:
-                _strings((record_id, source, target))
+            labels, properties = _walked((record_id, source, target), edge.labels, edge.properties)
             if record_id != key:
                 _own_key(key, record_id)
             if source not in by_id or target not in by_id:
                 _endpoints(by_id, source, target)
-            labels, properties = _sorted_labels(edge.labels), _sorted_properties(edge.properties)
             record = _new_tuple(EdgeRecord, (record_id, source, target, labels, properties))
             keyed.append(((source, ";".join(labels), target, record_id), record))
         keyed.sort(key=_first)

@@ -143,7 +143,7 @@ class Status(enum.Enum):
 class ReportEntry:
     graph: Optional[Iri]
     statement: Statement
-    status: Status
+    status: Status = Status.CONVERTED
     reason: str = ""
     notes: list = field(default_factory=list)
 
@@ -353,7 +353,7 @@ class _Engine:
         self.long_terms = _long_terms(statements)
 
     def _unit(self, st: Statement) -> ReportEntry:
-        entry = ReportEntry(self.graph_name, st, Status.CONVERTED)
+        entry = ReportEntry(self.graph_name, st)
         if self.long_terms and not self.long_terms.isdisjoint(terms(st)):
             entry.notes.append(NOTE_LONG_INTEGER)
         if self.name_discarded:
@@ -632,9 +632,9 @@ class _Engine:
         return self.graph, self._report()
 
     def _report(self) -> TransformReport:
-        partial, noted = [], []
+        partial, noted, lossy = [], [], Status.PARTIAL  # one Enum lookup, not one per unit
         for unit in self.units:
-            if unit.status is Status.PARTIAL:
+            if unit.status is lossy:
                 partial.append(unit)
             elif unit.notes:
                 noted.append(unit)

@@ -89,6 +89,16 @@ def graph_doc(*records):
     return {"nodes": list(records[:1]), "edges": list(records[1:])}
 
 
+def filed(doc) -> PropertyGraph:
+    """The graph of a graph document's records, filed by hand under their ids and unchecked."""
+    graph = PropertyGraph()
+    for r in doc["nodes"]:
+        graph.nodes[r["id"]] = Node(r["id"], set(r["labels"]), dict(r["properties"]))
+    for r in doc["edges"]:
+        graph.edges[r["id"]] = Edge(r["id"], r["source"], r["target"], set(r["labels"]), dict(r["properties"]))
+    return graph
+
+
 class TestJson:
     def test_bytes_utf8_trailing_newline(self):
         blob = to_json(sample_graph())
@@ -183,11 +193,38 @@ class TestJson:
             (graph_doc(node(properties={"s": "\ud800"})), r"node n:a: text holds a lone surrogate '\\ud800'"),
             (graph_doc(node(id="n:\udc00")), r"node n:\udc00: text holds a lone surrogate '\\udc00'"),
             (graph_doc(node(properties={"k": [1, [2]]})), "node n:a: list property values must be flat"),
+            # two faults: rules 1-3 are checked before the endpoints
+            (graph_doc(node(), edge(labels=[None], target="n:b")),
+             "edge e:1: node and edge ids, labels and property keys must be strings, got None"),
         ],
     )
     def test_from_json_rejects_malformed_records(self, doc, message):
         with pytest.raises(ValueError, match=message):
             from_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            graph_doc(node(id=7)),
+            graph_doc(node(), edge(id=7)),
+            graph_doc(node(labels=[1])),
+            graph_doc(node(), edge(source=None)),
+            graph_doc(node(labels=[])),
+            graph_doc(node(properties={"k": []})),
+            graph_doc(node(properties={"k": [1, "x"]})),
+            graph_doc(node(), edge(target="n:b")),
+            graph_doc(node(), edge(labels=[None], target="n:b")),
+        ],
+        ids=["node-id", "edge-id", "label", "endpoint", "no-labels", "empty-list", "mixed-list", "dangling",
+             "label-and-dangling"],
+    )
+    def test_the_walk_and_from_json_refuse_a_record_alike(self, doc):
+        with pytest.raises((TypeError, ValueError)) as walked:
+            filed(doc).canonical_records()
+        kind, record = ("edge", doc["edges"][0]) if doc["edges"] else ("node", doc["nodes"][0])
+        with pytest.raises(ValueError) as read:
+            from_json(json.dumps(doc).encode())
+        assert str(read.value) == f"{kind} {record['id']}: {walked.value}"
 
     def test_from_json_rejects_a_raw_surrogate_in_text(self):
         text = json.dumps(graph_doc(node(labels=["X\udfff"])), ensure_ascii=False)
@@ -926,8 +963,8 @@ class TestKeptWalk:
     def walked(self, monkeypatch) -> list:
         """Grows by one item for each record any canonical walk reads."""
         calls = []
-        sorted_labels = pgraph._sorted_labels
-        monkeypatch.setattr(pgraph, "_sorted_labels", lambda labels: calls.append(1) or sorted_labels(labels))
+        walk_record = pgraph._walked
+        monkeypatch.setattr(pgraph, "_walked", lambda *record: calls.append(1) or walk_record(*record))
         return calls
 
     def test_exports_of_a_transform_result_walk_it_once(self, walked):
