@@ -15,8 +15,8 @@ from collections import Counter
 from itertools import chain
 from json import JSONEncoder
 
-# to_json is here only for perfbench/spans.py to patch; convert writes through _json_chunks.
-from .exporters import UnrepresentableValue, _json_chunks, _utf8_chunks, to_cypher, to_graphml, to_json  # noqa: F401
+# to_json, to_graphml and to_cypher are here only for perfbench/spans.py to patch; convert writes through _chunks.
+from .exporters import UnrepresentableValue, _chunks, _utf8_chunks, to_cypher, to_graphml, to_json  # noqa: F401
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
 from .transform import (
@@ -100,17 +100,10 @@ def cmd_convert(args) -> int:
     graph, report = transform(dataset, config)
     del dataset  # the report holds the statements it names; nothing below reads the dataset
 
-    # JSON is written as it is made: it refuses nothing of a transformed
-    # graph beyond the walk, which _json_chunks runs first. GraphML and
-    # Cypher can refuse partway through a graph, so each is made whole
-    # before a byte is written.
+    # JSON is written as it is made; GraphML and Cypher, which can refuse
+    # partway through a graph, come whole, so a refusal writes nothing.
     try:
-        if args.format == "json":
-            chunks = _json_chunks(graph)
-        elif args.format == "graphml":
-            chunks = (to_graphml(graph),)
-        else:
-            chunks = (to_cypher(graph).encode("utf-8"),)
+        chunks = _chunks(graph, args.format)
     except UnrepresentableValue as exc:
         print(f"error: cannot write {args.format}: {exc}", file=sys.stderr)
         return 1

@@ -5,17 +5,26 @@ PropertyGraph.canonical_records(), so their output depends only on graph
 content, never on construction order. The JSON, GraphML and Cypher exports
 of one transform result share one walk, which the sealed graph keeps. The
 exporters read the typed property values directly, a list value as the
-walk's tuple; nothing is encoded to JSON-ready form and decoded back. JSON
-and GraphML return UTF-8 bytes; Cypher returns text. Every format is written
-line by line with LF endings to keep output byte-reproducible.
+walk's tuple; nothing is encoded to JSON-ready form and decoded back. Every
+format is written line by line with LF endings to keep output
+byte-reproducible.
 
 The walk refuses a graph that breaks pgraph's rules, so each exporter
 refuses only what its own format cannot hold (UnrepresentableValue).
 
-to_json writes the walk record by record as JSON indented by two spaces,
-with non-ASCII text kept as it is and each string written by json's own C
-string encoder. It joins the chunks of _json_chunks, which the CLI writes
-out one by one instead, so that it never holds the whole output.
+Each format is one generator of text pieces over the walk: _json_pieces,
+_graphml_pieces and _cypher_pieces. _chunks(graph, fmt) walks the graph and
+encodes a format's pieces through _utf8_chunks, the one step that turns
+export text into UTF-8 bytes and so the one that refuses a lone surrogate.
+It streams JSON in chunks, which the CLI writes as they come, since JSON
+refuses nothing partway through a transformed graph. It holds GraphML and
+Cypher whole, as one chunk, since either can refuse partway (an integer
+beyond 64 bits, a list element holding the U+001F separator, a name Cypher
+cannot write), and convert must then write nothing. to_json and to_graphml
+are the join of _chunks; to_cypher decodes that join to text.
+
+JSON is indented by two spaces, with non-ASCII text kept as it is and each
+string written by json's own C string encoder.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .pgraph import (
     decode_value,
 )
 
-_CHUNK = 1 << 16  # least JSON characters per chunk streamed, the last excepted
+_CHUNK = 1 << 16  # least characters per chunk _utf8_chunks encodes, the last excepted
 LIST_SEPARATOR = "\x1f"  # US unit separator; joins list elements in GraphML
 _INT64 = range(-(2**63), 2**63)  # GraphML's long and openCypher's INTEGER
 _first = itemgetter(0)
@@ -67,21 +76,7 @@ def _kind_64(key, value):
 @_gc_paused
 def to_json(graph: PropertyGraph) -> bytes:
     """The graph's canonical form as indented JSON, in UTF-8."""
-    return b"".join(_json_chunks(graph))
-
-
-def _json_chunks(graph: PropertyGraph) -> Iterator[bytes]:
-    """to_json's bytes, in UTF-8 chunks of _CHUNK characters or a record more.
-
-    The walk runs, and refuses an invalid graph, before this returns. A
-    chunk can still refuse a string holding a lone surrogate, which UTF-8
-    cannot encode, or an integer too long for str(). A graph made by
-    transform holds neither, since the parser refuses surrogates and
-    literal_value keeps such an integer as its text: so its chunks cannot
-    fail, and convert can write each as it comes.
-    """
-    nodes, edges = graph.canonical_records()
-    return _utf8_chunks(_json_pieces(nodes, edges))
+    return b"".join(_chunks(graph, "json"))
 
 
 def _json_pieces(nodes: tuple, edges: tuple) -> Iterator[str]:
@@ -101,28 +96,6 @@ def _json_array(name: str, records: tuple) -> Iterator[str]:
         yield before + _json_record(record)
         before = ",\n"
     yield "\n  ]"
-
-
-def _utf8_chunks(pieces) -> Iterator[bytes]:
-    """The text of pieces, encoded in chunks of at least _CHUNK characters, the last excepted."""
-    buffer: list = []
-    size = 0
-    for piece in pieces:
-        buffer.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            yield _utf8("".join(buffer))
-            buffer.clear()
-            size = 0
-    yield _utf8("".join(buffer))
-
-
-def _utf8(text: str) -> bytes:
-    """text in UTF-8, which refuses only a lone surrogate, worded as from_json words it."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise UnrepresentableValue(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None
 
 
 def _json_record(record) -> str:
@@ -295,8 +268,10 @@ def _graphml_value(key: str, value) -> str:
 @_gc_paused
 def to_graphml(graph: PropertyGraph) -> bytes:
     """The graph as GraphML in UTF-8, with one typed <key> per property key."""
-    nodes, edges = graph.canonical_records()
+    return b"".join(_chunks(graph, "graphml"))
 
+
+def _graphml_pieces(nodes: tuple, edges: tuple) -> Iterator[str]:
     # One <key> per (domain, property key), typed by the kinds of its values
     # and marked if any value is a list; "labels" is always declared. A list
     # is non-empty and of one kind, so its first item gives its kind.
@@ -317,10 +292,7 @@ def to_graphml(graph: PropertyGraph) -> bytes:
     declarations = [("node", "labels"), ("edge", "labels")]
     declarations.extend(sorted((domain, key) for domain, seen in value_types.items() for key in seen))
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
     openers = {"node": {}, "edge": {}}  # domain -> key -> its <data> opening tag
     for i, (domain, key) in enumerate(declarations):
         openers[domain][key] = f'      <data key="d{i}">'
@@ -328,33 +300,28 @@ def to_graphml(graph: PropertyGraph) -> bytes:
         types = {_KINDS[t].graphml for t in value_types[domain].get(key, ())}
         attr_type = types.pop() if key != "labels" and len(types) == 1 else "string"
         extra = ' list="true"' if (domain, key) in list_keys else ""
-        lines.append(
-            f'  <key id="d{i}" for="{domain}" '
-            f'attr.name={_xml_attr(key)} attr.type="{attr_type}"{extra}/>'
-        )
-    lines.append('  <graph id="G" edgedefault="directed">')
+        yield f'  <key id="d{i}" for="{domain}" attr.name={_xml_attr(key)} attr.type="{attr_type}"{extra}/>\n'
+    yield '  <graph id="G" edgedefault="directed">\n'
 
-    def data_lines(record, opener: dict) -> None:
-        lines.append(opener["labels"] + _xml_text(";".join(record.labels)) + "</data>")
+    # one piece per record: each piece costs _utf8_chunks a step
+    def data(record, opener: dict) -> str:
+        lines = opener["labels"] + _xml_text(";".join(record.labels)) + "</data>\n"
         for key, value in record.properties:
             text = value if type(value) is str else _graphml_value(key, value)
-            lines.append(opener[key] + _xml_text(text) + "</data>")
+            lines += opener[key] + _xml_text(text) + "</data>\n"
+        return lines
 
     # each node id is quoted once; edges reuse it for their endpoints
     quoted_ids: dict = {}
     for record in nodes:
         quoted_ids[record.id] = quoted = _xml_attr(record.id)
-        lines.append(f"    <node id={quoted}>")
-        data_lines(record, openers["node"])
-        lines.append("    </node>")
+        yield f"    <node id={quoted}>\n" + data(record, openers["node"]) + "    </node>\n"
     for record in edges:
         source, target = quoted_ids[record.source], quoted_ids[record.target]
-        lines.append(f"    <edge id={_xml_attr(record.id)} source={source} target={target}>")
-        data_lines(record, openers["edge"])
-        lines.append("    </edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return _utf8("\n".join(lines) + "\n")
+        opening = f"    <edge id={_xml_attr(record.id)} source={source} target={target}>\n"
+        yield opening + data(record, openers["edge"]) + "    </edge>\n"
+    yield "  </graph>\n"
+    yield "</graphml>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +389,10 @@ def to_cypher(graph: PropertyGraph) -> str:
     The script is text, but a caller writes it in UTF-8, as convert does: so
     a string holding a lone surrogate is refused as to_json refuses it.
     """
-    nodes, edges = graph.canonical_records()
-    if not nodes:
-        return ""
+    return b"".join(_chunks(graph, "cypher")).decode("utf-8")
+
+
+def _cypher_pieces(nodes: tuple, edges: tuple) -> Iterator[str]:
     chains: dict = {}  # sorted labels -> ":A:B"
     prefixes: dict = {}  # property key -> "name: "
 
@@ -435,17 +403,54 @@ def to_cypher(graph: PropertyGraph) -> str:
             chain = chains[record.labels] = _label_chain(record.labels)
         return chain + " " + _prop_block(record, prefixes)
 
-    lines = []
     variables = {}
     for i, record in enumerate(nodes):
-        var = f"n{i}"
-        variables[record.id] = var
-        lines.append(f"CREATE ({var}{body(record)})")
+        variables[record.id] = var = f"n{i}"
+        yield f"CREATE ({var}{body(record)})\n"
     for record in edges:
-        source = variables[record.source]
-        target = variables[record.target]
-        lines.append(f"CREATE ({source})-[{body(record)}]->({target})")
-    text = "\n".join(lines) + "\n"
-    if not text.isascii():  # only text beyond ASCII can hold a lone surrogate
-        _utf8(text)
-    return text
+        yield f"CREATE ({variables[record.source]})-[{body(record)}]->({variables[record.target]})\n"
+
+
+# ---------------------------------------------------------------------------
+# Bytes
+# ---------------------------------------------------------------------------
+
+_PIECES = {"json": _json_pieces, "graphml": _graphml_pieces, "cypher": _cypher_pieces}
+
+
+def _chunks(graph: PropertyGraph, fmt: str):
+    """The graph's export in format fmt ("json", "graphml" or "cypher"), as UTF-8 chunks.
+
+    The walk runs, and refuses an invalid graph, before this returns.
+    GraphML and Cypher are then made whole, so any refusal of theirs comes
+    before this returns too, and they come as one chunk. JSON comes in
+    chunks of _CHUNK characters or a record more, made as they are read. A
+    chunk can still refuse a string holding a lone surrogate, or an integer
+    too long for str(). A graph made by transform holds neither, since the
+    parser refuses surrogates and literal_value keeps such an integer as its
+    text: so its JSON chunks cannot fail, and convert can write each as it
+    comes.
+    """
+    nodes, edges = graph.canonical_records()
+    chunks = _utf8_chunks(_PIECES[fmt](nodes, edges))
+    return chunks if fmt == "json" else (b"".join(chunks),)
+
+
+def _utf8_chunks(pieces) -> Iterator[bytes]:
+    """The text of pieces, encoded in chunks of at least _CHUNK characters, the last excepted.
+
+    UTF-8 refuses only a lone surrogate, worded as from_json words it.
+    """
+    buffer: list = []
+    size = 0
+    try:
+        for piece in pieces:
+            buffer.append(piece)
+            size += len(piece)
+            if size >= _CHUNK:
+                yield "".join(buffer).encode("utf-8")
+                buffer.clear()
+                size = 0
+        yield "".join(buffer).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnrepresentableValue(f"text holds a lone surrogate {exc.object[exc.start:exc.end]!r}") from None

@@ -201,32 +201,38 @@ NOTE_EDGE_TO_EDGE = "statement relates two quoted triples; recorded as edge id r
 NOTE_LONG_INTEGER = "integer longer than int() reads stored as string value"
 
 
+# The lexical forms literal_value reads. Python's own readers are laxer: int()
+# and Decimal() take "_", white space around the text and non-ASCII digits,
+# and date.fromisoformat() takes "2020-W01-1" and, from 3.11, "20200101".
+_XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMBER_TEXT = re.compile(r"[!-^`-~]+")  # printable ASCII but "_"; Decimal() reads NaN, sNaN and INF
+_XSD_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def literal_value(lit: Literal) -> pgraph.PropertyValue:
-    """Literal to property value; unparseable lexicals fall back to strings."""
+    """Literal to property value; an unread or unreadable lexical form falls back to its string."""
     if lit.lang is not None:
         return lit.lexical
-    dt = lit.datatype.value
+    dt, text = lit.datatype.value, lit.lexical
     try:
-        if dt == XSD_INTEGER:
-            return int(lit.lexical)
-        if dt in (XSD_DECIMAL, XSD_DOUBLE):
-            return Decimal(lit.lexical)
+        if dt == XSD_INTEGER and _XSD_INTEGER.fullmatch(text):
+            return int(text)
+        if dt in (XSD_DECIMAL, XSD_DOUBLE) and _NUMBER_TEXT.fullmatch(text):
+            return Decimal(text)
         if dt == XSD_BOOLEAN:
-            if lit.lexical in ("true", "1"):
+            if text in ("true", "1"):
                 return True
-            if lit.lexical in ("false", "0"):
+            if text in ("false", "0"):
                 return False
-            return lit.lexical
-        if dt == XSD_DATE:
-            return _date.fromisoformat(lit.lexical)
+        if dt == XSD_DATE and _XSD_DATE.fullmatch(text):
+            return _date.fromisoformat(text)
     except (ValueError, InvalidOperation):
-        return lit.lexical
-    return lit.lexical
+        return text
+    return text
 
 
 # int() reads any decimal string this short, whatever sys.set_int_max_str_digits says
 _ALWAYS_READ = sys.int_info.str_digits_check_threshold
-_XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _is_long_integer(term) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 from rdfstar2pg.cli import build_parser, main
 from rdfstar2pg.conformance import builtin_corpus, run_conformance
-from rdfstar2pg.exporters import _CHUNK, _json_chunks, to_json
+from rdfstar2pg.exporters import _CHUNK, _chunks, to_json
 from rdfstar2pg.model import statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import Approach, TransformConfig, transform
@@ -253,7 +253,7 @@ class TestStreamedJson:
 
     def test_large_output_comes_in_several_chunks(self):
         graph, _ = transform(parse_turtle_star(STREAMED), TransformConfig())
-        chunks = list(_json_chunks(graph))
+        chunks = list(_chunks(graph, "json"))
         assert len(chunks) > 2
         assert b"".join(chunks) == to_json(graph)
         for chunk in chunks:

@@ -329,6 +329,14 @@ LEXER_ERRORS = [
     ("graph_keyword", EX + "GRAPH ex:g { ex:a ex:b ex:c }", ErrorKind.UNSUPPORTED, 2, 1, "GRAPH keyword is not supported (use `<name> { ... }`)"),
     ("unexpected_word", EX + "ex:a ex:b foo .", ErrorKind.SYNTAX, 2, 11, "unexpected word 'foo'"),
     ("word_after_number", EX + "ex:a ex:b 12abc .", ErrorKind.SYNTAX, 2, 13, "unexpected word 'abc'"),
+    ("prefix_without_colon", "@prefix a <http://x/> .", ErrorKind.SYNTAX, 1, 9, "expected prefix name ending in ':'"),
+    ("prefix_namespace_not_iri", "@prefix ex: ex:foo .", ErrorKind.SYNTAX, 1, 13, "expected namespace IRI, got 'ex'"),
+    ("unterminated_graph_block", EX + "ex:g { ex:a ex:b ex:c .", ErrorKind.SYNTAX, 2, 24, "unterminated graph block"),
+    ("graph_block_missing_dot", EX + "ex:g { ex:a ex:b ex:c ex:d }", ErrorKind.SYNTAX, 2, 23, "expected '.' or '}', got 'ex'"),
+    ("blank_predicate", EX + "ex:a _:b ex:c .", ErrorKind.SYNTAX, 2, 6, "predicate must be an IRI"),
+    ("datatype_not_iri", EX + 'ex:a ex:b "1"^^"x" .', ErrorKind.SYNTAX, 2, 16, "expected datatype IRI after '^^'"),
+    ("lang_string_datatype", EX + "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n" + 'ex:a ex:b "1"^^rdf:langString .', ErrorKind.SYNTAX, 3, 16, "rdf:langString requires a language tag, not '^^'"),
+    ("unterminated_collection", EX + "ex:a ex:b ( 1 2", ErrorKind.SYNTAX, 2, 16, "unterminated collection"),
     ("unexpected_char", EX + "ex:a ex:b ex:c é .", ErrorKind.LEXICAL, 2, 16, "unexpected character 'é'"),
     ("unexpected_plus", EX + "ex:a ex:b +x .", ErrorKind.LEXICAL, 2, 11, "unexpected character '+'"),
     ("unexpected_pipe", EX + "ex:a ex:b ex:c |} .", ErrorKind.LEXICAL, 2, 16, "unexpected character '|'"),

@@ -86,6 +86,36 @@ class TestLiteralValue:
         st = parse_turtle_star(EX + 'ex:a ex:p "Bog"@da .').default[0]
         assert literal_value(st.object) == "Bog"
 
+    @staticmethod
+    def value_of(literal: str):
+        return literal_value(parse_turtle_star(EX + XSD + f"ex:a ex:p {literal} .").default[0].object)
+
+    @pytest.mark.parametrize("text,expected", [("false", False), ("0", False), ("yes", "yes")])
+    def test_boolean(self, text, expected):
+        value = self.value_of(f'"{text}"^^xsd:boolean')
+        assert type(value) is type(expected) and value == expected
+
+    # Python's readers take each of these; XSD's lexical spaces do not, so
+    # each keeps its text, the same on every CPython
+    @pytest.mark.parametrize(
+        "text,datatype",
+        [
+            ("1_000", "integer"),
+            (" 12 ", "integer"),
+            ("١٢", "integer"),
+            ("1_000.5", "decimal"),
+            (" 1.5", "double"),
+            ("١.٥", "decimal"),
+            ("2020-W01-1", "date"),
+            ("20200101", "date"),
+        ],
+        ids=["underscore", "spaces", "arabic-indic", "decimal-underscore", "double-space",
+             "decimal-arabic-indic", "iso-week-date", "basic-date"],
+    )
+    def test_lax_form_keeps_its_text(self, text, datatype):
+        value = self.value_of(f'"{text}"^^xsd:{datatype}')
+        assert type(value) is str and value == text
+
 
 class TestLongIntegers:
     """int() refuses more than 4,300 digits by default; such an integer is
