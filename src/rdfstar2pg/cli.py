@@ -9,8 +9,10 @@ a given invocation and input is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+import typing
 from collections import Counter
 from itertools import chain
 from json import JSONEncoder
@@ -19,22 +21,27 @@ from json import JSONEncoder
 from .exporters import UnrepresentableValue, _chunks, _utf8_chunks, to_cypher, to_graphml, to_json  # noqa: F401
 from .model import _gc_paused, classify, quote_depth
 from .parser import ParseError, parse_turtle_star
-from .transform import (
-    Approach,
-    DatatypePolicy,
-    ListPolicy,
-    NamedGraphPolicy,
-    RdfTypePolicy,
-    TransformConfig,
-    transform,
-)
+from .transform import Approach, TransformConfig, transform
+
+# convert's help for each TransformConfig field; its flag, choices and default come from the field
+_POLICY_HELP = {
+    "approach": "transformation approach (default: %(default)s)",
+    "datatype_policy": "hybrid only: what plain datatype statements become (default: %(default)s)",
+    "rdf_type_policy": "rdf:type handling (default: label for pgt, edge otherwise)",
+    "named_graph_policy": "named graph handling (default: %(default)s)",
+    "list_policy": "collection handling (default: %(default)s)",
+}
+
+
+@functools.cache
+def _policies() -> dict:
+    """Each TransformConfig field's name and its enum, in field order, from one read of the type hints."""
+    # the enum is Optional[E]'s first argument, or the hint itself
+    return {name: (*typing.get_args(hint), hint)[0] for name, hint in typing.get_type_hints(TransformConfig).items()}
 
 
 def _read_document(path: str):
-    """Parse a file, or stdin for "-", read as strict UTF-8; None once it printed why not.
-
-    Each CR LF or lone CR becomes LF, as text-mode reading makes it.
-    """
+    """Parse a file, or stdin for "-", read as strict UTF-8; None once it printed why not."""
     try:
         if path == "-":
             source = sys.stdin.buffer.read().decode("utf-8")
@@ -44,8 +51,6 @@ def _read_document(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
-    if "\r" in source:
-        source = source.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return parse_turtle_star(source)
     except ParseError as exc:
@@ -90,13 +95,8 @@ def cmd_convert(args) -> int:
     if dataset is None:
         return 1
 
-    config = TransformConfig(
-        approach=Approach(args.approach),
-        datatype_policy=DatatypePolicy(args.datatype_policy),
-        rdf_type_policy=RdfTypePolicy(args.rdf_type_policy) if args.rdf_type_policy else None,
-        named_graph_policy=NamedGraphPolicy(args.named_graph_policy),
-        list_policy=ListPolicy(args.list_policy),
-    )
+    given = vars(args)  # a policy flag left unset is None, and its field keeps its default
+    config = TransformConfig(**{name: kind(given[name]) for name, kind in _policies().items() if given[name]})
     graph, report = transform(dataset, config)
     del dataset  # the report holds the statements it names; nothing below reads the dataset
 
@@ -171,27 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser("convert", help="parse, transform, and export a document")
     convert.add_argument("input", help="input file, or - for standard input")
-    convert.add_argument(
-        "--approach", choices=[m.value for m in Approach], default="hybrid",
-        help="transformation approach (default: hybrid)",
-    )
-    convert.add_argument(
-        "--datatype-policy", choices=[m.value for m in DatatypePolicy], default="property",
-        help="hybrid only: what plain datatype statements become (default: property)",
-    )
-    convert.add_argument(
-        "--rdf-type-policy", choices=[m.value for m in RdfTypePolicy], default=None,
-        help="rdf:type handling (default: label for pgt, edge otherwise)",
-    )
-    convert.add_argument(
-        "--named-graph-policy", choices=[m.value for m in NamedGraphPolicy],
-        default="edge-property",
-        help="named graph handling (default: edge-property)",
-    )
-    convert.add_argument(
-        "--list-policy", choices=[m.value for m in ListPolicy], default="expand",
-        help="collection handling (default: expand)",
-    )
+    defaults = TransformConfig()
+    for name, kind in _policies().items():
+        default = getattr(defaults, name)
+        convert.add_argument(
+            "--" + name.replace("_", "-"), choices=[m.value for m in kind],
+            default=None if default is None else default.value, help=_POLICY_HELP[name],
+        )
     convert.add_argument(
         "--format", choices=["json", "graphml", "cypher"], default="json",
         help="output format (default: json)",

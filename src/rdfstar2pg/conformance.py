@@ -120,17 +120,7 @@ def _data(name: str) -> str:
 
 
 def builtin_corpus() -> list:
-    raw = json.loads(_data("corpus.json"))
-    return [
-        TestCase(
-            id=case["id"],
-            title=case["title"],
-            statement_count=case["statement_count"],
-            source=case["source"],
-            note=case.get("note"),
-        )
-        for case in raw["cases"]
-    ]
+    return [TestCase(**case) for case in json.loads(_data("corpus.json"))["cases"]]
 
 
 def expected_shape_table() -> dict:
@@ -176,7 +166,7 @@ def run_conformance(approaches: Optional[list] = None) -> ConformanceReport:
     cases = sorted(builtin_corpus(), key=lambda c: case_sort_key(c.id))
 
     rows = []
-    totals = {a: {"converted": 0, "total": 0} for a in approaches}
+    aggregates = {a: {"converted": 0, "total": 0} for a in approaches}
     for case in cases:
         dataset = parse_turtle_star(case.source)
         for approach in approaches:
@@ -194,16 +184,9 @@ def run_conformance(approaches: Optional[list] = None) -> ConformanceReport:
                     report=report,
                 )
             )
-            totals[approach]["converted"] += report.converted
-            totals[approach]["total"] += report.total
+            aggregates[approach]["converted"] += report.converted
+            aggregates[approach]["total"] += report.total
 
-    aggregates = {}
-    for approach in approaches:
-        converted = totals[approach]["converted"]
-        total = totals[approach]["total"]
-        aggregates[approach] = {
-            "converted": converted,
-            "total": total,
-            "fraction": converted / total if total else 1.0,
-        }
+    for stats in aggregates.values():
+        stats["fraction"] = stats["converted"] / stats["total"] if stats["total"] else 1.0
     return ConformanceReport(rows=rows, aggregates=aggregates)

@@ -159,11 +159,7 @@ class QuotedTriple:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        subject, obj = self.statement.subject, self.statement.object
-        depth = 1 + max(
-            subject.depth if isinstance(subject, QuotedTriple) else 0,
-            obj.depth if isinstance(obj, QuotedTriple) else 0,
-        )
+        depth = 1 + quote_depth(self.statement)
         if depth > MAX_NESTING:
             raise NestingTooDeep(f"quoted triples nested deeper than {MAX_NESTING} levels")
         object.__setattr__(self, "depth", depth)

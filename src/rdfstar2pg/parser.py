@@ -90,10 +90,11 @@ class ParseError(Exception):
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 # Whitespace and comments: one run of space, then whole comments, each with
-# its newline and the run after it. The lookahead forbids stopping inside a
-# run or a comment, so a failed token match cannot backtrack into them: it
-# neither finds a token inside a comment nor retries every split of a long run.
-_SPACE = r"[ \t\r\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\r\n]*)*(?![ \t\r\n\#])"
+# its newline and the run after it (parse_turtle_star leaves no CR). The
+# lookahead forbids stopping inside a run or a comment, so a failed token
+# match cannot backtrack into them: it neither finds a token inside a
+# comment nor retries every split of a long run.
+_SPACE = r"[ \t\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\n]*)*(?![ \t\n\#])"
 
 # One lexeme after optional space, in the pattern's only group, so findall
 # returns plain strings. The token alternatives, in order: prefixed name,
@@ -110,7 +111,7 @@ _TOKEN = re.compile(
     + r"""(
     (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
   | <<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|)
-  | "(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*"
+  | "(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*"
   | <[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>
   | [+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE])
   | @(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*
@@ -124,7 +125,7 @@ _TOKEN = re.compile(
 )
 _SKIP_SPACE = re.compile(_SPACE)
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|(.))")
-_ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPED = {'"': '"', "'": "'", "\\": "\\", "b": "\b", "f": "\f", "n": "\n", "t": "\t", "r": "\r"}
 # What an IRI may not hold, raw or escaped: IRIREF's exclusions, the
 # surrogates that no UTF-8 output can carry among them.
 _IRI_EXCLUDED = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
@@ -635,7 +636,14 @@ class _Parser:
 
 @_gc_paused
 def parse_turtle_star(text: str) -> Dataset:
-    """Parse a Turtle-star document (TriG-style graph blocks allowed)."""
+    """Parse a Turtle-star document (TriG-style graph blocks allowed).
+
+    Each CR LF or lone CR reads as LF, as text-mode reading makes it, so a
+    raw CR inside a string is a newline there, and errors are positioned
+    by LF lines. The text is copied only when it holds a CR.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _Parser(text).parse()
 
 

@@ -569,10 +569,11 @@ class _Engine:
                 if isinstance(term, BlankNode):
                     mentions[term] = mentions.get(term, 0) + 1
             if isinstance(st.subject, BlankNode):
+                # a cell with a second first or rest has a fourth mention, so _walk_chain refuses it
                 if st.predicate.value == RDF_FIRST:
-                    firsts.setdefault(st.subject, []).append(st)
+                    firsts[st.subject] = st
                 elif st.predicate.value == RDF_REST:
-                    rests.setdefault(st.subject, []).append(st)
+                    rests[st.subject] = st
         heads, members = {}, set()
         for st in statements:
             # a star statement never heads a chain: its quoted subject has no node
@@ -587,15 +588,13 @@ class _Engine:
 
     @staticmethod
     def _walk_chain(head: BlankNode, firsts: dict, rests: dict, mentions: dict):
-        values, members, cell, seen = [], [], head, set()
+        values, members, cell = [], [], head
         while True:
-            if cell in seen or cell not in firsts or cell not in rests:
+            # each cell must appear exactly as: chain target, first subject, rest subject;
+            # a chain that comes back to a cell makes it a target twice, so the walk ends
+            if cell not in firsts or cell not in rests or mentions.get(cell, 0) != 3:
                 return None
-            if len(firsts[cell]) != 1 or len(rests[cell]) != 1 or mentions.get(cell, 0) != 3:
-                # each cell must appear exactly as: chain target, first subject, rest subject
-                return None
-            seen.add(cell)
-            first_st, rest_st = firsts[cell][0], rests[cell][0]
+            first_st, rest_st = firsts[cell], rests[cell]
             if not isinstance(first_st.object, Literal):
                 return None
             values.append(literal_value(first_st.object))

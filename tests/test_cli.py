@@ -14,7 +14,7 @@ from rdfstar2pg.cli import build_parser, main
 from rdfstar2pg.conformance import builtin_corpus, run_conformance
 from rdfstar2pg.exporters import _CHUNK, _chunks, to_json
 from rdfstar2pg.model import statement_units
-from rdfstar2pg.parser import parse_turtle_star
+from rdfstar2pg.parser import ParseError, parse_turtle_star
 from rdfstar2pg.transform import Approach, TransformConfig, transform
 
 EX = "@prefix ex: <http://example.org/> .\n"
@@ -419,6 +419,10 @@ def test_cr_and_crlf_line_ends_read_as_lf(tmp_path):
         path = tmp_path / "lines.ttls"
         path.write_bytes(source.replace("\n", ending).encode())
         assert run_cli(["convert", str(path)]) == expected
+        # the library reads the same line ends, so it reports the same place
+        with pytest.raises(ParseError) as exc_info:
+            parse_turtle_star(source.replace("\n", ending))
+        assert (exc_info.value.line, exc_info.value.column) == (3, 13)
 
 
 STAR_CHAINS = [
@@ -474,6 +478,8 @@ def test_every_config_field_is_a_convert_flag_and_a_readme_row():
             if isinstance(t, type) and issubclass(t, enum.Enum)
         )
         assert sorted(flags[flag].choices) == sorted(m.value for m in enum_type), flag
+        default = getattr(TransformConfig(), name)
+        assert flags[flag].default == (None if default is None else default.value), flag
     readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)

@@ -120,6 +120,13 @@ class TestLiterals:
         st = only(parse_turtle_star(EX + r'ex:a ex:p "tab\there \"q\" é" .'))
         assert st.object.lexical == 'tab\there "q" é'
 
+    @pytest.mark.parametrize("escape,char", [("\\b", "\b"), ("\\f", "\f"), ("\\'", "'")], ids=["b", "f", "quote"])
+    def test_every_echar_escape(self, escape, char):
+        # Turtle's ECHAR is \[tbnrf"'\\]; \b and \f are written back as \u0008 and \u000C
+        dataset = parse_turtle_star(EX + f'ex:a ex:p "x{escape}y" .')
+        assert only(dataset).object.lexical == f"x{char}y"
+        assert parse_turtle_star(to_turtle_star(dataset)) == dataset
+
     def test_lexical_forms_preserved(self):
         # 20 and "20"^^xsd:integer are the same literal; 20 and 020 are not
         ds = parse_turtle_star(EX + "ex:a ex:p 020 .\nex:a ex:p 20 .")
@@ -297,7 +304,8 @@ LEXER_ERRORS = [
     ("iri_escaped_surrogate", "<http://x/\\uD800> <http://x/p> <http://x/o> .", ErrorKind.LEXICAL, 1, 11, "escape \\uD800 stands for a character IRIs exclude"),
     ("long_string", EX + 'ex:a ex:b """long""" .', ErrorKind.UNSUPPORTED, 2, 11, "long string literals are not supported"),
     ("newline_in_string", EX + 'ex:a ex:b "ab\ncd" .', ErrorKind.LEXICAL, 2, 14, "newline inside string literal"),
-    ("newline_in_string_crlf", EX + 'ex:a ex:b "ab\r\ncd" .', ErrorKind.LEXICAL, 2, 15, "newline inside string literal"),
+    ("newline_in_string_crlf", EX + 'ex:a ex:b "ab\r\ncd" .', ErrorKind.LEXICAL, 2, 14, "newline inside string literal"),
+    ("newline_in_string_cr", EX + 'ex:a ex:b "ab\rcd" .', ErrorKind.LEXICAL, 2, 14, "newline inside string literal"),
     ("bad_u_escape", EX + 'ex:a ex:b "ok \\u12G4" .', ErrorKind.LEXICAL, 2, 15, "bad \\u escape (need 4 hex digits)"),
     ("short_u_escape", EX + 'ex:a ex:b "\\u12', ErrorKind.LEXICAL, 2, 12, "bad \\u escape (need 4 hex digits)"),
     ("unsupported_escape", EX + 'ex:a ex:b "x\\q" .', ErrorKind.LEXICAL, 2, 13, "unsupported escape sequence \\q"),

@@ -700,6 +700,33 @@ class TestLists:
             outputs.append((to_json(graph), report.to_dict()))
         assert outputs[0] == outputs[1]
 
+    CHAIN = "ex:s ex:p _:l . _:l rdf:first 1 ; rdf:rest "
+    FOURTH_MENTION = {
+        "second_first": CHAIN + "rdf:nil . _:l rdf:first 2 .",
+        # either rest the walk follows ends in a well-formed chain
+        "second_rest": CHAIN + "rdf:nil , _:m . _:m rdf:first 2 ; rdf:rest rdf:nil .",
+        "loop": CHAIN + "_:m . _:m rdf:first 2 ; rdf:rest _:l .",
+    }
+
+    @pytest.mark.parametrize("approach", [Approach.PGT, Approach.HYBRID])
+    @pytest.mark.parametrize("source", FOURTH_MENTION.values(), ids=FOURTH_MENTION.keys())
+    def test_cell_with_a_fourth_mention_stays_expanded(self, approach, source):
+        # a well-formed cell is named three times: chain target, first subject, rest subject
+        rdf = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+
+        def outputs(source):
+            dataset = ds(EX + rdf + source)
+            return [
+                (to_json(graph), report.to_dict())
+                for graph, report in (
+                    transform(dataset, TransformConfig(approach=approach, list_policy=policy)) for policy in ListPolicy
+                )
+            ]
+
+        expanded, collapsed = outputs(self.CHAIN + "rdf:nil .")
+        assert expanded != collapsed  # the well-formed chain collapses
+        expanded, collapsed = outputs(source)
+        assert expanded == collapsed
 
     def test_lookalike_first_rest_nil_not_collapsed(self):
         # only rdf:first / rdf:rest / rdf:nil make a list, not any IRI ending in #first
