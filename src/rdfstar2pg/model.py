@@ -12,6 +12,7 @@ import enum
 import functools
 import gc
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -400,28 +401,78 @@ def embedded_star_statements(statement: Statement) -> list:
     return [t.statement for t in terms(statement) if isinstance(t, QuotedTriple) and is_star(t.statement)]
 
 
+_CHAIN_PREDICATES = frozenset((RDF_FIRST, RDF_REST))
+_predicate_iri = operator.attrgetter("predicate.value")
+
+
 def is_chain_statement(statement: Statement) -> bool:
-    """A plain rdf:first/rdf:rest statement, which folds into its head statement.
+    """A plain rdf:first/rdf:rest statement, which folds into its head statement if it has one.
 
     A star statement is a unit of its own whatever its predicate.
     """
-    return statement.predicate.value in (RDF_FIRST, RDF_REST) and not is_star(statement)
+    return statement.predicate.value in _CHAIN_PREDICATES and not is_star(statement)
+
+
+def folded_chain_statements(statements) -> set:
+    """The chain statements of one graph that fold into a head.
+
+    A chain statement folds when rdf:first/rdf:rest links reach its subject
+    from a blank node that a non-chain statement of the graph names, in any
+    position and at any quote depth. Any other chain statement, such as
+    `_:l rdf:first 1 ; rdf:rest rdf:nil .` alone, has no head to fold into,
+    so it is a unit of its own. A graph with a chain predicate is read in one
+    pass; one without is told apart by a scan that runs no Python code per
+    statement.
+    """
+    if _CHAIN_PREDICATES.isdisjoint(map(_predicate_iri, statements)):
+        return set()
+    named, links, chain = set(), {}, []  # named: the blank nodes non-chain statements name
+    for st in statements:
+        if st._kind in _STAR_KINDS:
+            # the canonical text holds "_:" wherever the statement names a blank node
+            if "_:" in serialize_statement(st):
+                named.update(term for term in terms(st) if isinstance(term, BlankNode))
+        elif st.predicate.value in _CHAIN_PREDICATES:
+            chain.append(st)
+            links.setdefault(st.subject, []).append(st.object)
+        else:
+            if isinstance(st.subject, BlankNode):
+                named.add(st.subject)
+            if isinstance(st.object, BlankNode):
+                named.add(st.object)
+    reached = reachable(links, [cell for cell in links if cell in named])
+    return {st for st in chain if st.subject in reached}
+
+
+def reachable(links: dict, start) -> set:
+    """start, and every item that links (item -> list of items) lead to from it."""
+    found = set(start)
+    stack = list(found)
+    while stack:
+        for item in links.get(stack.pop(), ()):
+            if item not in found:
+                found.add(item)
+                stack.append(item)
+    return found
 
 
 def statement_units(dataset: Dataset) -> list:
     """(graph, statement) accounting units for conversion reports.
 
-    Every non-chain top-level statement is a unit, and so is every embedded
+    Every top-level statement is a unit but a chain statement that folds
+    into its head (folded_chain_statements), and so is every embedded
     statement that is itself a star statement (nesting depth >= 2 introduces
     additional triples that the transformation must handle).
     """
     units = []
-    for name, st in dataset.statements():
-        if is_chain_statement(st):
-            continue
-        units.append((name, st))
-        for nested in embedded_star_statements(st):
-            units.append((name, nested))
+    for name, statements in dataset.graphs():
+        folded = folded_chain_statements(statements)
+        for st in statements:
+            if st in folded:
+                continue
+            units.append((name, st))
+            for nested in embedded_star_statements(st):
+                units.append((name, nested))
     return units
 
 

@@ -37,7 +37,9 @@ name is worked out once per transform.
 Each accounting unit's report entry is made in _Engine._unit, the one place
 that decides NOTE_LONG_INTEGER: a unit gets it when one of its terms is in
 that set. Every other note goes through _note, so a unit carries each note
-once, in the order of README's note table.
+once, in the order of README's note table. Every statement is a unit but a
+chain statement that folds into its head (model.folded_chain_statements,
+the rule statement_units follows).
 
 Statements are processed in canonical sorted order, which makes every output
 (including multi-value resolution) independent of input statement order.
@@ -77,9 +79,11 @@ from .model import (
     StatementKind,
     _gc_paused,
     classify,
+    folded_chain_statements,
     is_chain_statement,
     is_star,
     local_name,
+    reachable,
     serialize_statement,
     terms,
 )
@@ -161,10 +165,10 @@ class ReportEntry:
 class TransformReport:
     total: int
     converted: int
-    partial: list
-    ignored: list  # always empty; kept so every report has the same keys
-    errors: list  # always empty; kept so every report has the same keys
-    notes: list  # converted-with-note entries
+    partial: list  # every Partial unit's entry
+    notes: list  # every Converted unit's entry that carries a note
+    # no unit is ever ignored or an error; perfbench/run.py's count pass still reads these two
+    ignored = errors = ()
 
     @property
     def converted_fraction(self) -> float:
@@ -176,15 +180,30 @@ class TransformReport:
 
     @_gc_paused
     def to_dict(self) -> dict:
-        """The report as JSON-ready data; convert --report writes it."""
+        """The report as JSON-ready data; convert --report writes it.
+
+        Each Partial unit is listed in full. The Converted units' notes are
+        counted per (note, predicate IRI), one row each, sorted, with the
+        text of the first such unit in report order as the example; so the
+        notes' size follows the schema, not the data. self.notes still
+        holds every noted unit's entry.
+        """
+        rows: dict = {}  # (note, predicate IRI) -> its row
+        for entry in self.notes:
+            predicate = entry.statement.predicate.value
+            for note in entry.notes:
+                row = rows.get((note, predicate))
+                if row is None:
+                    example = serialize_statement(entry.statement)
+                    rows[note, predicate] = {"note": note, "predicate": predicate, "units": 1, "example": example}
+                else:
+                    row["units"] += 1
         return {
             "total": self.total,
             "converted": self.converted,
             "converted_fraction": self.converted_fraction,
             "partial": [e.to_dict() for e in self.partial],
-            "ignored": [e.to_dict() for e in self.ignored],
-            "errors": [e.to_dict() for e in self.errors],
-            "notes": [e.to_dict() for e in self.notes],
+            "notes": [rows[key] for key in sorted(rows)],
         }
 
 
@@ -266,13 +285,7 @@ def _long_terms(statements) -> set:
     for st in statements:
         if is_chain_statement(st):
             links.setdefault(st.object, []).append(st.subject)
-    stack = list(found)
-    while stack:
-        for cell in links.get(stack.pop(), ()):
-            if cell not in found:
-                found.add(cell)
-                stack.append(cell)
-    return found
+    return reachable(links, found)
 
 
 def _note(unit: Optional[ReportEntry], text: str) -> None:
@@ -614,8 +627,9 @@ class _Engine:
         for graph_name, statements in self.dataset.graphs():
             self._enter(graph_name, statements)
             heads, members = self._chains(statements) if self.collapse_lists else ({}, set())
+            folded = folded_chain_statements(statements)
             for st in sorted(statements, key=serialize_statement):
-                if is_chain_statement(st):
+                if folded and st in folded:
                     # no unit: it folds into its head
                     if st in members:
                         continue
@@ -644,7 +658,7 @@ class _Engine:
             elif unit.notes:
                 noted.append(unit)
         total = len(self.units)
-        return TransformReport(total, total - len(partial), partial, ignored=[], errors=[], notes=noted)
+        return TransformReport(total, total - len(partial), partial, noted)
 
 
 @_gc_paused

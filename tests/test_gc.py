@@ -87,7 +87,7 @@ def calls(tmp_path):
     source.write_text(SOURCE)
     good_args = build_parser().parse_args(["convert", str(source), "--output", str(tmp_path / "o"),
                                            "--report", str(tmp_path / "r")])
-    broken_report = TransformReport(1, 0, [object()], [], [], [])
+    broken_report = TransformReport(1, 0, [object()], [])
     return {
         "parse_turtle_star": (lambda: parse_turtle_star(SOURCE), lambda: parse_turtle_star("ex:a")),
         "transform": (lambda: transform(dataset, TransformConfig()), lambda: transform(None, TransformConfig())),

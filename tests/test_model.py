@@ -28,6 +28,7 @@ from rdfstar2pg.model import (
     classify,
     embedded_star_statements,
     escape_string,
+    folded_chain_statements,
     is_chain_statement,
     is_star,
     isomorphic,
@@ -414,6 +415,21 @@ class TestStatementUnits:
             ]
         )
         assert len(statement_units(ds)) == 1
+
+    def test_chain_that_nothing_names_is_units(self):
+        cell, tail = BlankNode("b0"), BlankNode("b1")
+        chain = [
+            st(cell, Iri(RDF_FIRST), Literal("one")),
+            st(cell, Iri(RDF_REST), tail),
+            st(tail, Iri(RDF_FIRST), Literal("two")),
+            st(tail, Iri(RDF_REST), Iri(RDF_NIL)),
+        ]
+        assert statement_units(Dataset(chain)) == [(None, statement) for statement in chain]
+        assert folded_chain_statements(chain) == set()
+        # named once, in a quoted triple, the whole chain folds
+        star = st(QuotedTriple(st(iri("a"), iri("p"), cell)), iri("q"), iri("r"))
+        assert folded_chain_statements([star, *chain]) == set(chain)
+        assert statement_units(Dataset([star, *chain])) == [(None, star)]
 
     def test_nested_star_is_its_own_unit(self):
         inner = st(iri("Steve"), iri("position"), Literal("CEO"))

@@ -8,7 +8,7 @@ import pytest
 
 from rdfstar2pg.conformance import builtin_corpus, case_sort_key
 from rdfstar2pg.exporters import to_cypher, to_graphml, to_json
-from rdfstar2pg.model import Dataset, Iri, statement_units
+from rdfstar2pg.model import Dataset, Iri, serialize_statement, statement_units
 from rdfstar2pg.parser import parse_turtle_star
 from rdfstar2pg.transform import (
     LOSS_GRAPH_NAME_DISCARDED,
@@ -145,9 +145,10 @@ class TestLongIntegers:
         _, report = fn(ds(EX + XSD + f"ex:a ex:big {literal} ."))
         assert report.notes == []
 
-    # An rdf:first statement has no unit of its own; a unit that names a
-    # cell of the collection carries the note, whether or not the chain
-    # collapses, and however long the walk back from the integer to the head.
+    # An rdf:first statement of a list that a unit names has no unit of its
+    # own; a unit that names a cell of the collection carries the note,
+    # whether or not the chain collapses, and however long the walk back
+    # from the integer to the head.
     @pytest.mark.parametrize("fn", [pgt, hybrid, rpt])
     @pytest.mark.parametrize("policy", list(ListPolicy))
     @pytest.mark.parametrize(
@@ -191,10 +192,13 @@ class TestLongIntegers:
                 [[LONG, NOTE_NESTED, NOTE_INVERSE, NOTE_IRI_AS_STRING]] * 2
                 + [[LONG, NOTE_NESTED, NOTE_IRI_AS_STRING]],
             ),
+            # a chain that nothing names is units of its own, each of whose cells reaches the integer
+            (LIST, [[LONG]] * 2),
+            (f"_:l rdf:first 1 ; rdf:rest _:m . _:m rdf:first {BIG} ; rdf:rest rdf:nil .", [[LONG]] * 4),
         ],
         ids=[
             "star-subject-list-object", "cell-as-subject", "list-only-quoted", "nested-unit-heads-list",
-            "quoted-two-deep", "quoted-three-deep",
+            "quoted-two-deep", "quoted-three-deep", "orphan-cell", "orphan-two-cells",
         ],
     )
     def test_a_unit_naming_a_long_cell_is_noted(self, fn, policy, source, notes):
@@ -454,7 +458,7 @@ STAR_REPORT_TABLE = [
 def unit_rows(dataset, report) -> list:
     """(status, reason, notes) for every accounting unit, in statement_units order."""
     listed: dict = {}
-    for entry in report.partial + report.ignored + report.errors + report.notes:
+    for entry in report.partial + report.notes:
         listed.setdefault((entry.graph, entry.statement), []).append(entry)
     rows = []
     for unit in statement_units(dataset):
@@ -574,8 +578,9 @@ def test_signalling_nan_overwrite_converts(tmp_path, approach):
     args = ["convert", str(path), "--approach", approach, "--output", str(tmp_path / "out.json")]
     assert main([*args, "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
-    (loser,) = report["notes"]
-    assert NOTE_OVERWRITTEN in loser["notes"]
+    (row,) = [row for row in report["notes"] if row["note"] == NOTE_OVERWRITTEN]
+    assert (row["predicate"], row["units"]) == ("http://example.org/r", 1)
+    assert row["example"].endswith('"1"^^<http://www.w3.org/2001/XMLSchema#decimal>')
 
 
 class TestNamedGraphs:
@@ -651,6 +656,29 @@ class TestLists:
         node = node_by_iri(graph, "http://example.org/L")
         assert node.properties["contents"] == ["one", "two", "three"]
         assert report.total == 1 and report.converted == 1
+
+    # (source, units): a chain statement is a unit of its own unless rdf:first or
+    # rdf:rest links reach its subject from a blank node that a non-chain
+    # statement of the same graph names, at any quote depth
+    ORPHANS = {
+        "one_cell": ("_:l rdf:first 1 ; rdf:rest rdf:nil .", 2),
+        "two_cells": ("_:l rdf:first 1 ; rdf:rest _:m . _:m rdf:first 2 ; rdf:rest rdf:nil .", 4),
+        "iri_cell": ("ex:s ex:p ex:l . ex:l rdf:first 1 ; rdf:rest rdf:nil .", 3),
+        "named_in_another_graph": ("ex:s ex:p _:l . ex:g { _:l rdf:first 1 ; rdf:rest rdf:nil . }", 3),
+        "named_two_quotes_deep": (
+            "<< <<ex:a ex:p _:l>> ex:q ex:r >> ex:s ex:t . _:l rdf:first 1 ; rdf:rest rdf:nil .", 2
+        ),
+        "inner_list": ("ex:s ex:p ( ( 1 ) 2 ) .", 1),
+    }
+
+    @pytest.mark.parametrize("policy", list(ListPolicy))
+    @pytest.mark.parametrize("approach", list(Approach))
+    @pytest.mark.parametrize("source, units", ORPHANS.values(), ids=ORPHANS.keys())
+    def test_a_chain_that_no_statement_names_is_units(self, approach, policy, source, units):
+        dataset = ds(EX + RDF + source)
+        graph, report = transform(dataset, TransformConfig(approach=approach, list_policy=policy))
+        assert report.total == report.converted == len(statement_units(dataset)) == units
+        assert graph.edges
 
     def test_collapse_preserves_list_order_not_sorted(self):
         cfg = TransformConfig(list_policy=ListPolicy.COLLAPSE_LITERALS)
@@ -766,6 +794,34 @@ class TestReservedKeyCollisions:
 
 
 class TestReportAlgebra:
+    # every corpus case, then each STAR_REPORT_TABLE source, and one document
+    # holding them all, so one note falls on several predicates
+    SOURCES = [case.source for case in builtin_corpus()] + [EX + XSD + s for s, _ in STAR_REPORT_TABLE]
+    SOURCES.append(EX + XSD + "\n".join(s for s, _ in STAR_REPORT_TABLE))
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_json_lists_partial_units_and_counts_notes(self, approach):
+        rows_seen = 0
+        for source in self.SOURCES:
+            _, report = transform(ds(source), TransformConfig(approach=approach))
+            data = report.to_dict()
+            assert list(data) == ["total", "converted", "converted_fraction", "partial", "notes"]
+            assert data["partial"] == [entry.to_dict() for entry in report.partial]
+            rows = data["notes"]
+            assert sum(row["units"] for row in rows) == sum(len(entry.notes) for entry in report.notes)
+            keys = [(row["note"], row["predicate"]) for row in rows]
+            assert keys == sorted(set(keys))
+            for row in rows:
+                assert list(row) == ["note", "predicate", "units", "example"]
+                noted = [
+                    entry for entry in report.notes
+                    if row["note"] in entry.notes and entry.statement.predicate.value == row["predicate"]
+                ]
+                assert row["units"] == len(noted)
+                assert row["example"] == serialize_statement(noted[0].statement)
+            rows_seen += len(rows)
+        assert rows_seen > len(self.SOURCES)
+
     def test_unit_count_matches_model(self):
         source = (
             EX
@@ -781,9 +837,7 @@ class TestReportAlgebra:
 
     def test_counts_are_a_partition(self):
         _, report = pgt(ds(EX + '<<ex:alice ex:age "25">> ex:certainty 0.5 .\nex:a ex:p ex:b .'))
-        assert report.converted + len(report.partial) + len(report.ignored) + len(
-            report.errors
-        ) == report.total
+        assert report.converted + len(report.partial) == report.total
 
     def test_lossy_flag(self):
         _, clean = pgt(ds(EX + "ex:a ex:p ex:b ."))
@@ -892,7 +946,7 @@ class TestRepeatedNaN:
 # sha256 over every corpus report as `convert --report` writes it (without the
 # final newline): cases by case_sort_key, then Approach order, as the corpus
 # export digest in test_exporters.py is taken.
-CORPUS_REPORTS_SHA256 = "11a75c049f31b220f37b45d0c54163a30558fa5c1fe7d4363d7ad0e4b3815db7"
+CORPUS_REPORTS_SHA256 = "ed8b9d24fd7458fa7f543865c707cb1b721bf8473ed1efd6bbb8c157ed30b2ae"
 
 
 def test_corpus_report_bytes_are_pinned():
@@ -915,7 +969,7 @@ ALL_CONFIGS_SHA256 = {
     "json": "53c3f06f224c19ce045ad9e68bc303190de96461c95cf2c79a82d7b774ad85fe",
     "graphml": "1d4142d5892f9b33f3ad11ee7a968c4fe371d4e7503432b8e9354cf281271045",
     "cypher": "58c3993cfb6e461ca99a6231944ead996885a12f04b716c98293d4cd201b3848",
-    "report": "18f0a0fa97532201ddde9b151e9f1069d7e2792eaa81a9f51fb172596c848aa4",
+    "report": "0879957dcf8246cffb2dc2b66023116b1f00aa2e369f0d887dfd6294751f1b26",
 }
 
 
