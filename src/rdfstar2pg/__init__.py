@@ -65,48 +65,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Approach",
-    "BlankNode",
-    "ConformanceReport",
-    "DanglingEndpoint",
-    "Dataset",
-    "DatatypePolicy",
-    "Edge",
-    "ExpectedShape",
-    "Iri",
-    "ListPolicy",
-    "Literal",
-    "NamedGraphPolicy",
-    "Node",
-    "ParseError",
-    "PropertyGraph",
-    "QuotedTriple",
-    "RdfTypePolicy",
-    "Statement",
-    "StatementKind",
-    "Status",
-    "TestCase",
-    "TransformConfig",
-    "TransformReport",
-    "UnrepresentableValue",
-    "builtin_corpus",
-    "classify",
-    "expected_shape_table",
-    "from_json",
-    "hybrid",
-    "isomorphic",
-    "local_name",
-    "parse_turtle_star",
-    "pgt",
-    "quote_depth",
-    "rpt",
-    "run_conformance",
-    "statement_units",
-    "to_cypher",
-    "to_graphml",
-    "to_json",
-    "to_turtle_star",
-    "transform",
-    "__version__",
-]
+# The public names: each class and function imported above from the
+# package's modules, the conformance names and __version__.
+__all__ = sorted(
+    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith(__name__ + ".")]
+    + list(_CONFORMANCE)
+) + ["__version__"]

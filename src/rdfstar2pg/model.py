@@ -4,6 +4,21 @@ Statements follow the usual shape: the subject is an IRI, a blank node, or a
 quoted triple; the predicate is always an IRI; the object may additionally be
 a literal. Quoted triples nest, so a statement can embed other statements,
 at most MAX_NESTING levels deep.
+
+Iri, BlankNode, Literal, QuotedTriple and Statement are frozen, slotted
+dataclasses declared with init=False, each with its own __init__ under the
+field names and defaults. That __init__ refuses an argument of the wrong
+type with one test (the message is made by _wrong_type, only once the test
+fails), works out the stored fields (the hash, a quoted triple's depth, a
+statement's kind) and sets each slot with one call to the __set__ of the
+slot's member descriptor (_slot_setters), where the generated __init__ set
+each field by name through object.__setattr__ and then made a second call,
+to __post_init__. Only construction is written out:
+the generated __eq__, dataclasses.fields and dataclasses.replace stay.
+They stay frozen too: the generated __setattr__ and __delattr__ raise
+FrozenInstanceError, since the stored hash, depth and kind are worked out
+once from the fields and would go stale if a field changed. A statement's
+_text alone is filled in later, by serialize_statement, through its slot.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_type_hints
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -70,15 +85,35 @@ def _stored_hash(term) -> int:
     return term._hash
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each of a dataclass's slots, in field order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+def _wrong_type(cls, **args) -> TypeError:
+    """The error for building `cls` from an argument that its __init__'s
+    annotation does not admit; made only once the __init__'s test fails."""
+    hints = get_type_hints(cls.__init__)
+    name, value = next((name, value) for name, value in args.items() if not isinstance(value, hints[name]))
+    wanted = cls.__init__.__annotations__[name]  # as written: "Optional[str]", not typing's repr
+    return TypeError(f"{cls.__name__} {name} must be {wanted}, not {type(value).__name__}")
+
+
+_STR_OR_NONE = (str, type(None))  # the types an Optional[str] field takes
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Iri:
     """An absolute IRI. Equality is exact string equality."""
 
     value: str
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.value,)))
+    def __init__(self, value: str) -> None:
+        if not isinstance(value, str):
+            raise _wrong_type(type(self), value=value)
+        _iri_value(self, value)
+        _iri_hash(self, hash((value,)))
 
     __hash__ = _stored_hash
 
@@ -89,7 +124,10 @@ class Iri:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
+_iri_value, _iri_hash = _slot_setters(Iri)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BlankNode:
     """A blank node under its canonical document-scoped label (b0, b1, ...).
 
@@ -101,8 +139,12 @@ class BlankNode:
     original: Optional[str] = field(default=None, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.label,)))
+    def __init__(self, label: str, original: Optional[str] = None) -> None:
+        if not (isinstance(label, str) and isinstance(original, _STR_OR_NONE)):
+            raise _wrong_type(type(self), label=label, original=original)
+        _bn_label(self, label)
+        _bn_original(self, original)
+        _bn_hash(self, hash((label,)))
 
     __hash__ = _stored_hash
 
@@ -113,7 +155,10 @@ class BlankNode:
         return f"BlankNode(_:{self.label})"
 
 
-@dataclass(frozen=True, slots=True)
+_bn_label, _bn_original, _bn_hash = _slot_setters(BlankNode)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
     """A literal: lexical form, datatype IRI, optional language tag.
 
@@ -127,14 +172,20 @@ class Literal:
     lang: Optional[str] = None
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.lang is not None and self.datatype.value == XSD_STRING:
-            object.__setattr__(self, "datatype", Iri(RDF_LANG_STRING))
-        if self.lang is not None and self.datatype.value != RDF_LANG_STRING:
+    # the default is the field's own Iri(XSD_STRING), as dataclasses.fields shows it
+    def __init__(self, lexical: str, datatype: Iri = datatype, lang: Optional[str] = None) -> None:
+        if not (isinstance(lexical, str) and isinstance(datatype, Iri) and isinstance(lang, _STR_OR_NONE)):
+            raise _wrong_type(type(self), lexical=lexical, datatype=datatype, lang=lang)
+        if lang is not None and datatype.value == XSD_STRING:
+            datatype = Iri(RDF_LANG_STRING)
+        if lang is not None and datatype.value != RDF_LANG_STRING:
             raise ValueError("language tag requires rdf:langString datatype")
-        if self.lang is None and self.datatype.value == RDF_LANG_STRING:
+        if lang is None and datatype.value == RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype._hash, self.lang)))
+        _lit_lexical(self, lexical)
+        _lit_datatype(self, datatype)
+        _lit_lang(self, lang)
+        _lit_hash(self, hash((lexical, datatype._hash, lang)))
 
     __hash__ = _stored_hash
 
@@ -147,7 +198,10 @@ class Literal:
         return f"Literal({self.lexical!r}^^{self.datatype.value})"
 
 
-@dataclass(frozen=True, slots=True)
+_lit_lexical, _lit_datatype, _lit_lang, _lit_hash = _slot_setters(Literal)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QuotedTriple:
     """A statement used as a term (quoted, not asserted).
 
@@ -155,16 +209,19 @@ class QuotedTriple:
     worked out once, from the inner terms' own depths.
     """
 
-    statement: "Statement"
+    statement: Statement
     depth: int = field(default=1, init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        depth = 1 + quote_depth(self.statement)
+    def __init__(self, statement: Statement) -> None:
+        if not isinstance(statement, Statement):
+            raise _wrong_type(type(self), statement=statement)
+        depth = 1 + quote_depth(statement)
         if depth > MAX_NESTING:
             raise NestingTooDeep(f"quoted triples nested deeper than {MAX_NESTING} levels")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "_hash", hash((self.statement._hash,)))
+        _qt_statement(self, statement)
+        _qt_depth(self, depth)
+        _qt_hash(self, hash((statement._hash,)))
 
     __hash__ = _stored_hash
 
@@ -173,6 +230,9 @@ class QuotedTriple:
 
     def __repr__(self) -> str:
         return f"QuotedTriple({self.statement!r})"
+
+
+_qt_statement, _qt_depth, _qt_hash = _slot_setters(QuotedTriple)
 
 
 class StatementKind(enum.Enum):
@@ -219,7 +279,7 @@ Term = Union[Iri, BlankNode, Literal, QuotedTriple]
 SubjectTerm = Union[Iri, BlankNode, QuotedTriple]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Statement:
     """One (subject, predicate, object) statement, possibly with quoted terms.
 
@@ -236,14 +296,17 @@ class Statement:
     _kind: StatementKind = field(init=False, compare=False, repr=False)
     _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        subject, predicate, obj = self.subject, self.predicate, self.object
-        kind = _KIND_BY_TYPES.get((type(subject), type(obj)))
+    def __init__(self, subject: SubjectTerm, predicate: Iri, object: Term) -> None:
+        kind = _KIND_BY_TYPES.get((type(subject), type(object)))
         if kind is None or not isinstance(predicate, Iri):
-            _check_terms(subject, predicate, obj)
-            kind = _kind_of(type(subject), type(obj))  # terms of subclasses
-        object.__setattr__(self, "_hash", hash((subject._hash, predicate._hash, obj._hash)))
-        object.__setattr__(self, "_kind", kind)
+            _check_terms(subject, predicate, object)
+            kind = _kind_of(type(subject), type(object))  # terms of subclasses
+        _st_subject(self, subject)
+        _st_predicate(self, predicate)
+        _st_object(self, object)
+        _st_hash(self, hash((subject._hash, predicate._hash, object._hash)))
+        _st_kind(self, kind)
+        _st_text(self, None)
 
     __hash__ = _stored_hash
 
@@ -252,6 +315,9 @@ class Statement:
 
     def __repr__(self) -> str:
         return f"Statement({serialize_statement(self)})"
+
+
+_st_subject, _st_predicate, _st_object, _st_hash, _st_kind, _st_text = _slot_setters(Statement)
 
 
 def classify(statement: Statement) -> StatementKind:
@@ -266,13 +332,9 @@ def is_star(statement: Statement) -> bool:
 def local_name(iri: Union[Iri, str]) -> str:
     """Substring after the last '#', else after the last '/', else the IRI."""
     value = iri.value if isinstance(iri, Iri) else iri
-    if "#" in value:
-        tail = value.rsplit("#", 1)[1]
-        if tail:
-            return tail
-    if "/" in value:
-        tail = value.rsplit("/", 1)[1]
-        if tail:
+    for separator in "#/":
+        _, found, tail = value.rpartition(separator)
+        if found and tail:
             return tail
     return value
 
@@ -323,7 +385,7 @@ def serialize_statement(statement: Statement) -> str:
     text = statement._text
     if text is None:
         text = " ".join(map(serialize_term, (statement.subject, statement.predicate, statement.object)))
-        object.__setattr__(statement, "_text", text)
+        _st_text(statement, text)
     return text
 
 
@@ -490,13 +552,7 @@ def _rename(statement: Statement, mapping: dict) -> Statement:
         if isinstance(term, BlankNode):
             return BlankNode(mapping.get(term.label, term.label))
         if isinstance(term, QuotedTriple):
-            return QuotedTriple(
-                Statement(
-                    conv(term.statement.subject),
-                    term.statement.predicate,
-                    conv(term.statement.object),
-                )
-            )
+            return QuotedTriple(_rename(term.statement, mapping))
         return term
 
     return Statement(conv(statement.subject), statement.predicate, conv(statement.object))

@@ -15,15 +15,23 @@ non-empty blank-node property lists, long strings, and numeric double
 shorthand are out of scope.
 
 The scanner is one compiled pattern, one alternative per token class, with
-space and comments as its prefix. The text is cut into chunks of about 64 KB
-(_CHUNK), each ending at a newline, which no token spans. One `findall` per
-chunk returns the chunk's lexemes as plain strings, and the parser reads
-them by index and dispatches on each lexeme itself; IRIs, prefixed names,
-blank nodes and numbers resolve through a per-document cache keyed by
-lexeme, which every @prefix clears. So only one chunk's lexemes are held at
-a time, never a token list of the document. Where no token matches, the
-pattern takes the rest of the chunk, and the parser reads a marker there
-that no rule accepts.
+space and comments as its prefix. No two token alternatives match at the
+same place, so their order changes no lexeme, only speed; only the one
+that takes the rest of a chunk where no token matches must come last.
+Each alternative starts with a character or a character class, never with
+an optional or repeated part, so `re` skips it on the lexeme's first
+character without entering it: a prefixed name is two alternatives (with
+a prefix, and bare ':'), a number three (unsigned, signed and '.'-led),
+and the frequent statement '.' comes first among the punctuation.
+
+The text is cut into chunks of about 64 KB (_CHUNK), each ending at a
+newline, which no token spans. One `findall` per chunk returns the chunk's
+lexemes as plain strings, and the parser reads them by index and
+dispatches on each lexeme itself; IRIs, prefixed names, blank nodes and
+numbers resolve through a per-document cache keyed by lexeme, which every
+@prefix clears. So only one chunk's lexemes are held at a time, never a
+token list of the document. Where no token matches, the pattern takes the
+rest of the chunk, and the parser reads a marker there that no rule accepts.
 
 A source offset is worked out only when an error is raised: _fault
 re-matches the document with the same pattern to find the offending
@@ -97,9 +105,11 @@ _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _SPACE = r"[ \t\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\n]*)*(?![ \t\n\#])"
 
 # One lexeme after optional space, in the pattern's only group, so findall
-# returns plain strings. The token alternatives, in order: prefixed name,
-# punctuation, string, IRI reference, number, language tag, blank node, the
-# `a` keyword, @prefix. Each accepts exactly the tokens of the surface in the
+# returns plain strings. The token alternatives, in order: prefixed name
+# (with a prefix, then bare ':'), punctuation, string, IRI reference, number
+# (unsigned, signed, then '.'-led), language tag, blank node, the `a`
+# keyword, @prefix; each starts with a character or a class (see the module
+# docstring). Each accepts exactly the tokens of the surface in the
 # module docstring, so a failed match always means a lexical error, which
 # _lex_error then explains. The lookaheads make a number the longest run of
 # digits, so "12.5e3" fails as an exponent instead of scanning as "12".
@@ -109,11 +119,12 @@ _SPACE = r"[ \t\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\n]*)*(?![ \t\n\#])"
 _TOKEN = re.compile(
     _SPACE
     + r"""(
-    (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
-  | <<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|)
+    [A-Za-z][A-Za-z0-9_\-]*:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
+  | :(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
+  | \.(?!\d)|<<|>>|\^\^|[;,()\[\]}]|\{(?!\|)
   | "(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*"
   | <[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>
-  | [+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE])
+  | \d+(?:\.\d+|(?!\.\d))(?![\deE]) | [+-](?:\d+(?:\.\d+|(?!\.\d))|\.\d+)(?![\deE]) | \.\d+(?![\deE])
   | @(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*
   | _:[A-Za-z0-9_][A-Za-z0-9_\-]*
   | a(?![A-Za-z0-9_\-:])
@@ -455,7 +466,7 @@ class _Parser:
                 self._prefix_directive()
                 continue
             first, at = self.tok, self.here()
-            subject = self._term(position="subject")
+            subject = self._term("subject")
             # a graph block: a single IRI term, then '{'
             if self.tok == "{" and _is_iri(first):
                 self._graph_block(subject)
@@ -484,7 +495,7 @@ class _Parser:
             if not self.tok:
                 self.error("unterminated graph block", self.here())
             at = self.here()
-            self._triples(at, self._term(position="subject"), statements)
+            self._triples(at, self._term("subject"), statements)
             if self.tok == ".":
                 self.next()
             elif self.tok != "}":
@@ -505,10 +516,10 @@ class _Parser:
         append = statements.append
         while True:
             predicate = self._verb()
-            append(Statement(subject, predicate, self._term(position="object")))
+            append(Statement(subject, predicate, self._term("object")))
             while self.tok == ",":
                 self.next()
-                append(Statement(subject, predicate, self._term(position="object")))
+                append(Statement(subject, predicate, self._term("object")))
             if self.tok != ";":
                 return
             # swallow repeats; a dangling ';' before the terminator is legal
@@ -518,21 +529,21 @@ class _Parser:
                 return
 
     def _verb(self) -> Iri:
-        if self.tok == "a":
-            self.next()
+        lexeme = self.next()
+        term = self.terms.get(lexeme)
+        if isinstance(term, Iri):  # a name or IRI met before: the usual case
+            return term
+        if lexeme == "a":
             return self._iri(RDF_TYPE)
-        at = self.here()
-        term = self._term(position="predicate")
+        at = self.here() - 1  # the predicate's first lexeme; _new_term may read more
+        term = term or self._new_term(lexeme, "predicate")
         if not isinstance(term, Iri):
             self.error("predicate must be an IRI", at)
         return term
 
     def _term(self, position: str):
         lexeme = self.next()
-        term = self.terms.get(lexeme)
-        if term is None:
-            term = self._new_term(lexeme, position)
-        return term
+        return self.terms.get(lexeme) or self._new_term(lexeme, position)
 
     def _new_term(self, lexeme: str, position: str):
         """The term that `lexeme`, just consumed and not in self.terms, begins."""
@@ -602,11 +613,11 @@ class _Parser:
         if position == "collection element":
             self.error("quoted triples inside collections are not supported", at, ErrorKind.UNSUPPORTED)
         self._enter(at)
-        subject = self._term(position="quoted subject")
+        subject = self._term("quoted subject")
         if isinstance(subject, Literal):
             self.error("literal cannot be the subject of a quoted triple", at)
         predicate = self._verb()
-        obj = self._term(position="quoted object")
+        obj = self._term("quoted object")
         self.expect(">>", "'>>'")
         self.depth -= 1
         return QuotedTriple(Statement(subject, predicate, obj))
@@ -620,17 +631,15 @@ class _Parser:
         while self.tok != ")":
             if not self.tok:
                 self.error("unterminated collection", self.here())
-            elements.append(self._term(position="collection element"))
+            elements.append(self._term("collection element"))
         self.next()
         self.depth -= 1
         if not elements:
             return self._iri(RDF_NIL)
         cells = [self._fresh_bnode() for _ in elements]
         first, rest = self._iri(RDF_FIRST), self._iri(RDF_REST)
-        for idx, element in enumerate(elements):
-            self.pending.append(Statement(cells[idx], first, element))
-            tail = cells[idx + 1] if idx + 1 < len(cells) else self._iri(RDF_NIL)
-            self.pending.append(Statement(cells[idx], rest, tail))
+        for cell, element, tail in zip(cells, elements, cells[1:] + [self._iri(RDF_NIL)]):
+            self.pending += (Statement(cell, first, element), Statement(cell, rest, tail))
         return cells[0]
 
 

@@ -21,8 +21,10 @@ drop-and-stage-once rule for quoted facts, datatype statements as
 properties or edges, rdf:type as a label or an edge (None resolved per
 approach), and whether all-literal collections collapse. Each graph of the
 dataset is then entered once: the graph in flight fixes the node and edge
-key suffixes, the edge "graph" property value and whether the graph name is
-discarded, so no statement re-decides the named-graph policy. Entering also
+key suffixes (the text each identity key ends with, quoted once per graph,
+and the term-keyed dict of node ids for the node suffix), the edge "graph"
+property value and whether the graph name is discarded, so no statement
+re-decides the named-graph policy. Entering also
 finds the graph's integers too long for int(), by model.terms over the
 statements whose canonical text is long enough to hold one, and the list
 cells whose rdf:first/rdf:rest links reach one.
@@ -356,7 +358,7 @@ class _Engine:
         # staged properties: identity -> list of (value, unit or None)
         self.node_props: dict = {}
         self.edge_props: dict = {}
-        self.node_ids: dict = {}  # (term, node key suffix) -> node id
+        self.node_ids: dict = {}  # node key suffix -> {term: node id}
         self.local_names: dict = {}  # predicate or class Iri -> its local name
 
     def _enter(self, graph_name: Optional[Iri], statements) -> None:
@@ -365,8 +367,10 @@ class _Engine:
         policy = self.graph_policy
         self.graph_name = graph_name
         self.name_discarded = name is not None and policy is NamedGraphPolicy.MERGE
-        self.node_suffix = name if policy is NamedGraphPolicy.PARTITION else None
-        self.edge_suffix = None if policy is NamedGraphPolicy.MERGE else name
+        # what this graph appends to each node and edge identity key, "" for nothing
+        self.node_suffix = pgraph.with_graph("", name if policy is NamedGraphPolicy.PARTITION else None)
+        self.edge_suffix = pgraph.with_graph("", None if policy is NamedGraphPolicy.MERGE else name)
+        self.graph_node_ids = self.node_ids.setdefault(self.node_suffix, {})
         self.graph_value = name if policy is NamedGraphPolicy.EDGE_PROPERTY else None
         self.facts: set = set()  # pgt: datatype statements already staged in this graph
         self.long_terms = _long_terms(statements)
@@ -389,26 +393,23 @@ class _Engine:
 
     def node_id(self, term) -> str:
         """The node of a term in the graph in flight, made the first time only."""
-        suffix = self.node_suffix
-        node_id = self.node_ids.get((term, suffix))
+        node_id = self.graph_node_ids.get(term)
         if node_id is None:
-            node = self._node(term, suffix)
+            node = self._node(term, self.node_suffix)
             self.nodes[node.id] = node
-            node_id = self.node_ids[term, suffix] = node.id
+            node_id = self.graph_node_ids[term] = node.id
         return node_id
 
     @staticmethod
-    def _node(term, suffix: Optional[str]) -> pgraph.Node:
+    def _node(term, suffix: str) -> pgraph.Node:
         if isinstance(term, Iri):
-            key = pgraph.with_graph(pgraph.iri_key(term.value), suffix)
+            key = pgraph.iri_key(term.value) + suffix
             return pgraph.Node(pgraph.node_id(key), {"Resource"}, {"iri": term.value})
         if isinstance(term, BlankNode):
-            key = pgraph.with_graph(pgraph.bnode_key(_DOC, term.label), suffix)
+            key = pgraph.bnode_key(_DOC, term.label) + suffix
             return pgraph.Node(pgraph.node_id(key), {"Resource"}, {"bnode": term.label})
         if isinstance(term, Literal):
-            key = pgraph.with_graph(
-                pgraph.literal_key(term.datatype.value, term.lang, term.lexical), suffix
-            )
+            key = pgraph.literal_key(term.datatype.value, term.lang, term.lexical) + suffix
             props = {"value": literal_value(term), "datatype": term.datatype.value}
             if term.lang is not None:
                 props["lang"] = term.lang
@@ -463,7 +464,7 @@ class _Engine:
 
     def edge_for(self, st: Statement) -> str:
         """Materialize a plain statement as an edge between term nodes, the first time only."""
-        edge_id = pgraph.edge_id(pgraph.with_graph("stmt:" + serialize_statement(st), self.edge_suffix))
+        edge_id = pgraph.edge_id("stmt:" + serialize_statement(st) + self.edge_suffix)
         if edge_id not in self.edges:
             labels = {self.local(st.predicate)}
             if self.kind_labels:

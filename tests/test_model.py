@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import os
 import pickle
 import subprocess
@@ -12,6 +14,7 @@ import rdfstar2pg
 from rdfstar2pg.model import (
     MAX_NESTING,
     RDF_FIRST,
+    RDF_LANG_STRING,
     RDF_NIL,
     RDF_REST,
     RDF_TYPE,
@@ -72,6 +75,115 @@ class TestTerms:
     def test_literal_predicate_rejected(self):
         with pytest.raises(TypeError):
             st(iri("s"), Literal("no"), iri("o"))
+
+
+# A term built from a value of the wrong type: (id, build, message). The
+# type is refused as the term is built, not deep in the pipeline later.
+WRONG_TYPES = [
+    ("iri_int", lambda: Iri(5), "Iri value must be str, not int"),
+    ("bnode_none", lambda: BlankNode(None), "BlankNode label must be str, not NoneType"),
+    ("bnode_original_int", lambda: BlankNode("b0", original=3), "BlankNode original must be Optional[str], not int"),
+    ("literal_int", lambda: Literal(3), "Literal lexical must be str, not int"),
+    ("literal_lang_int", lambda: Literal("x", lang=5), "Literal lang must be Optional[str], not int"),
+    ("literal_datatype_str", lambda: Literal("x", XSD_STRING), "Literal datatype must be Iri, not str"),
+    ("quoted_tuple", lambda: QuotedTriple((iri("s"), iri("p"), iri("o"))), "QuotedTriple statement must be Statement, not tuple"),
+    ("quoted_iri", lambda: QuotedTriple(iri("s")), "QuotedTriple statement must be Statement, not Iri"),
+]
+
+
+@pytest.mark.parametrize("build,message", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES])
+def test_a_term_of_wrong_types_is_refused_when_built(build, message):
+    with pytest.raises(TypeError) as exc_info:
+        build()
+    assert str(exc_info.value) == message
+
+
+def sample_terms() -> list:
+    """One of each term and a statement, each with every field set."""
+    statement = st(BlankNode("b0", original="x"), iri("p"), Literal("a", lang="en"))
+    return [iri("a"), BlankNode("b0", original="x"), Literal("1", Iri(XSD_INTEGER)), QuotedTriple(statement), statement]
+
+
+class TestConstructors:
+    """The constructors keep the dataclass contract: names, defaults, replace, fields, frozen."""
+
+    def test_keyword_construction_with_the_field_names(self):
+        a, p, b = iri("a"), iri("p"), iri("b")
+        assert Statement(subject=a, predicate=p, object=b) == Statement(a, p, b)
+        assert Literal(lexical="1", datatype=Iri(XSD_INTEGER), lang=None) == Literal("1", Iri(XSD_INTEGER))
+        assert BlankNode(label="b0", original="x").original == "x"
+        assert Iri(value="http://x/a") == Iri("http://x/a")
+        assert QuotedTriple(statement=Statement(a, p, b)).statement == Statement(a, p, b)
+
+    def test_signatures_keep_their_names_and_defaults(self):
+        signatures = {
+            Iri: [("value", inspect.Parameter.empty)],
+            BlankNode: [("label", inspect.Parameter.empty), ("original", None)],
+            Literal: [("lexical", inspect.Parameter.empty), ("datatype", Iri(XSD_STRING)), ("lang", None)],
+            QuotedTriple: [("statement", inspect.Parameter.empty)],
+            Statement: [(name, inspect.Parameter.empty) for name in ("subject", "predicate", "object")],
+        }
+        for cls, parameters in signatures.items():
+            found = inspect.signature(cls).parameters.values()
+            assert [(p.name, p.default) for p in found] == parameters, cls.__name__
+
+    def test_defaults(self):
+        assert Literal("x").datatype == Iri(XSD_STRING) and Literal("x").lang is None
+        assert BlankNode("b0").original is None
+
+    def test_a_language_tag_takes_rdf_lang_string(self):
+        literal = Literal("a", lang="en")
+        assert literal.datatype == Iri(RDF_LANG_STRING)
+        assert literal == Literal("a", Iri(RDF_LANG_STRING), "en")
+        assert hash(literal) == hash(Literal("a", Iri(RDF_LANG_STRING), "en"))
+        with pytest.raises(ValueError, match="requires a language tag"):
+            Literal("a", Iri(RDF_LANG_STRING))
+
+    def test_fields(self):
+        names = {
+            Iri: ["value", "_hash"],
+            BlankNode: ["label", "original", "_hash"],
+            Literal: ["lexical", "datatype", "lang", "_hash"],
+            QuotedTriple: ["statement", "depth", "_hash"],
+            Statement: ["subject", "predicate", "object", "_hash", "_kind", "_text"],
+        }
+        for cls, expected in names.items():
+            assert [f.name for f in dataclasses.fields(cls)] == expected, cls.__name__
+            assert cls.__slots__ == tuple(expected), cls.__name__
+        assert [f.name for f in dataclasses.fields(Literal) if f.init] == ["lexical", "datatype", "lang"]
+        assert [f.name for f in dataclasses.fields(Literal) if f.compare] == ["lexical", "datatype", "lang"]
+        assert dataclasses.fields(Literal)[1].default == Iri(XSD_STRING)
+        assert [f.name for f in dataclasses.fields(BlankNode) if f.compare] == ["label"]
+
+    def test_replace(self):
+        statement = st(iri("a"), iri("p"), iri("b"))
+        replaced = dataclasses.replace(statement, object=Literal("1"))
+        assert replaced == st(iri("a"), iri("p"), Literal("1"))
+        assert classify(replaced) is StatementKind.DATATYPE_PROPERTY
+        assert hash(replaced) == hash(st(iri("a"), iri("p"), Literal("1")))
+        assert dataclasses.replace(Literal("a", lang="en"), lexical="b") == Literal("b", lang="en")
+        assert dataclasses.replace(BlankNode("b0", original="x"), label="b1").original == "x"
+        assert dataclasses.replace(QuotedTriple(statement)).depth == 1
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(iri("a"), _hash=0)
+
+    @pytest.mark.parametrize("term", sample_terms(), ids=lambda term: type(term).__name__)
+    def test_every_field_is_frozen(self, term):
+        for f in dataclasses.fields(term):
+            before = getattr(term, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(term, f.name, before)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(term, f.name)
+            assert getattr(term, f.name) is before
+
+    def test_nesting_too_deep_built_in_code(self):
+        term = QuotedTriple(st(iri("a"), iri("p"), iri("b")))
+        for _ in range(MAX_NESTING - 1):
+            term = QuotedTriple(st(term, iri("p"), iri("b")))
+        assert term.depth == MAX_NESTING
+        with pytest.raises(NestingTooDeep):
+            QuotedTriple(st(iri("a"), iri("p"), term))  # the 129th level
 
 
 class TestClassify:

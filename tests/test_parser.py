@@ -1,7 +1,11 @@
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from rdfstar2pg.conformance import builtin_corpus
 from rdfstar2pg.model import (
     RDF_FIRST,
     RDF_NIL,
@@ -9,6 +13,7 @@ from rdfstar2pg.model import (
     RDF_TYPE,
     XSD_DECIMAL,
     XSD_INTEGER,
+    XSD_STRING,
     BlankNode,
     Iri,
     Literal,
@@ -20,6 +25,7 @@ from rdfstar2pg.model import (
 from rdfstar2pg.exporters import to_cypher, to_graphml, to_json
 from rdfstar2pg.parser import (
     _CHUNK,
+    _TOKEN,
     MAX_NESTING,
     ErrorKind,
     ParseError,
@@ -497,6 +503,96 @@ class TestNestingCap:
         lists = ", ".join(['("x")'] * (MAX_NESTING + 1))
         dataset = parse_turtle_star(EX + f"{deep} ex:q {deep} .\n{deep} ex:r ex:c .\nex:l ex:p {lists} .")
         assert len(dataset.default) == 2 + (MAX_NESTING + 1) * 3
+
+
+class TestScannerBranches:
+    """Inputs where the scanner's branches meet: each branch starts with a
+    character or a class, so a prefixed name, the bare ':', a number and the
+    statement's '.' must still cut apart as before."""
+
+    def test_a_prefix_named_a_beside_the_a_keyword(self):
+        st = only(parse_turtle_star("@prefix a: <http://a.example/> .\na:s a a:C ."))
+        assert st == Statement(Iri("http://a.example/s"), Iri(RDF_TYPE), Iri("http://a.example/C"))
+
+    def test_the_bare_empty_prefix_in_each_position(self):
+        iri = Iri("http://e.example/x")
+        dataset = parse_turtle_star(
+            '@prefix : <http://e.example/x> .\n: : : .\n: : "v"^^: .\n<< : : : >> : (:) .\n: { : : :.}\n'
+        )
+        first, rest, nil = Iri(RDF_FIRST), Iri(RDF_REST), Iri(RDF_NIL)
+        cell = BlankNode("b0")
+        assert dataset.default == (
+            Statement(iri, iri, iri),
+            Statement(iri, iri, Literal("v", iri)),
+            Statement(QuotedTriple(Statement(iri, iri, iri)), iri, cell),
+            Statement(cell, first, iri),
+            Statement(cell, rest, nil),
+        )
+        assert dataset.named == {iri: (Statement(iri, iri, iri),)}
+
+    def test_a_prefix_only_name_as_object(self):
+        assert only(parse_turtle_star(EX + "ex:s ex:p ex: .")).object == Iri("http://example.org/")
+
+    @pytest.mark.parametrize(
+        "number,literal",
+        [("5.", Literal("5", Iri(XSD_INTEGER))), (".5 .", Literal(".5", Iri(XSD_DECIMAL))),
+         ("-.5 .", Literal("-.5", Iri(XSD_DECIMAL))), ("+5.", Literal("+5", Iri(XSD_INTEGER))),
+         ("5.0.", Literal("5.0", Iri(XSD_DECIMAL))), ('"5".', Literal("5", Iri(XSD_STRING)))],
+    )
+    def test_a_number_before_the_statement_dot(self, number, literal):
+        assert only(parse_turtle_star(EX + "ex:s ex:p " + number)).object == literal
+
+
+# _TOKEN as it was before its branches were reordered to each start with a
+# character or a class, kept to show that the order changes no lexeme.
+REFERENCE_TOKEN = re.compile(
+    r"[ \t\n]*(?:\#[^\n]*(?:\n|\Z)[ \t\n]*)*(?![ \t\n\#])"
+    + r"""(
+    (?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?
+  | <<|>>|\^\^|[;,()\[\]}]|\.(?!\d)|\{(?!\|)
+  | "(?!"")[^"\\\n\ud800-\udfff]*(?:\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4})[^"\\\n\ud800-\udfff]*)*"
+  | <[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*(?:\\u[0-9A-Fa-f]{4}[^\x00-\x20<>"{}|^`\\\ud800-\udfff]*)*>
+  | [+-]?(?:\d+\.\d+|\d+(?!\.\d)|\.\d+)(?![\deE])
+  | @(?!prefix|base)[a-zA-Z]+(?:-[a-zA-Z0-9]+)*
+  | _:[A-Za-z0-9_][A-Za-z0-9_\-]*
+  | a(?![A-Za-z0-9_\-:])
+  | @prefix
+  | \Z
+  | [\s\S]+
+)""",
+    re.VERBOSE,
+)
+
+# Pieces of Turtle-star, well-formed and not, that meet at a branch: joined
+# at random, they put every pair of branches side by side.
+SCANNER_PIECES = [
+    "ex:", ":", "a", "a:", "ab:c", "a-b:_x", "A9:", "_:", "_:b", "_:b-1", "_", ".", ".5", "5.", "5", "55",
+    "+", "-", "-.5", "+5.0", "1.2.3", "12.5e3", "1e", "E", "@en", "@en-GB", "@", "@prefix", "@base",
+    "@prefixx", "<", ">", "<<", ">>", "<http://x/>", "<a b>", "<\\u0041>", '"', '"x"', '""', '"""', '"\\u0041"',
+    "\\", "^^", "^", "{", "{|", "|}", "}", "(", ")", "[", "]", ";", ",", " ", "\t", "\n", "#", "# c\n", "é",
+    "true", "PREFIX", "\x00", "\ud800",
+]
+
+
+def reference_lexemes(text: str) -> list:
+    return [REFERENCE_TOKEN.findall(chunk) for chunk in _chunks(text)]
+
+
+def lexemes(text: str) -> list:
+    return [_TOKEN.findall(chunk) for chunk in _chunks(text)]
+
+
+def test_the_branch_order_changes_no_lexeme_of_the_corpus():
+    sources = [case.source for case in builtin_corpus()]
+    assert len(sources) == 23
+    for source in sources:
+        assert lexemes(source) == reference_lexemes(source)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hst.lists(hst.one_of(hst.sampled_from(SCANNER_PIECES), hst.text(max_size=3)), max_size=40).map("".join))
+def test_the_branch_order_changes_no_lexeme_of_generated_text(text):
+    assert lexemes(text) == reference_lexemes(text)
 
 
 class TestRoundTrip:
